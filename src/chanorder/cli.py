@@ -3,8 +3,9 @@
 Loads channel documents, runs comparisons and lattice operations, and emits
 JSON certificates (or CSV tables for grid-shaped payloads).  Exit status:
 0 when the queried relation holds or the operation succeeded, 1 when the
-relation does not hold, 2 on usage or validation errors (reported as a
-one-line JSON object on standard error).
+relation does not hold, 2 on usage or validation errors, 3 on an internal
+error (the relation was not decided).  Errors are reported as a one-line
+JSON object on standard error.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ _ENSEMBLE_CONVENTIONS = [
     lgc.PADDING_CONVENTION,
     "ensemble comparisons assume the two ensembles share a common copula",
 ]
+
+# Exceptions that mean the input or the invocation was bad (exit 2); any
+# other exception is an internal failure (exit 3).
+_INVALID_INPUT = (ValueError, KeyError, TypeError, OSError)
 
 
 class UsageError(ValueError):
@@ -103,11 +108,16 @@ def _load_matrix(path: str) -> np.ndarray:
     return np.asarray(obj["matrix"], dtype=float)
 
 
-def _metadata(command: str, parameters: dict, conventions: list[str]) -> dict:
-    return {"command": command, "parameters": parameters, "conventions": conventions}
-
-
 def _result_doc(command: str, parameters: dict, conventions: list[str], result: dict) -> dict:
+    """Wrap a handler's result in the document the command prints.
+
+    A channel document (it carries a ``type`` tag) stays loadable and gets
+    the command, parameters and conventions as its ``metadata`` block; any
+    other result is wrapped in a ``result`` document.
+    """
+    if "type" in result:
+        metadata = {"command": command, "parameters": parameters, "conventions": conventions}
+        return {**result, "metadata": metadata}
     return {
         "type": "result",
         "command": command,
@@ -118,15 +128,14 @@ def _result_doc(command: str, parameters: dict, conventions: list[str], result: 
 
 
 def _emit(args, document: dict, table) -> None:
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         if table is None:
             raise UsageError("csv output is only available for grid or table results")
         text = "\n".join(",".join(_cell(v) for v in row) for row in table) + "\n"
     else:
         text = json.dumps(document, indent=2) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -140,15 +149,10 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    env = os.environ.get("CHANORDER_SEED")
-    return int(env) if env else 0
-
-
 # ---------------------------------------------------------------------------
-# dmc subcommands
+# Subcommand handlers.  Each returns (parameters, result, exit code, CSV
+# table or None); the command table below supplies the command name and the
+# conventions.
 
 
 def _cmd_dmc_check(args):
@@ -162,13 +166,13 @@ def _cmd_dmc_check(args):
             "witness": dmc.witness_to_json_dict(decision.witness),
             "residual": decision.witness.residual,
         }
-        return _result_doc("dmc check", parameters, _DMC_CONVENTIONS, result), 0, None
+        return parameters, result, 0, None
     result = {
         "included": False,
         "separator": decision.separator.tolist(),
         "margin": decision.margin,
     }
-    return _result_doc("dmc check", parameters, _DMC_CONVENTIONS, result), 1, None
+    return parameters, result, 1, None
 
 
 def _cmd_dmc_equiv(args):
@@ -176,8 +180,7 @@ def _cmd_dmc_equiv(args):
     b = _load_typed(args.b, "dmc")
     verdict = dmc.equivalent(a, b, tolerance=args.tolerance, cap=args.cap)
     parameters = {"tolerance": args.tolerance, "cap": args.cap}
-    doc = _result_doc("dmc equiv", parameters, _DMC_CONVENTIONS, {"equivalent": verdict})
-    return doc, 0 if verdict else 1, None
+    return parameters, {"equivalent": verdict}, 0 if verdict else 1, None
 
 
 def _cmd_dmc_degrade(args):
@@ -185,21 +188,14 @@ def _cmd_dmc_degrade(args):
     witness = dmc.witness_from_json_dict(_read_json(args.witness))
     degraded = dmc.degrade(channel, witness.pairs, witness.weights, n_outputs=args.n_outputs)
     parameters = {"n_outputs": degraded.n_outputs}
-    doc = dmc.to_json_dict(degraded)
-    doc["metadata"] = _metadata("dmc degrade", parameters, _DMC_CONVENTIONS)
-    return doc, 0, degraded.entries.tolist()
+    return parameters, dmc.to_json_dict(degraded), 0, degraded.entries.tolist()
 
 
 def _cmd_dmc_error_prob(args):
     channel = _load_typed(args.channel, "dmc")
     value = dmc.best_error_probability(channel, args.messages, args.block_length, cap=args.cap)
     parameters = {"messages": args.messages, "block_length": args.block_length, "cap": args.cap}
-    doc = _result_doc("dmc error-prob", parameters, _DMC_CONVENTIONS, {"error_probability": value})
-    return doc, 0, None
-
-
-# ---------------------------------------------------------------------------
-# noise subcommands
+    return parameters, {"error_probability": value}, 0, None
 
 
 def _cmd_noise_check(args):
@@ -207,14 +203,12 @@ def _cmd_noise_check(args):
     worse = _load_typed(args.worse, "kfunction")
     outcome = noise.check_order(better, worse, tolerance=args.tolerance)
     holds = outcome.relation in (noise.Relation.SECOND_WORSE, noise.Relation.EQUAL)
-    parameters = {"tolerance": args.tolerance}
     result = {
         "relation": outcome.relation.value,
         "max_violation": outcome.max_violation,
         "claim_holds": holds,
     }
-    doc = _result_doc("noise check", parameters, _NOISE_CONVENTIONS, result)
-    return doc, 0 if holds else 1, None
+    return {"tolerance": args.tolerance}, result, 0 if holds else 1, None
 
 
 def _profile_table(profile: noise.MonotoneProfile):
@@ -224,13 +218,13 @@ def _profile_table(profile: noise.MonotoneProfile):
     return table
 
 
-def _cmd_noise_lattice(args, combine, command):
+def _cmd_noise_lattice(args):
     a = _load_typed(args.first, "kfunction")
     b = _load_typed(args.second, "kfunction")
-    result = combine(a, b)
-    doc = noise.to_json_dict(result)
-    doc["metadata"] = _metadata(command, {}, _NOISE_CONVENTIONS)
-    return doc, 0, _profile_table(result)
+    # noise.lub or noise.glb, named by the subcommand; looked up per call so a
+    # wrapper installed on the module (a profiler, a test double) sees it.
+    result = getattr(noise, args.command)(a, b)
+    return {}, noise.to_json_dict(result), 0, _profile_table(result)
 
 
 def _cmd_noise_cf(args):
@@ -239,20 +233,12 @@ def _cmd_noise_cf(args):
     for zeta in args.zeta:
         value = noise.log_cf(profile, zeta)
         values.append({"zeta": zeta, "re": value.real, "im": value.imag})
-    doc = _result_doc("noise cf", {}, _NOISE_CONVENTIONS, {"log_cf": values})
-    return doc, 0, None
+    return {}, {"log_cf": values}, 0, None
 
 
 def _cmd_noise_variance(args):
     profile = _load_typed(args.profile, "kfunction")
-    doc = _result_doc(
-        "noise variance", {}, _NOISE_CONVENTIONS, {"variance": noise.variance(profile)}
-    )
-    return doc, 0, None
-
-
-# ---------------------------------------------------------------------------
-# phase subcommands
+    return {}, {"variance": noise.variance(profile)}, 0, None
 
 
 def _parse_family(spec: str):
@@ -285,10 +271,8 @@ def _spectrum_table(spectrum: phase.TorusSpectrum):
     return table
 
 
-def _phase_doc(spectrum, command, parameters):
-    doc = phase.to_json_dict(spectrum)
-    doc["metadata"] = _metadata(command, parameters, _PHASE_CONVENTIONS)
-    return doc, 0, _spectrum_table(spectrum)
+def _phase_result(spectrum, parameters):
+    return parameters, phase.to_json_dict(spectrum), 0, _spectrum_table(spectrum)
 
 
 def _cmd_phase_build(args):
@@ -296,14 +280,13 @@ def _cmd_phase_build(args):
     v = phase.from_wrapped(_parse_family(args.v_phase), args.order)
     spectrum = phase.product_channel(h, v)
     parameters = {"h_phase": args.h_phase, "v_phase": args.v_phase, "order": args.order}
-    return _phase_doc(spectrum, "phase build", parameters)
+    return _phase_result(spectrum, parameters)
 
 
 def _cmd_phase_degrade(args):
     channel = _load_typed(args.channel, "torus")
     degradation = _load_typed(args.degradation, "torus")
-    degraded = phase.degrade(channel, degradation)
-    return _phase_doc(degraded, "phase degrade", {})
+    return _phase_result(phase.degrade(channel, degradation), {})
 
 
 def _cmd_phase_strict(args):
@@ -313,33 +296,28 @@ def _cmd_phase_strict(args):
     result = {"classification": outcome.kind.value}
     if outcome.witness is not None:
         result["witness"] = list(outcome.witness)
-    doc = _result_doc("phase strict", {"epsilon": args.epsilon}, _PHASE_CONVENTIONS, result)
     # The queried relation is "the degradation can be undone"; a strict
     # degradation means the relation fails.
-    return doc, 1 if outcome.kind is phase.Strictness.STRICT else 0, None
+    code = 1 if outcome.kind is phase.Strictness.STRICT else 0
+    return {"epsilon": args.epsilon}, result, code, None
+
+
+# --kind value -> name of the phase constructor, looked up per call as for lub.
+_EXTREMALS = {
+    "worst": "worst_channel",
+    "output-uniform": "output_uniformizing_degradation",
+    "input-uniform": "input_uniformizing_degradation",
+}
 
 
 def _cmd_phase_extremal(args):
-    if args.kind == "worst":
-        spectrum = phase.worst_channel(args.order)
-    elif args.kind == "output-uniform":
-        spectrum = phase.output_uniformizing_degradation(args.order)
-    elif args.kind == "input-uniform":
-        spectrum = phase.input_uniformizing_degradation(args.order)
-    else:
-        raise UsageError(f"unknown extremal kind {args.kind!r}")
-    return _phase_doc(spectrum, "phase extremal", {"kind": args.kind, "order": args.order})
-
-
-# ---------------------------------------------------------------------------
-# lgc subcommands
+    spectrum = getattr(phase, _EXTREMALS[args.kind])(args.order)
+    return _phase_result(spectrum, {"kind": args.kind, "order": args.order})
 
 
 def _cmd_lgc_canon(args):
-    channel = _load_typed(args.channel, "lgc")
-    spectrum = lgc.canonicalize(channel)
-    doc = _result_doc("lgc canon", {}, _LGC_CONVENTIONS, {"spectrum": spectrum.values.tolist()})
-    return doc, 0, [list(spectrum.values)]
+    spectrum = lgc.canonicalize(_load_typed(args.channel, "lgc"))
+    return {}, {"spectrum": spectrum.values.tolist()}, 0, [list(spectrum.values)]
 
 
 def _cmd_lgc_check(args):
@@ -349,16 +327,15 @@ def _cmd_lgc_check(args):
     result = {"included": decision.included}
     if decision.violating_index is not None:
         result["violating_index"] = decision.violating_index
-    doc = _result_doc("lgc check", {"tolerance": args.tolerance}, _LGC_CONVENTIONS, result)
-    return doc, 0 if decision.included else 1, None
+    return {"tolerance": args.tolerance}, result, 0 if decision.included else 1, None
 
 
-def _cmd_lgc_lattice(args, combine, command):
+def _cmd_lgc_lattice(args):
     a = lgc.canonicalize(_load_typed(args.first, "lgc"))
     b = lgc.canonicalize(_load_typed(args.second, "lgc"))
-    spectrum = combine(a, b)
-    doc = _result_doc(command, {}, _LGC_CONVENTIONS, {"spectrum": spectrum.values.tolist()})
-    return doc, 0, [list(spectrum.values)]
+    # lgc.lub or lgc.glb, named by the subcommand; looked up per call as above.
+    spectrum = getattr(lgc, args.command)(a, b)
+    return {}, {"spectrum": spectrum.values.tolist()}, 0, [list(spectrum.values)]
 
 
 def _cmd_lgc_verify_equiv(args):
@@ -371,24 +348,23 @@ def _cmd_lgc_verify_equiv(args):
         result["condition"] = report.condition
     if report.max_deviation is not None:
         result["max_deviation"] = report.max_deviation
-    doc = _result_doc("lgc verify-equiv", {"tolerance": args.tolerance}, _LGC_CONVENTIONS, result)
-    return doc, 0 if report.equivalent else 1, None
+    return {"tolerance": args.tolerance}, result, 0 if report.equivalent else 1, None
 
 
 def _cmd_lgc_sample_haar(args):
-    seed = _seed(args)
+    if args.seed is not None:
+        seed = args.seed
+    else:
+        env = os.environ.get("CHANORDER_SEED")
+        seed = int(env) if env else 0
     matrix = lgc.sample_haar_orthogonal(args.n, seed)
-    doc = _result_doc(
-        "lgc sample-haar", {"n": args.n, "seed": seed}, _LGC_CONVENTIONS, {"matrix": matrix.tolist()}
-    )
-    return doc, 0, matrix.tolist()
+    return {"n": args.n, "seed": seed}, {"matrix": matrix.tolist()}, 0, matrix.tolist()
 
 
 def _cmd_lgc_ensemble_order(args):
     a = _load_typed(args.a, "lgc_ensemble")
     b = _load_typed(args.b, "lgc_ensemble")
     decision = lgc.ensemble_order(a, b, n_grid=args.n_grid)
-    parameters = {"n_grid": args.n_grid}
     result = {
         "ordered": decision.ordered,
         "direction": decision.direction,
@@ -396,137 +372,86 @@ def _cmd_lgc_ensemble_order(args):
         "max_violation": decision.max_violation,
         "band": decision.band,
     }
-    doc = _result_doc("lgc ensemble-order", parameters, _ENSEMBLE_CONVENTIONS, result)
-    return doc, 0 if decision.ordered else 1, None
+    return {"n_grid": args.n_grid}, result, 0 if decision.ordered else 1, None
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# Command table: (group, command, handler, arguments, conventions).  Each
+# argument is (name, add_argument keywords); every subcommand also takes the
+# output flags, last.
 
+_GROUP_HELP = {
+    "dmc": "discrete memoryless channels",
+    "noise": "additive infinitely divisible noise channels",
+    "phase": "phase-degraded torus channels",
+    "lgc": "linear Gaussian channels",
+}
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+_CHANNEL = ("--channel", _REQUIRED)
+_BETTER_WORSE = (("--better", _REQUIRED), ("--worse", _REQUIRED))
+_A_B = (("--a", _REQUIRED), ("--b", _REQUIRED))
+_OPERANDS = (("first", {}), ("second", {}))
+_TOLERANCE = ("--tolerance", {"type": float, "default": 1e-9})
+_CAP = ("--cap", {"type": int, "default": dmc.ENUMERATION_CAP})
+_ORDER = ("--order", {"type": int, "default": 32})
+_OUTPUT = (
+    ("--out", {"help": "write the document to a file"}),
+    ("--format", {"choices": ("json", "csv"), "default": "json"}),
+)
 
-def _add_common(parser, tolerance=False, cap=False, out=True, seed=False, order=False):
-    if tolerance:
-        parser.add_argument("--tolerance", type=float, default=1e-9)
-    if cap:
-        parser.add_argument("--cap", type=int, default=dmc.ENUMERATION_CAP)
-    if seed:
-        parser.add_argument("--seed", type=int, default=None)
-    if order:
-        parser.add_argument("--order", type=int, default=32)
-    if out:
-        parser.add_argument("--out", default=None, help="write the document to a file")
-        parser.add_argument("--format", choices=("json", "csv"), default="json")
+_COMMANDS = (
+    ("dmc", "check", _cmd_dmc_check, _BETTER_WORSE + (_TOLERANCE, _CAP), _DMC_CONVENTIONS),
+    ("dmc", "equiv", _cmd_dmc_equiv, _A_B + (_TOLERANCE, _CAP), _DMC_CONVENTIONS),
+    ("dmc", "degrade", _cmd_dmc_degrade,
+     (_CHANNEL, ("--witness", _REQUIRED), ("--n-outputs", {"type": int})), _DMC_CONVENTIONS),
+    ("dmc", "error-prob", _cmd_dmc_error_prob,
+     (_CHANNEL, ("--messages", _REQUIRED_INT), ("--block-length", _REQUIRED_INT), _CAP),
+     _DMC_CONVENTIONS),
+    ("noise", "check", _cmd_noise_check, _BETTER_WORSE + (_TOLERANCE,), _NOISE_CONVENTIONS),
+    ("noise", "lub", _cmd_noise_lattice, _OPERANDS, _NOISE_CONVENTIONS),
+    ("noise", "glb", _cmd_noise_lattice, _OPERANDS, _NOISE_CONVENTIONS),
+    ("noise", "cf", _cmd_noise_cf,
+     (("--profile", _REQUIRED), ("--zeta", {"type": float, "action": "append", "required": True})),
+     _NOISE_CONVENTIONS),
+    ("noise", "variance", _cmd_noise_variance, (("--profile", _REQUIRED),), _NOISE_CONVENTIONS),
+    ("phase", "build", _cmd_phase_build,
+     (("--h-phase", {"required": True, "help": "gain phase family, e.g. wgauss:0:1"}),
+      ("--v-phase", {"required": True, "help": "noise phase family, e.g. uniform"}), _ORDER),
+     _PHASE_CONVENTIONS),
+    ("phase", "degrade", _cmd_phase_degrade, (_CHANNEL, ("--degradation", _REQUIRED)),
+     _PHASE_CONVENTIONS),
+    ("phase", "strict", _cmd_phase_strict,
+     (_CHANNEL, ("--degradation", _REQUIRED), ("--epsilon", {"type": float, "default": 1e-9})),
+     _PHASE_CONVENTIONS),
+    ("phase", "extremal", _cmd_phase_extremal,
+     (("--kind", {"choices": tuple(_EXTREMALS), "required": True}), _ORDER), _PHASE_CONVENTIONS),
+    ("lgc", "canon", _cmd_lgc_canon, (_CHANNEL,), _LGC_CONVENTIONS),
+    ("lgc", "check", _cmd_lgc_check, _BETTER_WORSE + (_TOLERANCE,), _LGC_CONVENTIONS),
+    ("lgc", "lub", _cmd_lgc_lattice, _OPERANDS, _LGC_CONVENTIONS),
+    ("lgc", "glb", _cmd_lgc_lattice, _OPERANDS, _LGC_CONVENTIONS),
+    ("lgc", "verify-equiv", _cmd_lgc_verify_equiv,
+     (_CHANNEL, ("--b-matrix", _REQUIRED), ("--c-matrix", _REQUIRED), _TOLERANCE),
+     _LGC_CONVENTIONS),
+    ("lgc", "sample-haar", _cmd_lgc_sample_haar,
+     (("--n", _REQUIRED_INT), ("--seed", {"type": int})), _LGC_CONVENTIONS),
+    ("lgc", "ensemble-order", _cmd_lgc_ensemble_order,
+     _A_B + (("--n-grid", {"type": int, "default": 101}),), _ENSEMBLE_CONVENTIONS),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chanorder", description=__doc__)
     groups = parser.add_subparsers(dest="group")
-
-    group = groups.add_parser("dmc", help="discrete memoryless channels")
-    sub = group.add_subparsers(dest="command")
-    p = sub.add_parser("check")
-    p.add_argument("--better", required=True)
-    p.add_argument("--worse", required=True)
-    _add_common(p, tolerance=True, cap=True)
-    p.set_defaults(handler=_cmd_dmc_check)
-    p = sub.add_parser("equiv")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    _add_common(p, tolerance=True, cap=True)
-    p.set_defaults(handler=_cmd_dmc_equiv)
-    p = sub.add_parser("degrade")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--witness", required=True)
-    p.add_argument("--n-outputs", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_dmc_degrade)
-    p = sub.add_parser("error-prob")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--messages", type=int, required=True)
-    p.add_argument("--block-length", type=int, required=True)
-    _add_common(p, cap=True)
-    p.set_defaults(handler=_cmd_dmc_error_prob)
-
-    group = groups.add_parser("noise", help="additive infinitely divisible noise channels")
-    sub = group.add_subparsers(dest="command")
-    p = sub.add_parser("check")
-    p.add_argument("--better", required=True)
-    p.add_argument("--worse", required=True)
-    _add_common(p, tolerance=True)
-    p.set_defaults(handler=_cmd_noise_check)
-    for name, combine in (("lub", noise.lub), ("glb", noise.glb)):
-        p = sub.add_parser(name)
-        p.add_argument("first")
-        p.add_argument("second")
-        _add_common(p)
-        p.set_defaults(handler=lambda a, c=combine, n=name: _cmd_noise_lattice(a, c, f"noise {n}"))
-    p = sub.add_parser("cf")
-    p.add_argument("--profile", required=True)
-    p.add_argument("--zeta", type=float, action="append", required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_noise_cf)
-    p = sub.add_parser("variance")
-    p.add_argument("--profile", required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_noise_variance)
-
-    group = groups.add_parser("phase", help="phase-degraded torus channels")
-    sub = group.add_subparsers(dest="command")
-    p = sub.add_parser("build")
-    p.add_argument("--h-phase", required=True, help="gain phase family, e.g. wgauss:0:1")
-    p.add_argument("--v-phase", required=True, help="noise phase family, e.g. uniform")
-    _add_common(p, order=True)
-    p.set_defaults(handler=_cmd_phase_build)
-    p = sub.add_parser("degrade")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--degradation", required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_phase_degrade)
-    p = sub.add_parser("strict")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--degradation", required=True)
-    p.add_argument("--epsilon", type=float, default=1e-9)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_phase_strict)
-    p = sub.add_parser("extremal")
-    p.add_argument("--kind", choices=("worst", "output-uniform", "input-uniform"), required=True)
-    _add_common(p, order=True)
-    p.set_defaults(handler=_cmd_phase_extremal)
-
-    group = groups.add_parser("lgc", help="linear Gaussian channels")
-    sub = group.add_subparsers(dest="command")
-    p = sub.add_parser("canon")
-    p.add_argument("--channel", required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_lgc_canon)
-    p = sub.add_parser("check")
-    p.add_argument("--better", required=True)
-    p.add_argument("--worse", required=True)
-    _add_common(p, tolerance=True)
-    p.set_defaults(handler=_cmd_lgc_check)
-    for name, combine in (("lub", lgc.lub), ("glb", lgc.glb)):
-        p = sub.add_parser(name)
-        p.add_argument("first")
-        p.add_argument("second")
-        _add_common(p)
-        p.set_defaults(handler=lambda a, c=combine, n=name: _cmd_lgc_lattice(a, c, f"lgc {n}"))
-    p = sub.add_parser("verify-equiv")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--b-matrix", required=True)
-    p.add_argument("--c-matrix", required=True)
-    _add_common(p, tolerance=True)
-    p.set_defaults(handler=_cmd_lgc_verify_equiv)
-    p = sub.add_parser("sample-haar")
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p, seed=True)
-    p.set_defaults(handler=_cmd_lgc_sample_haar)
-    p = sub.add_parser("ensemble-order")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--n-grid", type=int, default=101)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_lgc_ensemble_order)
-
+    commands = {}
+    for group, command, handler, arguments, conventions in _COMMANDS:
+        if group not in commands:
+            group_parser = groups.add_parser(group, help=_GROUP_HELP[group])
+            commands[group] = group_parser.add_subparsers(dest="command")
+        sub = commands[group].add_parser(command)
+        for name, options in arguments + _OUTPUT:
+            sub.add_argument(name, **options)
+        sub.set_defaults(handler=handler, conventions=conventions)
     return parser
 
 
@@ -542,15 +467,16 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if not hasattr(args, "handler"):
             raise UsageError("a subcommand is required (see --help)")
-        document, code, table = args.handler(args)
-        _emit(args, document, table)
+        parameters, result, code, table = args.handler(args)
+        command = f"{args.group} {args.command}"
+        _emit(args, _result_doc(command, parameters, args.conventions, result), table)
         return code
-    except UsageError as exc:
+    except Exception as exc:
         _report_error(exc)
-        return 2
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
-        _report_error(exc)
-        return 2
+        # LinAlgError subclasses ValueError but is a numerical failure.
+        if isinstance(exc, _INVALID_INPUT) and not isinstance(exc, np.linalg.LinAlgError):
+            return 2
+        return 3
 
 
 def main(argv=None) -> int:

@@ -1,9 +1,8 @@
 """Shared numerical kernels.
 
-Convex-combination membership with replayable certificates, singular value
-decomposition, symmetric inverse square roots, and seeded Gaussian sampling.
-Every function here is a pure function of its inputs; the sampler is a pure
-function of its seed, so all of it is safe to call concurrently.
+Convex-combination membership with replayable certificates, singular values,
+and symmetric inverse square roots.  Every function here is a pure function
+of its inputs, so all of it is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -18,10 +17,8 @@ __all__ = [
     "FeasibilityProblem",
     "FeasibilityCertificate",
     "solve_feasibility",
-    "svd",
     "singular_values",
     "inverse_sqrt_spd",
-    "sample_gaussian_matrix",
 ]
 
 # Pivot/zero threshold for the simplex; the user-facing feasibility decision
@@ -167,28 +164,6 @@ def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityCertificate:
     return FeasibilityCertificate(Feasibility.INFEASIBLE, None, separator, margin)
 
 
-def svd(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full singular value decomposition ``matrix = u @ diag(s) @ vh``.
-
-    Parameters
-    ----------
-    matrix : 2-D real array with finite entries.
-
-    Returns
-    -------
-    (u, s, vh) : orthogonal ``u``, nonincreasing nonnegative ``s``, and the
-        transposed right factor ``vh`` (``u`` is ``m x m``, ``vh`` is
-        ``n x n``; embed ``s`` on the main diagonal to reconstruct).
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ValueError("svd expects a 2-D matrix")
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("svd requires finite entries")
-    u, s, vh = np.linalg.svd(matrix, full_matrices=True)
-    return u, s, vh
-
-
 def singular_values(matrix) -> np.ndarray:
     """Nonincreasing singular values of a finite real matrix."""
     matrix = np.asarray(matrix, dtype=float)
@@ -227,12 +202,3 @@ def inverse_sqrt_spd(matrix) -> np.ndarray:
             f"matrix is not positive definite: offending eigenvalue {smallest:.6e}"
         )
     return (vectors / np.sqrt(eigenvalues)) @ vectors.T
-
-
-def sample_gaussian_matrix(rows: int, cols: int, seed) -> np.ndarray:
-    """Matrix of i.i.d. standard normal entries, reproducible for a seed."""
-    rows, cols = int(rows), int(cols)
-    if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be positive")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((rows, cols))

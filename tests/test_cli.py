@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chanorder
 from chanorder import dmc, lgc, noise, phase
 from chanorder.cli import load_document, run
 
@@ -327,3 +331,147 @@ class TestErrorsAndFormats:
         assert code == 0 and doc_env["parameters"]["seed"] == 17
         code, doc_flag, _ = run_json(capsys, ["lgc", "sample-haar", "--n", "2", "--seed", "17"])
         assert doc_flag["result"]["matrix"] == doc_env["result"]["matrix"]
+
+
+_DMC_CONVENTIONS = [
+    "decisions are deterministic: fixed enumeration order and Bland pivoting",
+    "witnesses replay as: sum of weights * (input-degraded, output-degraded channel)",
+]
+_NOISE_CONVENTIONS = [noise.ORDER_CONVENTION]
+_PHASE_CONVENTIONS = [
+    "strict = cannot be undone by any further phase degradation",
+    "a null (worst) channel is excluded from the strictness question",
+]
+_LGC_CONVENTIONS = [lgc.PADDING_CONVENTION]
+_ENSEMBLE_CONVENTIONS = [
+    lgc.PADDING_CONVENTION,
+    "ensemble comparisons assume the two ensembles share a common copula",
+]
+_RESULT_KEYS = ["type", "command", "parameters", "result", "conventions"]
+_CAP = dmc.ENUMERATION_CAP
+
+# (argv with @name for a written document, exit code, top-level keys,
+#  parameters, conventions); channel documents carry the last three in a
+# "metadata" block instead of at the top level.
+_CONTRACT = [
+    (["dmc", "check", "--better", "@bsc01", "--worse", "@bsc02"], 0, _RESULT_KEYS,
+     {"tolerance": 1e-9, "cap": _CAP}, _DMC_CONVENTIONS),
+    (["dmc", "equiv", "--a", "@bsc01", "--b", "@bsc02"], 1, _RESULT_KEYS,
+     {"tolerance": 1e-9, "cap": _CAP}, _DMC_CONVENTIONS),
+    (["dmc", "degrade", "--channel", "@bsc01", "--witness", "@witness"], 0,
+     ["type", "matrix", "metadata"], {"n_outputs": 2}, _DMC_CONVENTIONS),
+    (["dmc", "error-prob", "--channel", "@bsc01", "--messages", "2", "--block-length", "3"], 0,
+     _RESULT_KEYS, {"messages": 2, "block_length": 3, "cap": _CAP}, _DMC_CONVENTIONS),
+    (["noise", "check", "--better", "@low", "--worse", "@high"], 0, _RESULT_KEYS,
+     {"tolerance": 1e-9}, _NOISE_CONVENTIONS),
+    (["noise", "lub", "@low", "@high"], 0,
+     ["type", "flag", "grid", "density", "atoms", "metadata"], {}, _NOISE_CONVENTIONS),
+    (["noise", "glb", "@low", "@high"], 0,
+     ["type", "flag", "grid", "density", "atoms", "metadata"], {}, _NOISE_CONVENTIONS),
+    (["noise", "cf", "--profile", "@low", "--zeta", "1.0"], 0, _RESULT_KEYS, {},
+     _NOISE_CONVENTIONS),
+    (["noise", "variance", "--profile", "@low"], 0, _RESULT_KEYS, {}, _NOISE_CONVENTIONS),
+    (["phase", "build", "--h-phase", "wcauchy:0:0.3", "--v-phase", "uniform", "--order", "2"], 0,
+     ["type", "order", "coeffs", "role", "metadata"],
+     {"h_phase": "wcauchy:0:0.3", "v_phase": "uniform", "order": 2}, _PHASE_CONVENTIONS),
+    (["phase", "degrade", "--channel", "@torus", "--degradation", "@outuni"], 0,
+     ["type", "order", "coeffs", "role", "metadata"], {}, _PHASE_CONVENTIONS),
+    (["phase", "strict", "--channel", "@torus", "--degradation", "@outuni"], 1, _RESULT_KEYS,
+     {"epsilon": 1e-9}, _PHASE_CONVENTIONS),
+    (["phase", "extremal", "--kind", "input-uniform", "--order", "2"], 0,
+     ["type", "order", "coeffs", "role", "metadata"], {"kind": "input-uniform", "order": 2},
+     _PHASE_CONVENTIONS),
+    (["lgc", "canon", "--channel", "@lgc_a"], 0, _RESULT_KEYS, {}, _LGC_CONVENTIONS),
+    (["lgc", "check", "--better", "@lgc_a", "--worse", "@lgc_b"], 1, _RESULT_KEYS,
+     {"tolerance": 1e-9}, _LGC_CONVENTIONS),
+    (["lgc", "lub", "@lgc_a", "@lgc_b"], 0, _RESULT_KEYS, {}, _LGC_CONVENTIONS),
+    (["lgc", "glb", "@lgc_a", "@lgc_b"], 0, _RESULT_KEYS, {}, _LGC_CONVENTIONS),
+    (["lgc", "verify-equiv", "--channel", "@lgc_a", "--b-matrix", "@rot", "--c-matrix", "@rot"],
+     0, _RESULT_KEYS, {"tolerance": 1e-9}, _LGC_CONVENTIONS),
+    (["lgc", "sample-haar", "--n", "2", "--seed", "5"], 0, _RESULT_KEYS, {"n": 2, "seed": 5},
+     _LGC_CONVENTIONS),
+    (["lgc", "ensemble-order", "--a", "@double", "--b", "@base"], 0, _RESULT_KEYS,
+     {"n_grid": 101}, _ENSEMBLE_CONVENTIONS),
+]
+
+
+@pytest.fixture
+def contract_files(tmp_path):
+    witness = dmc.includes(dmc.bsc(0.1), dmc.bsc(0.2)).witness
+    order = 2
+    torus = phase.product_channel(
+        phase.from_wrapped(phase.WrappedCauchy(0.0, 0.3), order),
+        phase.from_wrapped(phase.WrappedGaussian(0.0, 0.5), order),
+    )
+    documents = {
+        "bsc01": dmc.to_json_dict(dmc.bsc(0.1)),
+        "bsc02": dmc.to_json_dict(dmc.bsc(0.2)),
+        "witness": dmc.witness_to_json_dict(witness),
+        "low": noise.to_json_dict(noise.gaussian(1.0)),
+        "high": noise.to_json_dict(noise.gaussian(2.0)),
+        "torus": phase.to_json_dict(torus),
+        "outuni": phase.to_json_dict(phase.output_uniformizing_degradation(order)),
+        "lgc_a": lgc.to_json_dict(lgc.GaussianChannel(np.diag([2.0, 0.5]), np.eye(2))),
+        "lgc_b": lgc.to_json_dict(lgc.GaussianChannel(np.eye(2), np.eye(2))),
+        "rot": {"type": "matrix", "matrix": [[0.0, -1.0], [1.0, 0.0]]},
+        "base": lgc.ensemble_to_json_dict(
+            lgc.ensemble_from_sampler(lgc.GaussianEntries(2, 2, scale=1.0), 200, seed=3)),
+        "double": lgc.ensemble_to_json_dict(
+            lgc.ensemble_from_sampler(lgc.GaussianEntries(2, 2, scale=2.0), 200, seed=3)),
+    }
+    return {name: write(tmp_path / f"{name}.json", obj) for name, obj in documents.items()}
+
+
+@pytest.mark.parametrize(
+    "argv, code, keys, parameters, conventions",
+    _CONTRACT,
+    ids=[" ".join(case[0][:2]) for case in _CONTRACT],
+)
+def test_subcommand_contract(capsys, contract_files, argv, code, keys, parameters, conventions):
+    argv = [contract_files[a[1:]] if a.startswith("@") else a for a in argv]
+    got, doc, err = run_json(capsys, argv)
+    assert (got, err) == (code, "")
+    assert list(doc) == keys
+    command = " ".join(argv[:2])
+    if doc["type"] == "result":
+        assert (doc["command"], doc["parameters"], doc["conventions"]) == (
+            command, parameters, conventions)
+    else:
+        assert doc["metadata"] == {
+            "command": command, "parameters": parameters, "conventions": conventions}
+        assert list(doc["metadata"]) == ["command", "parameters", "conventions"]
+
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [ArithmeticError("phase-1 simplex did not converge"), np.linalg.LinAlgError("Singular matrix")],
+    ids=["ArithmeticError", "LinAlgError"],
+)
+def test_internal_failure_exits_three(capsys, monkeypatch, bsc_files, failure):
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(dmc, "includes", fail)
+    better, worse = bsc_files
+    code = run(["dmc", "check", "--better", better, "--worse", worse])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": {"type": type(failure).__name__, "message": str(failure)}}
+
+
+def test_library_import_is_lazy_and_module_runs(bsc_files):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(chanorder.__file__)))
+    probe = "import sys, chanorder; print(sorted({'chanorder.cli', 'argparse'} & set(sys.modules)))"
+    imported = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+    assert imported.stdout.strip() == "[]"
+    better, worse = bsc_files
+    proc = subprocess.run(
+        [sys.executable, "-m", "chanorder", "dmc", "check", "--better", better, "--worse", worse],
+        env=env, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["result"]["included"]
