@@ -1,11 +1,16 @@
 """Inclusion order over discrete memoryless channels.
 
 A channel is included in another when it can be written as a convex mixture
-of deterministic input/output degradations of the better channel.  The
-decision reduces to a finite convex-hull membership problem over all 0/1
-degradation pairs, solved with a certificate either way.  A brute-force
-best-codebook oracle is provided to exercise the error-probability
-monotonicity of the order.
+of deterministic input/output degradations of the better channel (Shannon's
+inclusion order).  ``includes`` decides this by column generation: a
+restricted convex-hull problem over a few degradation pairs is solved with
+``numerics.solve_feasibility``, and each separating functional it returns is
+priced exactly against every pair by enumerating the smaller side of the
+pair (input maps or output maps) and choosing the other side greedily.  The
+answer is a certificate either way, checked before it is returned.
+``degradation_products`` enumerates every pair; it is kept as the reference
+oracle the tests decide against.  A brute-force best-codebook oracle is
+provided to exercise the error-probability monotonicity of the order.
 """
 
 from __future__ import annotations
@@ -158,6 +163,39 @@ class InclusionDecision:
     margin: float | None = None
 
 
+def _pair(input_map: tuple[int, ...], output_map: tuple[int, ...]) -> DeterministicPair:
+    """DeterministicPair from maps that are valid by construction (no validation)."""
+    pair = object.__new__(DeterministicPair)
+    object.__setattr__(pair, "input_map", input_map)
+    object.__setattr__(pair, "output_map", output_map)
+    return pair
+
+
+def _maps(domain: int, codomain: int) -> np.ndarray:
+    """Every map from ``range(domain)`` to ``range(codomain)``, one per row, in
+    ``itertools.product`` order."""
+    return np.indices((codomain,) * domain).reshape(domain, -1).T
+
+
+def _collapsed(k: np.ndarray, output_maps: np.ndarray, m2: int) -> np.ndarray:
+    """``K @ T`` for every output map, stacked: shape (maps, n1, m2).
+
+    Columns are added in output order, as ``DeterministicPair.apply`` does,
+    so each product is bit-identical to the one it computes.
+    """
+    out = np.zeros((len(output_maps), k.shape[0], m2))
+    index = np.arange(len(output_maps))
+    for j in range(k.shape[1]):
+        out[index, :, output_maps[:, j]] += k[:, j]
+    return out
+
+
+def _check_cap(better: StochasticMatrix, n2: int, m2: int, cap: int) -> None:
+    count = better.n_inputs**n2 * m2**better.n_outputs
+    if count > cap:
+        raise EnumerationTooLargeError(count, cap, what="deterministic input/output pairs")
+
+
 def degradation_products(
     better: StochasticMatrix,
     worse_shape: tuple[int, int],
@@ -165,37 +203,53 @@ def degradation_products(
 ) -> tuple[np.ndarray, list[DeterministicPair]]:
     """Vectorized products R @ K @ T over all deterministic pairs.
 
-    Duplicate products are dropped (keeping the first pair that produced
-    them).  Returns the candidate matrix with one vectorized product per row,
-    together with the matching pairs.  Raises EnumerationTooLargeError when
-    ``n1**n2 * m2**m1`` exceeds the cap.
+    The exhaustive reference that ``includes`` no longer needs: tests decide
+    against it.  Rows run over output maps, then input maps, each in
+    ``itertools.product`` order; duplicate products are dropped, keeping the
+    first pair that produced them.  Returns the candidate matrix with one
+    vectorized product per row, together with the matching pairs.  Raises
+    EnumerationTooLargeError when ``n1**n2 * m2**m1`` exceeds the cap.
     """
-    n1, m1 = better.n_inputs, better.n_outputs
     n2, m2 = int(worse_shape[0]), int(worse_shape[1])
     if n2 < 1 or m2 < 1:
         raise ValueError("worse_shape must be positive")
-    count = n1**n2 * m2**m1
-    if count > cap:
-        raise EnumerationTooLargeError(count, cap, what="deterministic input/output pairs")
+    _check_cap(better, n2, m2, cap)
+    n1, m1 = better.n_inputs, better.n_outputs
+    input_maps = _maps(n2, n1)
+    output_maps = _maps(m1, m2)
+    products = _collapsed(better.entries, output_maps, m2)[:, input_maps, :]
+    rows = np.ascontiguousarray(products.reshape(-1, n2 * m2))
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    first.sort()
+    inputs = [tuple(m) for m in input_maps.tolist()]
+    outputs = [tuple(m) for m in output_maps.tolist()]
+    pairs = [_pair(inputs[i], outputs[t]) for t, i in zip(*np.divmod(first, len(inputs)))]
+    return rows[first], pairs
 
-    input_maps = np.array(list(itertools.product(range(n1), repeat=n2)), dtype=int)
-    k = better.entries
-    rows: list[np.ndarray] = []
-    pairs: list[DeterministicPair] = []
-    seen: set[bytes] = set()
-    for output_map in itertools.product(range(m2), repeat=m1):
-        collapsed = np.zeros((n1, m2))
-        for j, z in enumerate(output_map):
-            collapsed[:, z] += k[:, j]
-        block = collapsed[input_maps].reshape(len(input_maps), -1)
-        for i in range(len(input_maps)):
-            key = block[i].tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            rows.append(block[i])
-            pairs.append(DeterministicPair(tuple(int(v) for v in input_maps[i]), output_map))
-    return np.asarray(rows), pairs
+
+def _best_pair(k: np.ndarray, h: np.ndarray, n2: int, m2: int) -> DeterministicPair:
+    """The pair maximizing ``<h, vec(R K T)>`` over all deterministic pairs.
+
+    Enumerates the smaller side, ``min(n1**n2, m2**m1)`` maps.  For a fixed
+    output map T each degraded input w independently takes
+    ``argmax_i (K T H^T)[i, w]``; for a fixed input map R each better output
+    j takes ``argmax_z ((R K)^T H)[j, z]``, with ``H = h.reshape(n2, m2)``.
+    Ties go to the lowest index.
+    """
+    n1, m1 = k.shape
+    hm = h.reshape(n2, m2)
+    if m2**m1 <= n1**n2:
+        output_maps = _maps(m1, m2)
+        scores = _collapsed(k, output_maps, m2) @ hm.T
+        best = int(np.argmax(scores.max(axis=1).sum(axis=1)))
+        inputs = scores[best].argmax(axis=0)
+        return _pair(tuple(inputs.tolist()), tuple(output_maps[best].tolist()))
+    input_maps = _maps(n2, n1)
+    scores = np.swapaxes(k[input_maps], 1, 2) @ hm
+    best = int(np.argmax(scores.max(axis=2).sum(axis=1)))
+    outputs = scores[best].argmax(axis=1)
+    return _pair(tuple(input_maps[best].tolist()), tuple(outputs.tolist()))
 
 
 def includes(
@@ -206,23 +260,64 @@ def includes(
 ) -> InclusionDecision:
     """Decide whether ``better`` includes ``worse``.
 
+    Column generation: ``solve_feasibility`` decides membership of the worse
+    channel in the hull of a growing list of deterministic pairs, starting
+    from the pair that best matches the worse channel itself.  A feasible
+    restricted problem gives the witness.  Otherwise its separator is priced
+    exactly against every pair; when the worse channel still beats the best
+    pair by more than ``tolerance`` times the separator's 1-norm, that exact
+    margin is returned, and otherwise the best pair joins the list.  When
+    the best pair is already in the list, no pair can improve the restricted
+    problem and any positive margin is returned.
+
     Included results carry a witness (pairs plus mixture weights) that
     replays the worse channel within the tolerance.  NotIncluded results
     carry a separating functional with strictly positive margin against
-    every candidate product.
+    every deterministic pair.  Both are checked before they are returned; a
+    certificate that fails its check raises ArithmeticError.  ``cap`` bounds
+    the size ``n1**n2 * m2**m1`` of the pair space, as for
+    ``degradation_products``.
     """
-    candidates, pairs = degradation_products(better, (worse.n_inputs, worse.n_outputs), cap=cap)
-    problem = FeasibilityProblem(candidates, worse.entries.ravel(), tolerance)
-    certificate = solve_feasibility(problem)
-    if certificate.feasible:
-        support = np.nonzero(certificate.weights > 0.0)[0]
-        witness = InclusionWitness(
-            pairs=tuple(pairs[i] for i in support),
-            weights=certificate.weights[support].copy(),
-            residual=certificate.residual,
-        )
-        return InclusionDecision(True, witness=witness)
-    return InclusionDecision(False, separator=certificate.separator, margin=certificate.residual)
+    n2, m2 = worse.n_inputs, worse.n_outputs
+    _check_cap(better, n2, m2, cap)
+    k = better.entries
+    target = worse.entries.ravel()
+    pairs: list[DeterministicPair] = []
+    columns: list[np.ndarray] = []
+    pair = _best_pair(k, target, n2, m2)
+    while True:
+        pairs.append(pair)
+        columns.append(pair.apply(better, n_outputs=m2).ravel())
+        certificate = solve_feasibility(FeasibilityProblem(columns, target, tolerance))
+        if certificate.feasible:
+            return _checked_witness(better, worse, pairs, certificate, tolerance)
+        separator = certificate.separator
+        pair = _best_pair(k, separator, n2, m2)
+        margin = float(separator @ target - separator @ pair.apply(better, n_outputs=m2).ravel())
+        # A best pair already in the list cannot improve the restricted
+        # problem, so its optimum is the global one.
+        if margin > tolerance * float(np.abs(separator).sum()) or pair in pairs:
+            if not margin > 0.0:
+                raise ArithmeticError(f"separator margin {margin:.3e} is not positive")
+            return InclusionDecision(False, separator=separator, margin=margin)
+
+
+def _checked_witness(better, worse, pairs, certificate, tolerance) -> InclusionDecision:
+    """Included decision from a feasible certificate, after replaying it."""
+    support = np.nonzero(certificate.weights > 0.0)[0]
+    witness = InclusionWitness(
+        pairs=tuple(pairs[i] for i in support),
+        weights=certificate.weights[support].copy(),
+        residual=certificate.residual,
+    )
+    total = float(witness.weights.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ArithmeticError(f"witness weights sum to {total!r}, expected 1")
+    replayed = witness.replay(better, n_outputs=worse.n_outputs)
+    error = float(np.max(np.abs(replayed.entries - worse.entries)))
+    if error > tolerance:
+        raise ArithmeticError(f"witness replays with error {error:.3e} > tolerance {tolerance:.1e}")
+    return InclusionDecision(True, witness=witness)
 
 
 def equivalent(

@@ -99,7 +99,8 @@ def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityCertificate:
     """Decide convex-hull membership and emit a replayable certificate.
 
     Runs a phase-1 revised simplex with Bland's rule on the standard-form
-    system ``[A; 1^T] g = [target; 1], g >= 0``.  The run is deterministic
+    system ``[A; 1^T] g = [target; 1], g >= 0``, stopping as soon as the
+    phase-1 objective is within the tolerance.  The run is deterministic
     for a fixed input.  When the phase-1 optimum exceeds the tolerance, the
     final simplex multipliers give the separating functional directly.
 
@@ -127,6 +128,11 @@ def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityCertificate:
     for _ in range(max_iter):
         basis_matrix = full[:, basis]
         x_basic = np.linalg.solve(basis_matrix, rhs)
+        # Once the phase-1 objective is within the tolerance the remaining
+        # reduced costs are rounding noise; pivoting on them can reach a
+        # near-singular basis whose weights no longer sum to 1.
+        if float(cost[basis] @ x_basic) <= problem.tolerance:
+            break
         y = np.linalg.solve(basis_matrix.T, cost[basis])
         reduced = cost - y @ full
         reduced[basis] = 0.0

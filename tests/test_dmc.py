@@ -1,3 +1,8 @@
+import dataclasses
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,7 +18,10 @@ from chanorder.dmc import (
     equivalent,
     includes,
 )
+from chanorder.numerics import FeasibilityProblem, solve_feasibility
 from conftest import random_degradation, random_stochastic
+
+KNOWN_DEFECTS = Path(__file__).resolve().parents[1] / "perfbench" / "known_defects.json"
 
 
 def bsc_rule(p, q):
@@ -103,6 +111,155 @@ class TestIncludes:
             assert includes(a, b).included
             assert includes(b, c).included
             assert includes(a, c).included
+
+    def test_cap_threshold_is_the_pair_count(self):
+        # 2**2 * 2**2 = 16 deterministic pairs for two binary channels.
+        assert includes(bsc(0.1), bsc(0.2), cap=16).included
+        with pytest.raises(EnumerationTooLargeError, match="16 deterministic"):
+            includes(bsc(0.1), bsc(0.2), cap=15)
+
+    def test_separator_near_the_tolerance(self):
+        # The hull is {(p, 1-p, p, 1-p)}: the worse channel is 2e-9 away in
+        # the 1-norm, so it is not included, yet its best separator's margin
+        # (3e-9) is below tolerance * ||h||_1 (6e-9).  No pair improves the
+        # restricted problem, which decides it.
+        better = StochasticMatrix([[1.0], [1.0]])
+        worse = StochasticMatrix([[0.5, 0.5], [0.5 + 1e-9, 0.5 - 1e-9]])
+        decision = includes(better, worse)
+        assert not decision.included
+        candidates, _ = degradation_products(better, (2, 2))
+        h = decision.separator
+        margin = float(h @ worse.entries.ravel() - np.max(candidates @ h))
+        assert margin > 0.0
+        assert decision.margin == pytest.approx(margin, abs=1e-15)
+
+    def test_deterministic_on_4x4(self):
+        rng = np.random.default_rng(44)
+        k = random_stochastic(rng, 4, 4)
+        pairs, weights = random_degradation(rng, k, 4, 4, max_pairs=6)
+        worse = degrade(k, pairs, weights, n_outputs=4)
+        a, b = includes(k, worse), includes(k, worse)
+        assert a.included and b.included
+        assert a.witness.pairs == b.witness.pairs
+        assert np.array_equal(a.witness.weights, b.witness.weights)
+
+
+def _oracle_instances(count=240, max_pairs=1024, seed=2024):
+    """Seeded pairs of channels with 1-4 symbols per side that the full
+    enumeration decides quickly: random channels, mixtures of deterministic
+    pairs, mixtures with repeated rows, and mixtures nudged off the hull."""
+    rng = np.random.default_rng(seed)
+    instances = []
+    while len(instances) < count:
+        n1, m1, n2, m2 = (int(v) for v in rng.integers(1, 5, size=4))
+        if n1**n2 * m2**m1 > max_pairs:
+            continue
+        better = random_stochastic(rng, n1, m1)
+        kind = len(instances) % 4
+        if kind == 0:
+            instances.append((better, random_stochastic(rng, n2, m2)))
+            continue
+        pairs, weights = random_degradation(rng, better, n2, m2)
+        if kind == 2:
+            # Every pair feeds the last worse input like the first one.
+            pairs = [DeterministicPair(p.input_map[:-1] + p.input_map[:1], p.output_map)
+                     for p in pairs]
+        worse = degrade(better, pairs, weights, n_outputs=m2)
+        if kind == 3:
+            nudge = (1e-3, 1e-6, 1e-8)[len(instances) % 3]
+            noise = random_stochastic(rng, n2, m2)
+            worse = StochasticMatrix((1.0 - nudge) * worse.entries + nudge * noise.entries)
+        instances.append((better, worse))
+    return instances
+
+
+def test_decisions_match_full_enumeration():
+    """Column generation against the convex hull of every deterministic pair."""
+    decided = {True: 0, False: 0}
+    for index, (better, worse) in enumerate(_oracle_instances()):
+        candidates, _ = degradation_products(better, worse.entries.shape)
+        target = worse.entries.ravel()
+        reference = solve_feasibility(FeasibilityProblem(candidates, target, 1e-9))
+        decision = includes(better, worse)
+        assert decision.included == reference.feasible, index
+        decided[decision.included] += 1
+        if decision.included:
+            replayed = decision.witness.replay(better, n_outputs=worse.n_outputs)
+            assert np.max(np.abs(replayed.entries - worse.entries)) <= 1e-9, index
+        else:
+            h = decision.separator
+            margin = float(h @ target - np.max(candidates @ h))
+            assert margin > 0.0, index
+            assert decision.margin == pytest.approx(margin, abs=1e-12), index
+    assert min(decided.values()) >= 40
+
+
+def _known_defects():
+    with open(KNOWN_DEFECTS, encoding="utf-8") as handle:
+        return json.load(handle)["instances"]
+
+
+@pytest.mark.parametrize("instance", _known_defects(), ids=lambda i: i["found"])
+def test_known_simplex_defects_decide_included(instance):
+    better = StochasticMatrix(np.asarray(instance["better"]))
+    worse = StochasticMatrix(np.asarray(instance["worse"]))
+    decision = includes(better, worse)
+    assert decision.included
+    assert abs(float(decision.witness.weights.sum()) - 1.0) <= 1e-9
+    replayed = decision.witness.replay(better, n_outputs=worse.n_outputs)
+    assert np.max(np.abs(replayed.entries - worse.entries)) <= 1e-9
+
+
+def _doubled_weights(certificate):
+    if not certificate.feasible:
+        return certificate
+    return dataclasses.replace(certificate, weights=2.0 * certificate.weights)
+
+
+def _first_column_only(certificate):
+    if not certificate.feasible:
+        return certificate
+    weights = np.zeros_like(certificate.weights)
+    weights[0] = 1.0
+    return dataclasses.replace(certificate, weights=weights)
+
+
+def _negated_separator(certificate):
+    if certificate.feasible:
+        return certificate
+    return dataclasses.replace(certificate, separator=-certificate.separator)
+
+
+@pytest.mark.parametrize(
+    "corrupt, better, worse",
+    [
+        (_doubled_weights, bsc(0.1), bsc(0.3)),
+        (_first_column_only, bsc(0.1), bsc(0.3)),
+        (_negated_separator, bsc(0.2), bsc(0.05)),
+    ],
+    ids=["weights-sum", "replay", "separator"],
+)
+def test_corrupted_certificate_raises(monkeypatch, corrupt, better, worse):
+    solve = dmc.solve_feasibility
+    monkeypatch.setattr(dmc, "solve_feasibility", lambda problem: corrupt(solve(problem)))
+    with pytest.raises(ArithmeticError):
+        includes(better, worse)
+
+
+def test_degradation_products_structure():
+    # Repeated rows make distinct pairs give equal products.
+    k = StochasticMatrix([[0.6, 0.3, 0.1], [0.6, 0.3, 0.1], [0.2, 0.2, 0.6]])
+    rows, pairs = degradation_products(k, (2, 2))
+    assert len(rows) == len(pairs)
+    for row, pair in zip(rows, pairs):
+        assert np.array_equal(pair.apply(k, n_outputs=2).ravel(), row)
+    assert len({row.tobytes() for row in rows}) == len(rows)
+    naive = {
+        DeterministicPair(r, t).apply(k, n_outputs=2).tobytes()
+        for t in itertools.product(range(2), repeat=3)
+        for r in itertools.product(range(3), repeat=2)
+    }
+    assert len(rows) == len(naive) < 3**2 * 2**3
 
 
 class TestEquivalent:
