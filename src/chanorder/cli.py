@@ -262,13 +262,10 @@ def _parse_family(spec: str):
 
 
 def _spectrum_table(spectrum: phase.TorusSpectrum):
-    table = [["m", "n", "re", "im"]]
-    order = spectrum.order
-    for i in range(2 * order + 1):
-        for j in range(2 * order + 1):
-            c = spectrum.coeffs[i, j]
-            table.append([i - order, j - order, float(c.real), float(c.imag)])
-    return table
+    m, n = np.indices(spectrum.coeffs.shape).reshape(2, -1) - spectrum.order
+    flat = spectrum.coeffs.ravel()
+    columns = (m.tolist(), n.tolist(), flat.real.tolist(), flat.imag.tolist())
+    return [("m", "n", "re", "im"), *zip(*columns)]
 
 
 def _phase_result(spectrum, parameters):

@@ -285,15 +285,17 @@ def includes(
     pairs: list[DeterministicPair] = []
     columns: list[np.ndarray] = []
     pair = _best_pair(k, target, n2, m2)
+    column = pair.apply(better, n_outputs=m2).ravel()
     while True:
         pairs.append(pair)
-        columns.append(pair.apply(better, n_outputs=m2).ravel())
+        columns.append(column)
         certificate = solve_feasibility(FeasibilityProblem(columns, target, tolerance))
         if certificate.feasible:
             return _checked_witness(better, worse, pairs, certificate, tolerance)
         separator = certificate.separator
         pair = _best_pair(k, separator, n2, m2)
-        margin = float(separator @ target - separator @ pair.apply(better, n_outputs=m2).ravel())
+        column = pair.apply(better, n_outputs=m2).ravel()
+        margin = float(separator @ target - separator @ column)
         # A best pair already in the list cannot improve the restricted
         # problem, so its optimum is the global one.
         if margin > tolerance * float(np.abs(separator).sum()) or pair in pairs:
@@ -377,10 +379,13 @@ def best_error_probability(
 ) -> float:
     """Exact minimum average error probability over all deterministic codebooks.
 
-    Exhausts every codebook of ``n_messages`` input sequences of the given
-    block length on the memoryless extension of the channel, decoding by
+    Minimizes over every codebook of ``n_messages`` input sequences of the
+    given block length on the memoryless extension of the channel, decoding by
     maximum likelihood with uniform messages (ties resolved toward the
     lowest message index, which does not change the achieved minimum).
+    Relabelling the messages leaves the correct-decoding mass unchanged, so
+    only one codebook per multiset of sequences is evaluated.  ``cap`` still
+    bounds the count of ordered codebooks, ``n_seq**n_messages``.
     """
     n_messages, block_length = int(n_messages), int(block_length)
     if n_messages < 1 or block_length < 1:
@@ -395,7 +400,7 @@ def best_error_probability(
         extension = np.kron(extension, channel.entries)
 
     best_correct = 0.0
-    codebooks = itertools.product(range(n_seq), repeat=n_messages)
+    codebooks = itertools.combinations_with_replacement(range(n_seq), n_messages)
     while True:
         chunk = list(itertools.islice(codebooks, 4096))
         if not chunk:

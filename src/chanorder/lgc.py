@@ -381,9 +381,11 @@ def ensemble_order(
     """Compare ensembles coordinate-wise on empirical marginal CDFs.
 
     Dominance must hold at every grid point of every coordinate within a
-    DKW band of total failure probability ``delta`` (the band is the sum of
-    the two one-sample band widths, which for equal sample counts N equals
-    ``2 sqrt(ln(2/delta) / (2N))``).
+    DKW band: the sum of the two one-sample band widths, which for equal
+    sample counts N equals ``2 sqrt(ln(2/delta) / (2N))``.  Each one-sample
+    band fails with probability at most ``delta`` per coordinate, so over
+    both ensembles and all ``k`` coordinates the family-wise failure
+    probability is at most ``2 * k * delta`` (union bound), not ``delta``.
     """
     if a.spectrum_length != b.spectrum_length:
         raise ValueError("ensembles must share one spectrum length")

@@ -6,7 +6,8 @@ two-dimensional characteristic-function coefficients.  Applying a random
 input/output phase pair multiplies that grid pointwise with the coefficient
 grid of the pair ``(output + input phase, output phase)``, so degradation,
 extremal channels, and the can-it-be-undone test all live in the coefficient
-domain.
+domain.  Every grid is validated on construction, by one zero-padded 2-D FFT
+of its smoothed density at ``4 * order`` points per axis.
 """
 
 from __future__ import annotations
@@ -102,12 +103,13 @@ class TorusSpectrum:
 
 
 def _smoothed_min(order: int, coeffs: np.ndarray) -> float:
-    weights = 1.0 - np.abs(np.arange(-order, order + 1)) / (order + 1.0)
-    smoothed = coeffs * np.outer(weights, weights)
+    # Frequency m sits at index m mod P: the FFT sums the series at 2*pi*k/P.
     points = max(4 * order, 8)
-    theta = 2.0 * np.pi * np.arange(points) / points
-    basis = np.exp(-1j * np.outer(theta, np.arange(-order, order + 1)))
-    density = np.real(basis @ smoothed @ basis.T) / (2.0 * np.pi) ** 2
+    m = np.arange(-order, order + 1)
+    weights = 1.0 - np.abs(m) / (order + 1.0)
+    padded = np.zeros((points, points), dtype=complex)
+    padded[np.ix_(m % points, m % points)] = coeffs * np.outer(weights, weights)
+    density = np.fft.fft2(padded).real / (2.0 * np.pi) ** 2
     return float(density.min())
 
 
@@ -203,11 +205,8 @@ def from_grid(pdf_samples, order: int, role: str = "channel") -> TorusSpectrum:
     weights = pdf / total
     order = int(order)
     m = np.arange(-order, order + 1)
-    theta_rows = 2.0 * np.pi * np.arange(pdf.shape[0]) / pdf.shape[0]
-    theta_cols = 2.0 * np.pi * np.arange(pdf.shape[1]) / pdf.shape[1]
-    row_basis = np.exp(1j * np.outer(m, theta_rows))
-    col_basis = np.exp(1j * np.outer(m, theta_cols))
-    coeffs = row_basis @ weights @ col_basis.T
+    spectrum = np.fft.ifft2(weights) * weights.size
+    coeffs = spectrum[np.ix_(m % pdf.shape[0], m % pdf.shape[1])]
     coeffs[order, order] = 1.0
     return TorusSpectrum(order, coeffs, role=role)
 
@@ -248,22 +247,23 @@ def degradation_coeffs(degradation: PhaseDegradation, order: int | None = None) 
         raise ValueError(
             f"joint order {joint.order} too small: need at least {2 * order} for order {order}"
         )
-    offset = joint.order
-    m = np.arange(-order, order + 1)
-    out = np.empty((2 * order + 1, 2 * order + 1), dtype=complex)
-    for i, mm in enumerate(m):
-        out[i, :] = joint.coeffs[mm + offset, (mm + m) + offset]
+    m = np.arange(-order, order + 1)[:, None]
+    out = joint.coeffs[m + joint.order, (m + m.T) + joint.order]
     return TorusSpectrum(order, out, role="degradation")
 
 
-def degrade(channel: TorusSpectrum, degradation: TorusSpectrum) -> TorusSpectrum:
-    """Apply a phase degradation: pointwise product of coefficient grids."""
+def _check_roles(channel: TorusSpectrum, degradation: TorusSpectrum) -> None:
     if channel.role != "channel":
         raise ValueError("first argument must be a channel spectrum")
     if degradation.role != "degradation":
         raise ValueError("second argument must be a degradation spectrum")
     if channel.order != degradation.order:
         raise ValueError("channel and degradation orders must match")
+
+
+def degrade(channel: TorusSpectrum, degradation: TorusSpectrum) -> TorusSpectrum:
+    """Apply a phase degradation: pointwise product of coefficient grids."""
+    _check_roles(channel, degradation)
     return TorusSpectrum(channel.order, channel.coeffs * degradation.coeffs, role="channel")
 
 
@@ -300,12 +300,7 @@ def is_strict(
     judged against ``epsilon``, and only frequencies other than the origin
     count (the origin satisfies the unit-magnitude relation trivially).
     """
-    if channel.role != "channel":
-        raise ValueError("first argument must be a channel spectrum")
-    if degradation.role != "degradation":
-        raise ValueError("second argument must be a degradation spectrum")
-    if channel.order != degradation.order:
-        raise ValueError("channel and degradation orders must match")
+    _check_roles(channel, degradation)
     epsilon = float(epsilon)
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -383,7 +378,7 @@ def to_json_dict(spectrum: TorusSpectrum) -> dict:
     return {
         "type": "torus",
         "order": spectrum.order,
-        "coeffs": [[float(c.real), float(c.imag)] for c in flat],
+        "coeffs": np.column_stack([flat.real, flat.imag]).tolist(),
         "role": spectrum.role,
     }
 
@@ -393,7 +388,11 @@ def from_json_dict(obj: dict) -> TorusSpectrum:
         raise ValueError("expected a document with type 'torus'")
     order = int(obj["order"])
     side = 2 * order + 1
-    flat = np.array([complex(re, im) for re, im in obj["coeffs"]], dtype=complex)
-    if flat.size != side * side:
-        raise ValueError("coefficient list length does not match the order")
-    return TorusSpectrum(order, flat.reshape(side, side), role=obj.get("role", "channel"))
+    # No dtype here (float would parse "1.0"); the complex view keeps -0.0.
+    pairs = np.asarray(obj["coeffs"])
+    if pairs.dtype.kind not in "biuf":
+        raise TypeError("coefficients must be [re, im] pairs of numbers")
+    if pairs.shape != (side * side, 2):
+        raise ValueError(f"coeffs must hold {side * side} [re, im] pairs for order {order}")
+    coeffs = np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(side, side)
+    return TorusSpectrum(order, coeffs, role=obj.get("role", "channel"))

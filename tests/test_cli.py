@@ -186,6 +186,33 @@ class TestPhaseCommands:
         spectrum = phase.from_json_dict(doc)
         assert np.array_equal(spectrum.coeffs, phase.worst_channel(2).coeffs)
 
+    def test_build_csv_matches_coefficient_table(self, capsys):
+        argv = ["phase", "build", "--h-phase", "wcauchy:0.2:0.3", "--v-phase", "wgauss:-1:0.5",
+                "--order", "3"]
+        _, doc, _ = run_json(capsys, argv)
+        order, coeffs = 3, phase.from_json_dict(doc).coeffs
+        lines = ["m,n,re,im"]
+        for i in range(2 * order + 1):
+            for j in range(2 * order + 1):
+                c = coeffs[i, j]
+                lines.append(f"{i - order},{j - order},{float(c.real)!r},{float(c.imag)!r}")
+        assert run([*argv, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "entry", [["1.0", "0.0"], [None, 0.0], [1.0, 0.0, 0.0]], ids=["string", "null", "three-numbers"]
+    )
+    def test_malformed_coefficient_exits_two(self, capsys, tmp_path, entry):
+        doc = phase.to_json_dict(phase.worst_channel(2))
+        doc["coeffs"][0] = entry
+        channel = write(tmp_path / "bad.json", doc)
+        degradation = write(tmp_path / "outuni.json",
+                            phase.to_json_dict(phase.output_uniformizing_degradation(2)))
+        code = run(["phase", "strict", "--channel", channel, "--degradation", degradation])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert json.loads(captured.err)["error"]["type"] in ("TypeError", "ValueError")
+
 
 class TestLgcCommands:
     @pytest.fixture

@@ -340,3 +340,30 @@ class TestBestErrorProbability:
     def test_cap(self):
         with pytest.raises(EnumerationTooLargeError, match="codebooks"):
             best_error_probability(bsc(0.1), 8, 8)
+
+    def test_cap_counts_ordered_codebooks(self):
+        # 4 sequences, 3 messages: 20 multisets but 64 ordered codebooks.
+        assert best_error_probability(bsc(0.1), 3, 2, cap=64) >= 0.0
+        with pytest.raises(EnumerationTooLargeError, match="64 codebooks"):
+            best_error_probability(bsc(0.1), 3, 2, cap=63)
+
+    def test_matches_every_ordered_codebook(self):
+        def reference(channel, n_messages, block_length):
+            extension = channel.entries
+            for _ in range(block_length - 1):
+                extension = np.kron(extension, channel.entries)
+            best = 0.0
+            for codebook in itertools.product(range(len(extension)), repeat=n_messages):
+                best = max(best, float(extension[list(codebook)].max(axis=0).sum()))
+            return float(min(1.0, max(0.0, 1.0 - best / n_messages)))
+
+        rng = np.random.default_rng(77)
+        channels = [bsc(0.1), StochasticMatrix(np.eye(3)), StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])]
+        channels += [random_stochastic(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+                     for _ in range(12)]
+        for channel in channels:
+            for n_messages, block_length in ((1, 1), (2, 1), (3, 1), (2, 2), (3, 2)):
+                if channel.n_inputs**(block_length * n_messages) > 1000:
+                    continue
+                assert best_error_probability(channel, n_messages, block_length) == reference(
+                    channel, n_messages, block_length)

@@ -1,0 +1,71 @@
+"""Property tests for the noise and lgc lattices.
+
+Each law is judged by the family's own order, not by array equality: two
+noise profiles are equal when ``check_order`` finds them EQUAL, and two
+singular spectra are equal when each includes the other.
+"""
+
+import numpy as np
+import pytest
+
+from chanorder import lgc, noise
+from chanorder.noise import Relation
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+given = hypothesis.given
+SETTINGS = hypothesis.settings(deadline=None, max_examples=60)
+
+_SITES = (-1.0, -0.5, 0.0, 0.5, 1.0)
+_GRIDS = (np.linspace(-2.0, 2.0, 9), np.linspace(-3.0, 1.0, 6))
+_MASS = st.floats(0.1, 2.0, allow_nan=False)
+
+
+@st.composite
+def profiles(draw):
+    grid = _GRIDS[draw(st.integers(0, len(_GRIDS) - 1))]
+    density = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0, allow_nan=False)),
+                            min_size=grid.size, max_size=grid.size))
+    sites = draw(st.lists(st.sampled_from(_SITES), unique=True, max_size=3))
+    atoms = [(site, draw(_MASS)) for site in sites]
+    return noise.MonotoneProfile(grid=grid, density=np.array(density), atoms=tuple(atoms))
+
+
+def noise_equal(a, b):
+    return noise.check_order(a, b).relation is Relation.EQUAL
+
+
+def noise_below(low, high):
+    return noise.check_order(low, high).relation in (Relation.SECOND_WORSE, Relation.EQUAL)
+
+
+@SETTINGS
+@given(profiles(), profiles())
+def test_noise_lattice_laws(a, b):
+    top, bottom = noise.lub(a, b), noise.glb(a, b)
+    assert noise_equal(noise.lub(a, a), a) and noise_equal(noise.glb(a, a), a)
+    assert noise_equal(top, noise.lub(b, a)) and noise_equal(bottom, noise.glb(b, a))
+    assert noise_equal(noise.lub(a, bottom), a) and noise_equal(noise.glb(a, top), a)
+    for side in (a, b):
+        assert noise_below(side, top) and noise_below(bottom, side)
+
+
+spectra = st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=1, max_size=5).map(
+    lambda values: lgc.SingularSpectrum(sorted(values, reverse=True)))
+
+
+def spectra_equal(a, b):
+    return lgc.spectrum_includes(a, b).included and lgc.spectrum_includes(b, a).included
+
+
+@SETTINGS
+@given(spectra, spectra)
+def test_lgc_lattice_laws(a, b):
+    top, bottom = lgc.lub(a, b), lgc.glb(a, b)
+    assert spectra_equal(lgc.lub(a, a), a) and spectra_equal(lgc.glb(a, a), a)
+    assert spectra_equal(top, lgc.lub(b, a)) and spectra_equal(bottom, lgc.glb(b, a))
+    assert spectra_equal(lgc.lub(a, bottom), a) and spectra_equal(lgc.glb(a, top), a)
+    for side in (a, b):
+        # The lub includes both inputs; both include the glb.
+        assert lgc.spectrum_includes(top, side).included
+        assert lgc.spectrum_includes(side, bottom).included

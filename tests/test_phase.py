@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -343,3 +345,99 @@ class TestSpectrumValidation:
         assert again.order == channel.order
         assert again.role == channel.role
         assert np.max(np.abs(again.coeffs - channel.coeffs)) <= 1e-15
+
+
+# Explicit-sum references for the FFT-based transforms: the sums an FFT must
+# reproduce, written out term by term.
+def reference_smoothed_min(order, coeffs):
+    m = np.arange(-order, order + 1)
+    weights = 1.0 - np.abs(m) / (order + 1.0)
+    points = max(4 * order, 8)
+    theta = 2.0 * np.pi * np.arange(points) / points
+    basis = np.exp(-1j * np.outer(theta, m))
+    density = np.real(basis @ (coeffs * np.outer(weights, weights)) @ basis.T) / (2.0 * np.pi) ** 2
+    return float(density.min())
+
+
+def reference_from_grid(pdf, order):
+    weights = pdf / pdf.sum()
+    m = np.arange(-order, order + 1)
+    rows = np.exp(2j * np.pi * np.outer(m, np.arange(pdf.shape[0])) / pdf.shape[0])
+    cols = np.exp(2j * np.pi * np.outer(m, np.arange(pdf.shape[1])) / pdf.shape[1])
+    coeffs = rows @ weights @ cols.T
+    coeffs[order, order] = 1.0
+    return coeffs
+
+
+def random_hermitian(rng, order):
+    side = 2 * order + 1
+    raw = (rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))) / side
+    coeffs = (raw + np.conj(np.flip(raw))) / 2.0
+    coeffs[order, order] = 1.0
+    return coeffs
+
+
+class TestFourierReferences:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 7, 16, 31, 64])
+    def test_smoothed_min_matches_explicit_sum(self, order):
+        rng = np.random.default_rng(order)
+        grids = [
+            random_hermitian(rng, order),
+            product_channel(
+                from_wrapped(WrappedCauchy(0.3, 0.2), order), from_wrapped(PointPhase(-1.1), order)
+            ).coeffs,
+        ]
+        for coeffs in grids:
+            assert abs(phase._smoothed_min(order, coeffs) - reference_smoothed_min(order, coeffs)) <= 1e-12
+
+    def test_smoothed_min_on_the_rejected_grid(self):
+        # The grid of test_non_distribution_rejected: same value, below -EPS_GIBBS.
+        coeffs = np.zeros((9, 9), dtype=complex)
+        coeffs[4, 4] = 1.0
+        coeffs[5, 4] = coeffs[3, 4] = -0.95
+        low = phase._smoothed_min(4, coeffs)
+        assert abs(low - reference_smoothed_min(4, coeffs)) <= 1e-12
+        assert low < -phase.EPS_GIBBS
+
+    @pytest.mark.parametrize("shape, order", [((32, 32), 4), ((12, 20), 5), ((6, 9), 4), ((5, 5), 7)])
+    def test_from_grid_matches_explicit_sum(self, shape, order):
+        # The last two cases ask for order >= rows / 2, where frequencies alias.
+        pdf = np.random.default_rng(sum(shape)).random(shape) + 0.01
+        built = from_grid(pdf, order)
+        assert np.max(np.abs(built.coeffs - reference_from_grid(pdf, order))) <= 1e-12
+
+    @pytest.mark.parametrize("order", [1, 3, 8])
+    def test_degradation_coeffs_matches_row_loop(self, order):
+        rng = np.random.default_rng(40 + order)
+        joint = PhaseDegradation(from_grid(smooth_pdf(rng, 48), 2 * order + int(rng.integers(0, 3))))
+        expected = np.empty((2 * order + 1, 2 * order + 1), dtype=complex)
+        for i, m in enumerate(range(-order, order + 1)):
+            for j, n in enumerate(range(-order, order + 1)):
+                expected[i, j] = joint.joint.coefficient(m, m + n)
+        assert np.array_equal(degradation_coeffs(joint, order).coeffs, expected)
+
+
+class TestDocumentCodec:
+    def test_signed_zeros_round_trip_byte_for_byte(self):
+        doc = phase.to_json_dict(worst_channel(2))
+        doc["coeffs"] = [[-0.0, -0.0] if re == 0.0 else [re, -0.0] for re, _ in doc["coeffs"]]
+        text = json.dumps(doc)
+        assert json.dumps(phase.to_json_dict(phase.from_json_dict(json.loads(text)))) == text
+        assert "-0.0" in text
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            (lambda coeffs: [["0.0", "0.0"], *coeffs[1:]], TypeError),
+            (lambda coeffs: [[None, 0.0], *coeffs[1:]], TypeError),
+            (lambda coeffs: [[0.0, 0.0, 0.0], *coeffs[1:]], ValueError),
+            (lambda coeffs: [pair + [0.0] for pair in coeffs], ValueError),
+            (lambda coeffs: coeffs[:-1], ValueError),
+        ],
+        ids=["string", "null", "one-three-number-entry", "three-number-entries", "short-list"],
+    )
+    def test_malformed_coefficients_rejected(self, corrupt, error):
+        doc = phase.to_json_dict(worst_channel(2))
+        doc["coeffs"] = corrupt(doc["coeffs"])
+        with pytest.raises(error):
+            phase.from_json_dict(doc)
