@@ -2,12 +2,14 @@
 
 A channel is included in another when it can be written as a convex mixture
 of deterministic input/output degradations of the better channel (Shannon's
-inclusion order).  ``includes`` decides this by column generation: a
-restricted convex-hull problem over a few degradation pairs is solved with
-``numerics.solve_feasibility``, and each separating functional it returns is
-priced exactly against every pair by enumerating the smaller side of the
-pair (input maps or output maps) and choosing the other side greedily.  The
-answer is a certificate either way, checked before it is returned.
+inclusion order).  ``includes`` decides this with Wolfe's min-norm-point
+algorithm over that hull: a corral of a few degradation pairs with convex
+weights moves towards the worse channel, and each residual ``h`` is priced
+exactly against every pair by enumerating the smaller side of the pair
+(input maps or output maps) and choosing the other side greedily.  It stops
+with a witness once the residual's 1-norm is within the tolerance, and with
+``h`` as a separating functional once no pair can bring the corral closer.
+The answer is a certificate either way, checked before it is returned.
 ``degradation_products`` enumerates every pair; it is kept as the reference
 oracle the tests decide against.  A brute-force best-codebook oracle is
 provided to exercise the error-probability monotonicity of the order.
@@ -16,11 +18,10 @@ provided to exercise the error-probability monotonicity of the order.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-
-from .numerics import FeasibilityProblem, solve_feasibility
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -42,6 +43,15 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 1_000_000
+
+# Hard bound on the major steps of one inclusion decision.
+_MAX_STEPS = 10_000
+# A best pair gaining less than this fraction of ``||h|| * ||step||`` lies on
+# the corral's affine hull to rounding (a gain of 0 in exact arithmetic).
+_ON_HULL = 1e-12
+# Per coordinate, a residual this small is rounding: the corral's point can
+# get no closer, so only replaying the witness can decide a smaller tolerance.
+_ROUNDING = 16 * np.finfo(float).eps
 
 _ROW_SUM_TOL = 1e-12
 _ENTRY_TOL = 1e-12
@@ -200,14 +210,15 @@ def degradation_products(
     better: StochasticMatrix,
     worse_shape: tuple[int, int],
     cap: int = ENUMERATION_CAP,
-) -> tuple[np.ndarray, list[DeterministicPair]]:
+) -> tuple[np.ndarray, Sequence[DeterministicPair]]:
     """Vectorized products R @ K @ T over all deterministic pairs.
 
     The exhaustive reference that ``includes`` no longer needs: tests decide
     against it.  Rows run over output maps, then input maps, each in
     ``itertools.product`` order; duplicate products are dropped, keeping the
     first pair that produced them.  Returns the candidate matrix with one
-    vectorized product per row, together with the matching pairs.  Raises
+    vectorized product per row, together with the matching pairs as a
+    read-only sequence that builds each pair when it is read.  Raises
     EnumerationTooLargeError when ``n1**n2 * m2**m1`` exceeds the cap.
     """
     n2, m2 = int(worse_shape[0]), int(worse_shape[1])
@@ -217,15 +228,48 @@ def degradation_products(
     n1, m1 = better.n_inputs, better.n_outputs
     input_maps = _maps(n2, n1)
     output_maps = _maps(m1, m2)
-    products = _collapsed(better.entries, output_maps, m2)[:, input_maps, :]
-    rows = np.ascontiguousarray(products.reshape(-1, n2 * m2))
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    collapsed = np.ascontiguousarray(_collapsed(better.entries, output_maps, m2).reshape(-1, m2))
+    # A product is equal to another exactly when its rows, rows of some K T,
+    # are; so deduplicate on the ids of the distinct K T rows it picks.
+    _, row_ids = np.unique(_byte_keys(collapsed), return_inverse=True)
+    ids = row_ids.reshape(len(output_maps), n1)[:, input_maps].reshape(-1, n2)
+    radix = int(row_ids.max()) + 1
+    if radix**n2 < 2**63:
+        keys = ids @ radix ** np.arange(n2, dtype=np.int64)
+    else:
+        keys = _byte_keys(np.ascontiguousarray(ids, dtype=np.int64))
     _, first = np.unique(keys, return_index=True)
     first.sort()
-    inputs = [tuple(m) for m in input_maps.tolist()]
-    outputs = [tuple(m) for m in output_maps.tolist()]
-    pairs = [_pair(inputs[i], outputs[t]) for t, i in zip(*np.divmod(first, len(inputs)))]
-    return rows[first], pairs
+    t, i = np.divmod(first, len(input_maps))
+    rows = collapsed.reshape(len(output_maps), n1, m2)[t[:, None], input_maps[i]]
+    return rows.reshape(-1, n2 * m2), _Pairs(input_maps, output_maps, i, t)
+
+
+class _Pairs(Sequence):
+    """Pairs ``(input_maps[i[r]], output_maps[t[r]])`` for each row ``r``.
+
+    Built only when read: constructing tens of thousands of pairs costs
+    several times the products themselves, and callers that check a
+    separator against every product never read them.
+    """
+
+    def __init__(self, input_maps, output_maps, i, t):
+        self._inputs = [tuple(m) for m in input_maps.tolist()]
+        self._outputs = [tuple(m) for m in output_maps.tolist()]
+        self._i, self._t = i.tolist(), t.tolist()
+
+    def __len__(self) -> int:
+        return len(self._i)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[r] for r in range(*index.indices(len(self)))]
+        return _pair(self._inputs[self._i[index]], self._outputs[self._t[index]])
+
+
+def _byte_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row of a C-contiguous 2-D array, equal exactly when the bytes are."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def _best_pair(k: np.ndarray, h: np.ndarray, n2: int, m2: int) -> DeterministicPair:
@@ -260,66 +304,115 @@ def includes(
 ) -> InclusionDecision:
     """Decide whether ``better`` includes ``worse``.
 
-    Column generation: ``solve_feasibility`` decides membership of the worse
-    channel in the hull of a growing list of deterministic pairs, starting
-    from the pair that best matches the worse channel itself.  A feasible
-    restricted problem gives the witness.  Otherwise its separator is priced
-    exactly against every pair; when the worse channel still beats the best
-    pair by more than ``tolerance`` times the separator's 1-norm, that exact
-    margin is returned, and otherwise the best pair joins the list.  When
-    the best pair is already in the list, no pair can improve the restricted
-    problem and any positive margin is returned.
-
+    ``_nearest_point`` runs Wolfe's algorithm towards the worse channel and
+    ends with a certificate, which is checked here before it is returned.
     Included results carry a witness (pairs plus mixture weights) that
-    replays the worse channel within the tolerance.  NotIncluded results
-    carry a separating functional with strictly positive margin against
-    every deterministic pair.  Both are checked before they are returned; a
-    certificate that fails its check raises ArithmeticError.  ``cap`` bounds
-    the size ``n1**n2 * m2**m1`` of the pair space, as for
-    ``degradation_products``.
+    replays the worse channel within the tolerance, with weights summing to
+    1.  NotIncluded results carry a separating functional whose margin
+    against the exactly priced best pair, and so against every
+    deterministic pair, is strictly positive.  A certificate that fails its
+    check raises ArithmeticError.  ``cap`` bounds the size
+    ``n1**n2 * m2**m1`` of the pair space, as for ``degradation_products``.
     """
     n2, m2 = worse.n_inputs, worse.n_outputs
     _check_cap(better, n2, m2, cap)
-    k = better.entries
     target = worse.entries.ravel()
-    pairs: list[DeterministicPair] = []
-    columns: list[np.ndarray] = []
-    pair = _best_pair(k, target, n2, m2)
-    column = pair.apply(better, n_outputs=m2).ravel()
-    while True:
-        pairs.append(pair)
-        columns.append(column)
-        certificate = solve_feasibility(FeasibilityProblem(columns, target, tolerance))
-        if certificate.feasible:
-            return _checked_witness(better, worse, pairs, certificate, tolerance)
-        separator = certificate.separator
-        pair = _best_pair(k, separator, n2, m2)
+    pairs, weights, separator, best = _nearest_point(better, target, n2, m2, tolerance)
+    if separator is None:
+        return _checked_witness(better, worse, pairs, weights, tolerance)
+    margin = float(separator @ target - separator @ best.apply(better, n_outputs=m2).ravel())
+    if not margin > 0.0:
+        raise ArithmeticError(f"separator margin {margin:.3e} is not positive")
+    return InclusionDecision(False, separator=separator, margin=margin)
+
+
+def _nearest_point(better: StochasticMatrix, target: np.ndarray, n2: int, m2: int, tolerance: float):
+    """Wolfe's min-norm-point algorithm over the hull of every ``vec(R K T)``.
+
+    The corral is a list of affinely independent pairs with positive convex
+    weights whose point ``x`` is the one nearest ``target`` on their affine
+    hull.  Each major step prices ``h = target - x`` with ``_best_pair`` and
+    adds the best pair; minor steps then move to the nearest point of the
+    new corral's affine hull, line-searching back and dropping a pair
+    whenever a weight would turn negative (Wolfe 1976).  ``h`` is updated
+    from its projections, never recomputed as ``target - x``, so it stays
+    orthogonal to the corral's hull to rounding however short it gets.
+
+    Returns ``(pairs, weights, None, None)`` once ``||h||_1`` is within
+    ``tolerance``, the phase-1 simplex's own criterion, or within rounding.
+    Otherwise returns ``(pairs, weights, h, best)``, ``best`` being the
+    exact best pair under ``h``, when the worse channel beats it by more
+    than ``tolerance * ||h||_1``, or when it cannot move ``x`` because it is
+    in the corral or on its affine hull to rounding.  ``x`` is then the
+    nearest point of the whole hull and the margin, ``||h||**2`` or more, is
+    the global one however small.
+    """
+    k = better.entries
+    pairs = [_best_pair(k, target, n2, m2)]
+    columns = pairs[0].apply(better, n_outputs=m2).ravel()[None, :]
+    weights = np.ones(1)
+    h = target - columns[0]
+    for _ in range(_MAX_STEPS):
+        if float(np.abs(h).sum()) <= max(tolerance, _ROUNDING * target.size):
+            return pairs, weights, None, None
+        pair = _best_pair(k, h, n2, m2)
         column = pair.apply(better, n_outputs=m2).ravel()
-        margin = float(separator @ target - separator @ column)
-        # A best pair already in the list cannot improve the restricted
-        # problem, so its optimum is the global one.
-        if margin > tolerance * float(np.abs(separator).sum()) or pair in pairs:
-            if not margin > 0.0:
-                raise ArithmeticError(f"separator margin {margin:.3e} is not positive")
-            return InclusionDecision(False, separator=separator, margin=margin)
+        step = column - columns[0]
+        if (float(h @ step) <= _ON_HULL * float(np.linalg.norm(h) * np.linalg.norm(step))
+                or float(h @ target - h @ column) > tolerance * float(np.abs(h).sum())):
+            return pairs, weights, h, pair
+        pairs.append(pair)
+        columns = np.vstack([columns, column])
+        weights = np.append(weights, 0.0)
+        while True:
+            move, residual = _affine_step(columns, h)
+            if float((weights + move).min()) > 0.0:
+                weights, h = weights + move, residual
+                break
+            # Move towards the affine minimiser until the first weight
+            # reaches zero, and drop the pairs that did.
+            falling = weights + move <= 0.0
+            scale = float(np.min(weights[falling] / np.maximum(-move[falling], np.finfo(float).tiny)))
+            weights = weights + scale * move
+            h = h + scale * (residual - h)
+            keep = weights > 0.0
+            keep[np.argmin(weights)] = False
+            pairs = [p for p, kept in zip(pairs, keep) if kept]
+            columns, weights = columns[keep], weights[keep]
+    raise ArithmeticError(f"min-norm-point search did not converge in {_MAX_STEPS} steps")
 
 
-def _checked_witness(better, worse, pairs, certificate, tolerance) -> InclusionDecision:
-    """Included decision from a feasible certificate, after replaying it."""
-    support = np.nonzero(certificate.weights > 0.0)[0]
-    witness = InclusionWitness(
-        pairs=tuple(pairs[i] for i in support),
-        weights=certificate.weights[support].copy(),
-        residual=certificate.residual,
-    )
-    total = float(witness.weights.sum())
+def _affine_step(columns: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weight change, summing to 0, from the corral's point to the nearest
+    point of its affine hull, and the residual ``h`` there.
+
+    Both come from ``h`` itself, so they are accurate relative to ``h`` and
+    not to the unit scale of the columns.  The residual is projected off
+    the hull twice ("twice is enough"), so it is orthogonal to the hull to
+    rounding.
+    """
+    if len(columns) == 1:
+        return np.zeros(1), h
+    q, r = np.linalg.qr((columns[1:] - columns[0]).T)
+    shift = np.linalg.solve(r, q.T @ h)
+    residual = h - q @ (q.T @ h)
+    residual = residual - q @ (q.T @ residual)
+    return np.concatenate([[-shift.sum()], shift]), residual
+
+
+def _checked_witness(better, worse, pairs, weights, tolerance) -> InclusionDecision:
+    """Included decision from a corral and its weights, after replaying it."""
+    support = np.nonzero(weights > 0.0)[0]
+    pairs = tuple(pairs[i] for i in support)
+    weights = np.asarray(weights)[support].copy()
+    total = float(weights.sum())
     if abs(total - 1.0) > 1e-9:
         raise ArithmeticError(f"witness weights sum to {total!r}, expected 1")
-    replayed = witness.replay(better, n_outputs=worse.n_outputs)
+    replayed = degrade(better, pairs, weights, n_outputs=worse.n_outputs)
     error = float(np.max(np.abs(replayed.entries - worse.entries)))
     if error > tolerance:
         raise ArithmeticError(f"witness replays with error {error:.3e} > tolerance {tolerance:.1e}")
-    return InclusionDecision(True, witness=witness)
+    return InclusionDecision(True, witness=InclusionWitness(pairs, weights, residual=error))
 
 
 def equivalent(

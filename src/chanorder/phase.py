@@ -50,6 +50,13 @@ _HERMITIAN_TOL = 1e-12
 _MAGNITUDE_TOL = 1e-12
 
 
+def _check_order(order) -> int:
+    order = int(order)
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    return order
+
+
 @dataclass(frozen=True)
 class TorusSpectrum:
     """Truncated characteristic-function grid of a torus distribution.
@@ -69,9 +76,7 @@ class TorusSpectrum:
     role: str = "channel"
 
     def __post_init__(self):
-        order = int(self.order)
-        if order < 1:
-            raise ValueError("order must be at least 1")
+        order = _check_order(self.order)
         coeffs = np.asarray(self.coeffs, dtype=complex)
         side = 2 * order + 1
         if coeffs.shape != (side, side):
@@ -148,9 +153,7 @@ def from_wrapped(family, order: int) -> np.ndarray:
     ``-order .. order``, sampled from the continuous characteristic function
     of the unwrapped law.
     """
-    order = int(order)
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    order = _check_order(order)
     m = np.arange(-order, order + 1)
     if isinstance(family, WrappedGaussian):
         if family.sigma2 < 0.0:
@@ -194,6 +197,7 @@ def from_grid(pdf_samples, order: int, role: str = "channel") -> TorusSpectrum:
     The samples are renormalized to a probability measure on the grid nodes
     and the coefficients are the exact transform of that discrete measure.
     """
+    order = _check_order(order)
     pdf = np.asarray(pdf_samples, dtype=float)
     if pdf.ndim != 2 or pdf.size == 0:
         raise ValueError("pdf_samples must form a nonempty 2-D grid")
@@ -203,7 +207,6 @@ def from_grid(pdf_samples, order: int, role: str = "channel") -> TorusSpectrum:
     if total <= 0.0:
         raise ValueError("pdf_samples must not be identically zero")
     weights = pdf / total
-    order = int(order)
     m = np.arange(-order, order + 1)
     spectrum = np.fft.ifft2(weights) * weights.size
     coeffs = spectrum[np.ix_(m % pdf.shape[0], m % pdf.shape[1])]
@@ -240,9 +243,7 @@ def degradation_coeffs(degradation: PhaseDegradation, order: int | None = None) 
     joint = degradation.joint
     if order is None:
         order = joint.order // 2
-    order = int(order)
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    order = _check_order(order)
     if joint.order < 2 * order:
         raise ValueError(
             f"joint order {joint.order} too small: need at least {2 * order} for order {order}"
@@ -318,7 +319,7 @@ def is_strict(
 
 def worst_channel(order: int) -> TorusSpectrum:
     """Channel with both phases uniform and independent: the absorbing bottom."""
-    order = int(order)
+    order = _check_order(order)
     coeffs = np.zeros((2 * order + 1, 2 * order + 1), dtype=complex)
     coeffs[order, order] = 1.0
     return TorusSpectrum(order, coeffs, role="channel")
@@ -331,7 +332,7 @@ def output_uniformizing_degradation(order: int) -> TorusSpectrum:
     its negation; the grid keeps only the ``n = 0`` column, so a degraded
     channel keeps exactly its gain-phase marginal.
     """
-    order = int(order)
+    order = _check_order(order)
     coeffs = np.zeros((2 * order + 1, 2 * order + 1), dtype=complex)
     coeffs[:, order] = 1.0
     return TorusSpectrum(order, coeffs, role="degradation")
@@ -339,7 +340,7 @@ def output_uniformizing_degradation(order: int) -> TorusSpectrum:
 
 def input_uniformizing_degradation(order: int) -> TorusSpectrum:
     """Degradation by a uniform input phase: keeps only the noise-phase marginal."""
-    order = int(order)
+    order = _check_order(order)
     coeffs = np.zeros((2 * order + 1, 2 * order + 1), dtype=complex)
     coeffs[order, :] = 1.0
     return TorusSpectrum(order, coeffs, role="degradation")

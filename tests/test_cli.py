@@ -213,6 +213,14 @@ class TestPhaseCommands:
         assert (code, captured.out) == (2, "")
         assert json.loads(captured.err)["error"]["type"] in ("TypeError", "ValueError")
 
+    @pytest.mark.parametrize("kind", ["worst", "output-uniform", "input-uniform"])
+    def test_negative_order_exits_two(self, capsys, kind):
+        code = run(["phase", "extremal", "--kind", kind, "--order", "-1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert json.loads(captured.err)["error"] == {"type": "ValueError",
+                                                     "message": "order must be at least 1"}
+
 
 class TestLgcCommands:
     @pytest.fixture

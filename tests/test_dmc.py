@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -133,6 +132,37 @@ class TestIncludes:
         assert margin > 0.0
         assert decision.margin == pytest.approx(margin, abs=1e-15)
 
+    @pytest.mark.parametrize("delta", [5e-10, 1e-9, 3e-9, 1e-8])
+    @pytest.mark.parametrize(
+        "better, rows",
+        [([[0.4, 0.2, 0.4], [0.4, 0.2, 0.4]], np.full((4, 4), 0.25)),
+         ([[0.45, 0.55]], np.tile([0.8, 0.2], (3, 1)))],
+        ids=["repeated-rows", "one-input"],
+    )
+    def test_separator_on_a_degenerate_hull(self, better, rows, delta):
+        # Every pair gives equal rows, and many pairs lie on the affine hull
+        # of a few others.  Moving two rows of the worse channel by +-delta
+        # leaves a margin near 4 * delta**2, far below the rounding of the
+        # residual t - x.
+        better = StochasticMatrix(better)
+        rows = rows.copy()
+        rows[0, :2] += (delta, -delta)
+        rows[1, :2] -= (delta, -delta)
+        decision = includes(better, StochasticMatrix(rows))
+        assert not decision.included
+        candidates, _ = degradation_products(better, rows.shape)
+        h = decision.separator
+        assert float(h @ rows.ravel() - np.max(candidates @ h)) > 0.0
+
+    def test_tolerance_below_rounding(self):
+        # A zero tolerance is below rounding: each decision is either
+        # certified or refused as undecided, never another failure.
+        for better, worse in _oracle_instances(count=80, seed=7):
+            try:
+                includes(better, worse, tolerance=0.0)
+            except ArithmeticError:
+                pass
+
     def test_deterministic_on_4x4(self):
         rng = np.random.default_rng(44)
         k = random_stochastic(rng, 4, 4)
@@ -194,6 +224,32 @@ def test_decisions_match_full_enumeration():
     assert min(decided.values()) >= 40
 
 
+def _l1_distance(candidates, target):
+    """Least 1-norm distance from ``target`` to the hull of the candidate rows,
+    by HiGHS: minimise sum(s+ + s-) subject to A g + s+ - s- = target,
+    sum(g) = 1 and g, s+, s- >= 0."""
+    optimize = pytest.importorskip("scipy.optimize")
+    count, dim = candidates.shape
+    cost = np.concatenate([np.zeros(count), np.ones(2 * dim)])
+    equalities = np.block([[candidates.T, np.eye(dim), -np.eye(dim)],
+                           [np.ones((1, count)), np.zeros((1, 2 * dim))]])
+    result = optimize.linprog(
+        cost, A_eq=equalities, b_eq=np.append(target, 1.0), bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert result.status == 0, result.message
+    return result.fun
+
+
+def test_decisions_match_scipy_l1_distance():
+    """An oracle sharing no solver code with the library: the worse channel is
+    included exactly when its 1-norm distance to the hull is within 1e-9."""
+    for index, (better, worse) in enumerate(_oracle_instances()):
+        candidates, _ = degradation_products(better, worse.entries.shape)
+        distance = _l1_distance(candidates, worse.entries.ravel())
+        assert includes(better, worse).included == (distance <= 1e-9), (index, distance)
+
+
 def _known_defects():
     with open(KNOWN_DEFECTS, encoding="utf-8") as handle:
         return json.load(handle)["instances"]
@@ -210,24 +266,18 @@ def test_known_simplex_defects_decide_included(instance):
     assert np.max(np.abs(replayed.entries - worse.entries)) <= 1e-9
 
 
-def _doubled_weights(certificate):
-    if not certificate.feasible:
-        return certificate
-    return dataclasses.replace(certificate, weights=2.0 * certificate.weights)
+def _doubled_weights(pairs, weights, separator, best):
+    return pairs, 2.0 * weights, separator, best
 
 
-def _first_column_only(certificate):
-    if not certificate.feasible:
-        return certificate
-    weights = np.zeros_like(certificate.weights)
+def _first_column_only(pairs, weights, separator, best):
+    weights = np.zeros_like(weights)
     weights[0] = 1.0
-    return dataclasses.replace(certificate, weights=weights)
+    return pairs, weights, separator, best
 
 
-def _negated_separator(certificate):
-    if certificate.feasible:
-        return certificate
-    return dataclasses.replace(certificate, separator=-certificate.separator)
+def _negated_separator(pairs, weights, separator, best):
+    return pairs, weights, -separator, best
 
 
 @pytest.mark.parametrize(
@@ -240,8 +290,8 @@ def _negated_separator(certificate):
     ids=["weights-sum", "replay", "separator"],
 )
 def test_corrupted_certificate_raises(monkeypatch, corrupt, better, worse):
-    solve = dmc.solve_feasibility
-    monkeypatch.setattr(dmc, "solve_feasibility", lambda problem: corrupt(solve(problem)))
+    search = dmc._nearest_point
+    monkeypatch.setattr(dmc, "_nearest_point", lambda *args: corrupt(*search(*args)))
     with pytest.raises(ArithmeticError):
         includes(better, worse)
 
@@ -253,6 +303,7 @@ def test_degradation_products_structure():
     assert len(rows) == len(pairs)
     for row, pair in zip(rows, pairs):
         assert np.array_equal(pair.apply(k, n_outputs=2).ravel(), row)
+    assert pairs[1:3] == [pairs[1], pairs[2]] and pairs[-1] == pairs[len(pairs) - 1]
     assert len({row.tobytes() for row in rows}) == len(rows)
     naive = {
         DeterministicPair(r, t).apply(k, n_outputs=2).tobytes()

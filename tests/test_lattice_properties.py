@@ -1,14 +1,16 @@
-"""Property tests for the noise and lgc lattices.
+"""Property tests for the noise and lgc lattices and the dmc order.
 
 Each law is judged by the family's own order, not by array equality: two
 noise profiles are equal when ``check_order`` finds them EQUAL, and two
-singular spectra are equal when each includes the other.
+singular spectra are equal when each includes the other.  A dmc channel
+must include itself and every mixture of its deterministic degradations,
+with a witness that replays it.
 """
 
 import numpy as np
 import pytest
 
-from chanorder import lgc, noise
+from chanorder import dmc, lgc, noise
 from chanorder.noise import Relation
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -69,3 +71,41 @@ def test_lgc_lattice_laws(a, b):
         # The lub includes both inputs; both include the glb.
         assert lgc.spectrum_includes(top, side).included
         assert lgc.spectrum_includes(side, bottom).included
+
+
+_SYMBOLS = st.integers(1, 3)
+_ENTRY = st.one_of(st.just(0.0), st.floats(0.0, 1.0, allow_nan=False))
+
+
+@st.composite
+def dmc_channels(draw):
+    n, m = draw(_SYMBOLS), draw(_SYMBOLS)
+    raw = np.array(draw(st.lists(st.lists(_ENTRY, min_size=m, max_size=m), min_size=n, max_size=n)))
+    raw[raw.sum(axis=1) == 0.0] = 1.0
+    return dmc.StochasticMatrix(raw / raw.sum(axis=1, keepdims=True))
+
+
+@st.composite
+def dmc_degradations(draw, channel):
+    n2, m2 = draw(_SYMBOLS), draw(_SYMBOLS)
+    pair = st.builds(dmc.DeterministicPair,
+                     st.lists(st.integers(0, channel.n_inputs - 1), min_size=n2, max_size=n2),
+                     st.lists(st.integers(0, m2 - 1), min_size=channel.n_outputs,
+                              max_size=channel.n_outputs))
+    pairs = draw(st.lists(pair, min_size=1, max_size=4))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(pairs), max_size=len(pairs))))
+    return dmc.degrade(channel, pairs, weights / weights.sum(), n_outputs=m2)
+
+
+def assert_included(better, worse):
+    decision = dmc.includes(better, worse)
+    assert decision.included
+    replayed = decision.witness.replay(better, n_outputs=worse.n_outputs)
+    assert np.max(np.abs(replayed.entries - worse.entries)) <= 1e-9
+
+
+@SETTINGS
+@given(dmc_channels(), st.data())
+def test_dmc_includes_itself_and_its_degradations(channel, data):
+    assert_included(channel, channel)
+    assert_included(channel, data.draw(dmc_degradations(channel)))

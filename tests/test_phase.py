@@ -123,6 +123,11 @@ class TestFromGrid:
         with pytest.raises(ValueError, match="zero"):
             from_grid(np.zeros((8, 8)), 2)
 
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_rejected(self, order):
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            from_grid(np.ones((4, 4)), order)
+
 
 class TestDegradationCoeffs:
     def test_point_input_uniform_output(self):
