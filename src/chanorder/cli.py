@@ -23,7 +23,8 @@ from . import dmc, lgc, noise, phase
 __all__ = ["ChannelDocument", "load_document", "run", "main"]
 
 _DMC_CONVENTIONS = [
-    "decisions are deterministic: fixed enumeration order and Bland pivoting",
+    "decisions are deterministic: Wolfe's min-norm-point corral, "
+    "each step priced exactly with ties to the lowest index",
     "witnesses replay as: sum of weights * (input-degraded, output-degraded channel)",
 ]
 _NOISE_CONVENTIONS = [noise.ORDER_CONVENTION]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log, sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -222,22 +223,29 @@ def verify_equivalence_transform(
     return EquivalenceReport(True, max_deviation=deviation)
 
 
+def _haar(gauss: np.ndarray) -> np.ndarray:
+    """Haar-orthogonal factors of one Gaussian matrix or of a stack of them.
+
+    QR factorization with the Q columns reflected so the R diagonal is
+    positive -- without that correction the factor is not invariant
+    (Mezzadri 2007).
+    """
+    q, r = np.linalg.qr(gauss)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0.0] = 1.0
+    return q * signs[..., None, :]
+
+
 def sample_haar_orthogonal(n: int, seed) -> np.ndarray:
     """Orthogonal matrix drawn from the rotation-invariant distribution.
 
-    QR factorization of an i.i.d. Gaussian matrix, with the Q columns
-    reflected so the R diagonal is positive -- without that correction the
-    factor is not invariant.
+    The sign-corrected QR factor of an i.i.d. Gaussian ``n x n`` matrix
+    drawn from ``default_rng(seed)``.
     """
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
-    rng = np.random.default_rng(seed)
-    gauss = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(gauss)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    return q * signs
+    return _haar(np.random.default_rng(seed).standard_normal((n, n)))
 
 
 @dataclass(frozen=True)
@@ -249,8 +257,11 @@ class GaussianEntries:
     scale: float = 1.0
 
     def __post_init__(self):
-        if int(self.rows) < 1 or int(self.cols) < 1:
-            raise ValueError("rows and cols must be positive")
+        for name in ("rows", "cols"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValueError("rows and cols must be positive integers")
+            object.__setattr__(self, name, int(value))
         if not np.isfinite(self.scale):
             raise ValueError("scale must be finite")
 
@@ -263,8 +274,8 @@ class HaarRotated:
 
     def __post_init__(self):
         base = np.asarray(self.base, dtype=float)
-        if base.ndim != 2 or not np.all(np.isfinite(base)):
-            raise ValueError("base must be a finite 2-D matrix")
+        if base.ndim != 2 or base.size == 0 or not np.all(np.isfinite(base)):
+            raise ValueError("base must be a nonempty finite 2-D matrix")
         object.__setattr__(self, "base", base)
 
 
@@ -322,34 +333,51 @@ class SingularEnsemble:
         return self.samples.shape[1]
 
 
-def _draw(sampler, index: int, seed: int) -> np.ndarray:
-    # Substream keyed by (seed, index): reproducible and order-independent.
+def _gaussian_stack(keys, shape: tuple[int, int]) -> np.ndarray:
+    """One standard Gaussian ``shape`` matrix per ``default_rng`` key."""
+    stack = np.empty((len(keys), *shape))
+    for matrix, key in zip(stack, keys):
+        np.random.default_rng(key).standard_normal(out=matrix)
+    return stack
+
+
+def _draws(sampler, n_samples: int, seed: int) -> np.ndarray:
+    """The ``(n_samples, rows, cols)`` stack of sampled channel matrices."""
     if isinstance(sampler, GaussianEntries):
-        rng = np.random.default_rng([seed, index])
-        return sampler.scale * rng.standard_normal((sampler.rows, sampler.cols))
+        keys = [[seed, i] for i in range(n_samples)]
+        return sampler.scale * _gaussian_stack(keys, (sampler.rows, sampler.cols))
     if isinstance(sampler, HaarRotated):
         rows, cols = sampler.base.shape
-        q_out = sample_haar_orthogonal(rows, [seed, index, 0])
-        q_in = sample_haar_orthogonal(cols, [seed, index, 1])
+        q_out = _haar(_gaussian_stack([[seed, i, 0] for i in range(n_samples)], (rows, rows)))
+        q_in = _haar(_gaussian_stack([[seed, i, 1] for i in range(n_samples)], (cols, cols)))
         return q_out @ sampler.base @ q_in
     if isinstance(sampler, FixedMatrix):
-        return sampler.matrix
+        return np.broadcast_to(sampler.matrix, (n_samples, *sampler.matrix.shape))
     if isinstance(sampler, ExplicitMatrices):
-        if index >= len(sampler.matrices):
+        if n_samples > len(sampler.matrices):
             raise ValueError("not enough user-supplied matrices for the requested samples")
-        return sampler.matrices[index]
+        return np.stack(sampler.matrices[:n_samples])
     raise ValueError(f"unknown sampler: {sampler!r}")
 
 
 def ensemble_from_sampler(sampler, n_samples: int, seed: int) -> SingularEnsemble:
-    """Canonical spectra of sampled channel matrices (identity noise)."""
+    """Canonical spectra of sampled channel matrices (identity noise).
+
+    Sample ``i`` is drawn from its own substream, so it depends only on
+    ``(seed, i)``, not on ``n_samples``: ``GaussianEntries`` draws from
+    ``default_rng([seed, i])``, and ``HaarRotated`` draws its output and
+    input factors from ``default_rng([seed, i, 0])`` and
+    ``default_rng([seed, i, 1])``, each as ``sample_haar_orthogonal`` would.
+    ``ExplicitMatrices`` uses its first ``n_samples`` matrices in order.
+    The Haar QR, the rotation and the SVD each run once on the whole stack.
+    """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    matrices = [_draw(sampler, i, int(seed)) for i in range(n_samples)]
-    spectra = np.linalg.svd(np.stack(matrices), compute_uv=False)
-    note = f"{type(sampler).__name__} sampler, seed-indexed substreams, seed={int(seed)}"
-    return SingularEnsemble(spectra, seed=int(seed), copula_note=note)
+    seed = int(seed)
+    spectra = np.linalg.svd(_draws(sampler, n_samples, seed), compute_uv=False)
+    note = f"{type(sampler).__name__} sampler, seed-indexed substreams, seed={seed}"
+    return SingularEnsemble(spectra, seed=seed, copula_note=note)
 
 
 @dataclass(frozen=True)

@@ -369,7 +369,8 @@ class TestErrorsAndFormats:
 
 
 _DMC_CONVENTIONS = [
-    "decisions are deterministic: fixed enumeration order and Bland pivoting",
+    "decisions are deterministic: Wolfe's min-norm-point corral, "
+    "each step priced exactly with ties to the lowest index",
     "witnesses replay as: sum of weights * (input-degraded, output-degraded channel)",
 ]
 _NOISE_CONVENTIONS = [noise.ORDER_CONVENTION]

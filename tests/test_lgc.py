@@ -192,6 +192,15 @@ class TestHaar:
         q = sample_haar_orthogonal(6, 11)
         assert np.max(np.abs(np.linalg.norm(q, axis=0) - 1.0)) <= 1e-10
 
+    def test_factor_of_the_seeded_gaussian(self):
+        # Q^T G must be the QR factor R with its diagonal made positive.
+        for n in (1, 2, 5, 9):
+            for seed in (0, 3, [4, 1]):
+                gauss = np.random.default_rng(seed).standard_normal((n, n))
+                r = sample_haar_orthogonal(n, seed).T @ gauss
+                assert np.all(np.diag(r) > 0.0)
+                assert np.max(np.abs(np.tril(r, -1))) <= 1e-10
+
     def test_scalar_sign_balance(self):
         signs = np.array([sample_haar_orthogonal(1, seed)[0, 0] for seed in range(10_000)])
         assert set(np.unique(np.abs(signs))) == {1.0}
@@ -208,7 +217,58 @@ class TestHaar:
             assert np.max(np.abs(rotated - base)) <= 1e-10
 
 
+def _reference_draw(sampler, index, seed):
+    # One matrix at a time, as ``ensemble_from_sampler`` draws it.
+    if isinstance(sampler, GaussianEntries):
+        rng = np.random.default_rng([seed, index])
+        return sampler.scale * rng.standard_normal((sampler.rows, sampler.cols))
+    if isinstance(sampler, HaarRotated):
+        rows, cols = sampler.base.shape
+        q_out = sample_haar_orthogonal(rows, [seed, index, 0])
+        q_in = sample_haar_orthogonal(cols, [seed, index, 1])
+        return q_out @ sampler.base @ q_in
+    if isinstance(sampler, FixedMatrix):
+        return sampler.matrix
+    return sampler.matrices[index]
+
+
+def _reference_ensemble(sampler, n_samples, seed):
+    matrices = [_reference_draw(sampler, i, seed) for i in range(n_samples)]
+    return np.linalg.svd(np.stack(matrices), compute_uv=False)
+
+
 class TestEnsembles:
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (3, 5), (6, 4), (8, 8)])
+    @pytest.mark.parametrize("n_samples", [1, 300])
+    def test_samples_match_per_sample_reference(self, shape, n_samples):
+        rng = np.random.default_rng([20, *shape, n_samples])
+        base = rng.standard_normal(shape)
+        samplers = [
+            GaussianEntries(*shape, scale=1.5),
+            HaarRotated(base),
+            FixedMatrix(base),
+            ExplicitMatrices(tuple(rng.standard_normal((n_samples + 1, *shape)))),
+        ]
+        for sampler in samplers:
+            for seed in (0, 7, 2**40 + 3):
+                got = ensemble_from_sampler(sampler, n_samples, seed).samples
+                want = _reference_ensemble(sampler, n_samples, seed)
+                assert got.tobytes() == want.tobytes(), (type(sampler).__name__, seed)
+
+    @pytest.mark.parametrize("rows, cols", [(2.5, 2), (2, 2.0), (0, 2), (2, -1), ("2", 2), (True, 2)])
+    def test_gaussian_entries_rejects_bad_dimensions(self, rows, cols):
+        with pytest.raises(ValueError, match="positive integers"):
+            GaussianEntries(rows, cols)
+
+    def test_gaussian_entries_stores_int_dimensions(self):
+        sampler = GaussianEntries(np.int64(3), 2)
+        assert type(sampler.rows) is int and sampler.rows == 3
+
+    @pytest.mark.parametrize("base", [np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((0, 0))])
+    def test_haar_rotated_rejects_empty_base(self, base):
+        with pytest.raises(ValueError, match="nonempty"):
+            HaarRotated(base)
+
     def test_fixed_matrix_sampler(self):
         matrix = np.diag([2.0, 0.5])
         ensemble = ensemble_from_sampler(FixedMatrix(matrix), 10, seed=0)
