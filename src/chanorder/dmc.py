@@ -6,7 +6,10 @@ inclusion order).  ``includes`` decides this with Wolfe's min-norm-point
 algorithm over that hull: a corral of a few degradation pairs with convex
 weights moves towards the worse channel, and each residual ``h`` is priced
 exactly against every pair by enumerating the smaller side of the pair
-(input maps or output maps) and choosing the other side greedily.  It stops
+(input maps or output maps) and choosing the other side greedily.  The
+smaller side's products with the better channel are stacked once per
+decision (at most 1,000 maps at the default cap, the square root of the
+pair count), so each step is one matrix product over them.  It stops
 with a witness once the residual's 1-norm is within the tolerance, and with
 ``h`` as a separating functional once no pair can bring the corral closer.
 The answer is a certificate either way, checked before it is returned.
@@ -20,6 +23,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -272,28 +276,53 @@ def _byte_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
-def _best_pair(k: np.ndarray, h: np.ndarray, n2: int, m2: int) -> DeterministicPair:
-    """The pair maximizing ``<h, vec(R K T)>`` over all deterministic pairs.
+class _PricingTable(NamedTuple):
+    """The smaller side's maps, one per row, and their products with ``K``,
+    stacked once per decision: ``K T`` for each output map, shape
+    ``(maps, n1, m2)``, or ``(R K)^T`` for each input map, shape
+    ``(maps, m1, n2)``."""
 
-    Enumerates the smaller side, ``min(n1**n2, m2**m1)`` maps.  For a fixed
+    k: np.ndarray
+    n2: int
+    m2: int
+    output_side: bool
+    maps: np.ndarray
+    products: np.ndarray
+
+
+def _pricing_table(k: np.ndarray, n2: int, m2: int) -> _PricingTable:
+    """Stack the products of the smaller side, ``min(n1**n2, m2**m1)`` maps."""
+    n1, m1 = k.shape
+    if m2**m1 <= n1**n2:
+        maps = _maps(m1, m2)
+        return _PricingTable(k, n2, m2, True, maps, _collapsed(k, maps, m2))
+    maps = _maps(n2, n1)
+    return _PricingTable(k, n2, m2, False, maps, np.swapaxes(k[maps], 1, 2))
+
+
+def _best_pair(table: _PricingTable, h: np.ndarray) -> tuple[DeterministicPair, np.ndarray]:
+    """The pair maximizing ``<h, vec(R K T)>`` over all deterministic pairs,
+    and that ``vec(R K T)``.
+
+    One product of the table with ``H = h.reshape(n2, m2)``.  For a fixed
     output map T each degraded input w independently takes
     ``argmax_i (K T H^T)[i, w]``; for a fixed input map R each better output
-    j takes ``argmax_z ((R K)^T H)[j, z]``, with ``H = h.reshape(n2, m2)``.
-    Ties go to the lowest index.
+    j takes ``argmax_z ((R K)^T H)[j, z]``.  Ties go to the lowest index.
+    The column is bit-identical to ``DeterministicPair.apply``'s.
     """
-    n1, m1 = k.shape
-    hm = h.reshape(n2, m2)
-    if m2**m1 <= n1**n2:
-        output_maps = _maps(m1, m2)
-        scores = _collapsed(k, output_maps, m2) @ hm.T
+    hm = h.reshape(table.n2, table.m2)
+    if table.output_side:
+        scores = table.products @ hm.T
         best = int(np.argmax(scores.max(axis=1).sum(axis=1)))
         inputs = scores[best].argmax(axis=0)
-        return _pair(tuple(inputs.tolist()), tuple(output_maps[best].tolist()))
-    input_maps = _maps(n2, n1)
-    scores = np.swapaxes(k[input_maps], 1, 2) @ hm
+        pair = _pair(tuple(inputs.tolist()), tuple(table.maps[best].tolist()))
+        return pair, table.products[best][inputs].ravel()
+    scores = table.products @ hm
     best = int(np.argmax(scores.max(axis=2).sum(axis=1)))
     outputs = scores[best].argmax(axis=1)
-    return _pair(tuple(input_maps[best].tolist()), tuple(outputs.tolist()))
+    pair = _pair(tuple(table.maps[best].tolist()), tuple(outputs.tolist()))
+    column = _collapsed(table.k, outputs[None, :], table.m2)[0][table.maps[best]]
+    return pair, column.ravel()
 
 
 def includes(
@@ -311,9 +340,13 @@ def includes(
     1.  NotIncluded results carry a separating functional whose margin
     against the exactly priced best pair, and so against every
     deterministic pair, is strictly positive.  A certificate that fails its
-    check raises ArithmeticError.  ``cap`` bounds the size
+    check raises ArithmeticError.  ``tolerance`` must be finite and
+    positive, or ValueError is raised.  ``cap`` bounds the size
     ``n1**n2 * m2**m1`` of the pair space, as for ``degradation_products``.
     """
+    tolerance = float(tolerance)
+    if not 0.0 < tolerance < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     n2, m2 = worse.n_inputs, worse.n_outputs
     _check_cap(better, n2, m2, cap)
     target = worse.entries.ravel()
@@ -331,9 +364,10 @@ def _nearest_point(better: StochasticMatrix, target: np.ndarray, n2: int, m2: in
 
     The corral is a list of affinely independent pairs with positive convex
     weights whose point ``x`` is the one nearest ``target`` on their affine
-    hull.  Each major step prices ``h = target - x`` with ``_best_pair`` and
-    adds the best pair; minor steps then move to the nearest point of the
-    new corral's affine hull, line-searching back and dropping a pair
+    hull.  Each major step prices ``h = target - x`` with ``_best_pair``
+    against the pricing table built once here, and adds the best pair with
+    its column from the table; minor steps then move to the nearest point of
+    the new corral's affine hull, line-searching back and dropping a pair
     whenever a weight would turn negative (Wolfe 1976).  ``h`` is updated
     from its projections, never recomputed as ``target - x``, so it stays
     orthogonal to the corral's hull to rounding however short it gets.
@@ -347,16 +381,15 @@ def _nearest_point(better: StochasticMatrix, target: np.ndarray, n2: int, m2: in
     nearest point of the whole hull and the margin, ``||h||**2`` or more, is
     the global one however small.
     """
-    k = better.entries
-    pairs = [_best_pair(k, target, n2, m2)]
-    columns = pairs[0].apply(better, n_outputs=m2).ravel()[None, :]
+    table = _pricing_table(better.entries, n2, m2)
+    pair, column = _best_pair(table, target)
+    pairs, columns = [pair], column[None, :]
     weights = np.ones(1)
     h = target - columns[0]
     for _ in range(_MAX_STEPS):
         if float(np.abs(h).sum()) <= max(tolerance, _ROUNDING * target.size):
             return pairs, weights, None, None
-        pair = _best_pair(k, h, n2, m2)
-        column = pair.apply(better, n_outputs=m2).ravel()
+        pair, column = _best_pair(table, h)
         step = column - columns[0]
         if (float(h @ step) <= _ON_HULL * float(np.linalg.norm(h) * np.linalg.norm(step))
                 or float(h @ target - h @ column) > tolerance * float(np.abs(h).sum())):

@@ -287,8 +287,8 @@ class FixedMatrix:
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.ndim != 2 or not np.all(np.isfinite(matrix)):
-            raise ValueError("matrix must be a finite 2-D matrix")
+        if matrix.ndim != 2 or matrix.size == 0 or not np.all(np.isfinite(matrix)):
+            raise ValueError("matrix must be a nonempty finite 2-D matrix")
         object.__setattr__(self, "matrix", matrix)
 
 
@@ -300,8 +300,8 @@ class ExplicitMatrices:
 
     def __post_init__(self):
         mats = tuple(np.asarray(m, dtype=float) for m in self.matrices)
-        if not mats or any(m.ndim != 2 or not np.all(np.isfinite(m)) for m in mats):
-            raise ValueError("need a nonempty list of finite 2-D matrices")
+        if not mats or any(m.ndim != 2 or m.size == 0 or not np.all(np.isfinite(m)) for m in mats):
+            raise ValueError("need a nonempty list of nonempty finite 2-D matrices")
         object.__setattr__(self, "matrices", mats)
 
 

@@ -69,6 +69,19 @@ class TestDmcCommands:
         degraded = load_document(str(out_path)).payload
         assert np.max(np.abs(degraded.entries - dmc.bsc(0.2).entries)) <= 1e-9
 
+    @pytest.mark.parametrize("command", ["check", "equiv"])
+    @pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+    def test_bad_tolerance_exits_two(self, capsys, tmp_path, command, tolerance):
+        a = write(tmp_path / "a.json", {"type": "dmc", "matrix": [[0.7, 0.3], [0.3, 0.7]]})
+        b = write(tmp_path / "b.json", {"type": "dmc", "matrix": [[0.6, 0.4], [0.4, 0.6]]})
+        files = ["--better", a, "--worse", b] if command == "check" else ["--a", a, "--b", b]
+        code = run(["dmc", command, *files, "--tolerance", tolerance])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith("tolerance must be finite and positive")
+
     def test_error_prob(self, capsys, bsc_files):
         better, _ = bsc_files
         code, doc, _ = run_json(

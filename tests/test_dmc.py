@@ -155,13 +155,24 @@ class TestIncludes:
         assert float(h @ rows.ravel() - np.max(candidates @ h)) > 0.0
 
     def test_tolerance_below_rounding(self):
-        # A zero tolerance is below rounding: each decision is either
-        # certified or refused as undecided, never another failure.
+        # A tolerance far below rounding: each decision is either certified
+        # or refused as undecided, never another failure.
         for better, worse in _oracle_instances(count=80, seed=7):
             try:
-                includes(better, worse, tolerance=0.0)
+                includes(better, worse, tolerance=1e-300)
             except ArithmeticError:
                 pass
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_tolerance_rejected(self, tolerance):
+        # inf accepts any witness (the identity in bsc(0.3) replays at error
+        # 0.3); 0 is below rounding, and -1 and nan fail every certificate
+        # check.
+        identity = StochasticMatrix(np.eye(2))
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            includes(bsc(0.3), identity, tolerance=tolerance)
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            equivalent(bsc(0.3), identity, tolerance=tolerance)
 
     def test_deterministic_on_4x4(self):
         rng = np.random.default_rng(44)
@@ -294,6 +305,55 @@ def test_corrupted_certificate_raises(monkeypatch, corrupt, better, worse):
     monkeypatch.setattr(dmc, "_nearest_point", lambda *args: corrupt(*search(*args)))
     with pytest.raises(ArithmeticError):
         includes(better, worse)
+
+
+def _rebuilt_best_pair(k, h, n2, m2):
+    """Pricing as it was before the table: every map's product is rebuilt at
+    each call."""
+    n1, m1 = k.shape
+    hm = h.reshape(n2, m2)
+    if m2**m1 <= n1**n2:
+        output_maps = dmc._maps(m1, m2)
+        scores = dmc._collapsed(k, output_maps, m2) @ hm.T
+        best = int(np.argmax(scores.max(axis=1).sum(axis=1)))
+        inputs = scores[best].argmax(axis=0)
+        return DeterministicPair(tuple(inputs.tolist()), tuple(output_maps[best].tolist()))
+    input_maps = dmc._maps(n2, n1)
+    scores = np.swapaxes(k[input_maps], 1, 2) @ hm
+    best = int(np.argmax(scores.max(axis=2).sum(axis=1)))
+    outputs = scores[best].argmax(axis=1)
+    return DeterministicPair(tuple(input_maps[best].tolist()), tuple(outputs.tolist()))
+
+
+@pytest.mark.parametrize(
+    "n1, m1, n2, m2, output_side",
+    [
+        (2, 2, 2, 2, True),  # n1**n2 == m2**m1
+        (4, 4, 4, 4, True),  # n1**n2 == m2**m1
+        (4, 3, 4, 3, True),
+        (3, 2, 2, 3, True),
+        (2, 4, 3, 3, False),
+        (3, 4, 2, 2, False),
+    ],
+)
+def test_best_pair_matches_rebuilt_pricing(n1, m1, n2, m2, output_side):
+    rng = np.random.default_rng([n1, m1, n2, m2])
+    repeated = random_stochastic(rng, n1, m1).entries.copy()
+    repeated[-1] = repeated[0]
+    for better in (random_stochastic(rng, n1, m1), StochasticMatrix(repeated)):
+        table = dmc._pricing_table(better.entries, n2, m2)
+        assert table.output_side == output_side
+        candidates, _ = degradation_products(better, (n2, m2))
+        # Integer-valued and zero residuals make many pairs tie.
+        residuals = [rng.standard_normal(n2 * m2) for _ in range(4)]
+        residuals += [rng.integers(-2, 3, size=n2 * m2).astype(float) for _ in range(4)]
+        residuals.append(np.zeros(n2 * m2))
+        for h in residuals:
+            pair, column = dmc._best_pair(table, h)
+            want = _rebuilt_best_pair(better.entries, h, n2, m2)
+            assert pair == want, h
+            assert column.tobytes() == want.apply(better, n_outputs=m2).ravel().tobytes(), h
+            assert float(h @ column) >= float(np.max(candidates @ h)) - 1e-12, h
 
 
 def test_degradation_products_structure():

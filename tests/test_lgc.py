@@ -269,6 +269,14 @@ class TestEnsembles:
         with pytest.raises(ValueError, match="nonempty"):
             HaarRotated(base)
 
+    @pytest.mark.parametrize("matrix", [np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((0, 0))])
+    @pytest.mark.parametrize(
+        "build", [FixedMatrix, lambda m: ExplicitMatrices((np.eye(2), m))], ids=["fixed", "explicit"]
+    )
+    def test_matrix_samplers_reject_empty_matrix(self, build, matrix):
+        with pytest.raises(ValueError, match="nonempty finite"):
+            build(matrix)
+
     def test_fixed_matrix_sampler(self):
         matrix = np.diag([2.0, 0.5])
         ensemble = ensemble_from_sampler(FixedMatrix(matrix), 10, seed=0)
