@@ -18,7 +18,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .numerics import inverse_sqrt_spd, singular_values
+from .numerics import checked_tolerance, inverse_sqrt_spd, singular_values
 
 __all__ = [
     "PADDING_CONVENTION",
@@ -141,7 +141,12 @@ def spectrum_includes(
     worse: SingularSpectrum,
     tolerance: float = 1e-9,
 ) -> SpectrumOrderDecision:
-    """Entrywise comparison of zero-padded spectra."""
+    """Entrywise comparison of zero-padded spectra.
+
+    ``tolerance`` must be finite and >= 0 (0 compares exactly); anything
+    else raises ValueError.
+    """
+    tolerance = checked_tolerance(tolerance)
     length = max(better.values.size, worse.values.size)
     gap = worse.padded(length) - better.padded(length)
     bad = np.nonzero(gap > tolerance)[0]
@@ -189,8 +194,10 @@ def verify_equivalence_transform(
 
     Hypotheses: every singular value of B equals 1 (so B has orthonormal
     rows and operator norm 1) and C is left-invertible.  Violated hypotheses
-    are reported, not raised; only dimension mismatches raise.
+    are reported, not raised; only dimension mismatches and a tolerance
+    that is not finite and >= 0 raise.
     """
+    tolerance = checked_tolerance(tolerance)
     b = np.asarray(b_matrix, dtype=float)
     c = np.asarray(c_matrix, dtype=float)
     if b.ndim != 2 or c.ndim != 2:
@@ -333,23 +340,114 @@ class SingularEnsemble:
         return self.samples.shape[1]
 
 
-def _gaussian_stack(keys, shape: tuple[int, int]) -> np.ndarray:
-    """One standard Gaussian ``shape`` matrix per ``default_rng`` key."""
-    stack = np.empty((len(keys), *shape))
-    for matrix, key in zip(stack, keys):
-        np.random.default_rng(key).standard_normal(out=matrix)
+# numpy's SeedSequence hash (pool of four 32-bit words) and PCG64's 128-bit
+# LCG multiplier, so that a stack's substream states come out as
+# ``default_rng(key)`` would set them, without building one generator per key.
+# tests/test_lgc.py pins the result against ``default_rng`` byte for byte.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_words(seed: int) -> list[int]:
+    """``seed`` as little-endian 32-bit words, as SeedSequence splits an int."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    return words
+
+
+def _hashmix(init: int, mult: int):
+    """SeedSequence's word hash, with its running constant started at ``init``."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * mult) & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _pcg64_states(entropy: np.ndarray) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``PCG64(SeedSequence(row))`` for each row of words.
+
+    ``entropy`` is a ``(n_keys, n_words)`` uint32 array.  The SeedSequence
+    pool mixing and ``generate_state(4, uint64)`` run column-wise over all
+    rows at once; only PCG64's 128-bit seeding step runs per key.
+    """
+    words = list(entropy.T)
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    zero = np.zeros(entropy.shape[0], dtype=np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    output = _hashmix(_INIT_B, _MULT_B)
+    state = np.stack([output(pool[k % _POOL_SIZE]) for k in range(2 * _POOL_SIZE)], axis=1)
+    seeded = []
+    for s_hi, s_lo, i_hi, i_lo in state.astype("<u4").view("<u8").tolist():
+        inc = (((i_hi << 64 | i_lo) << 1) | 1) & _MASK128
+        seeded.append(((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
+    return seeded
+
+
+def _gaussian_stack(seed: int, n_samples: int, suffix: tuple, shape: tuple[int, int]) -> np.ndarray:
+    """One standard Gaussian ``shape`` matrix per key ``[seed, i, *suffix]``.
+
+    Matrix ``i`` equals ``default_rng([seed, i, *suffix]).standard_normal(shape)``
+    byte for byte: every key's PCG64 state is computed in one vectorised pass
+    and set on a single generator before each draw.
+    """
+    if n_samples > _MASK32 + 1:
+        # Each sample index must stay one 32-bit entropy word.
+        raise ValueError("n_samples must be at most 2**32")
+    words = _seed_words(seed)
+    entropy = np.empty((n_samples, len(words) + 1 + len(suffix)), dtype=np.uint32)
+    entropy[:, : len(words)] = words
+    entropy[:, len(words)] = np.arange(n_samples, dtype=np.uint32)
+    entropy[:, len(words) + 1 :] = suffix
+    bit_generator = np.random.PCG64()
+    generator = np.random.Generator(bit_generator)
+    stack = np.empty((n_samples, *shape))
+    for matrix, (state, inc) in zip(stack, _pcg64_states(entropy)):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        generator.standard_normal(out=matrix)
     return stack
 
 
 def _draws(sampler, n_samples: int, seed: int) -> np.ndarray:
     """The ``(n_samples, rows, cols)`` stack of sampled channel matrices."""
     if isinstance(sampler, GaussianEntries):
-        keys = [[seed, i] for i in range(n_samples)]
-        return sampler.scale * _gaussian_stack(keys, (sampler.rows, sampler.cols))
+        return sampler.scale * _gaussian_stack(seed, n_samples, (), (sampler.rows, sampler.cols))
     if isinstance(sampler, HaarRotated):
         rows, cols = sampler.base.shape
-        q_out = _haar(_gaussian_stack([[seed, i, 0] for i in range(n_samples)], (rows, rows)))
-        q_in = _haar(_gaussian_stack([[seed, i, 1] for i in range(n_samples)], (cols, cols)))
+        q_out = _haar(_gaussian_stack(seed, n_samples, (0,), (rows, rows)))
+        q_in = _haar(_gaussian_stack(seed, n_samples, (1,), (cols, cols)))
         return q_out @ sampler.base @ q_in
     if isinstance(sampler, FixedMatrix):
         return np.broadcast_to(sampler.matrix, (n_samples, *sampler.matrix.shape))
@@ -369,7 +467,12 @@ def ensemble_from_sampler(sampler, n_samples: int, seed: int) -> SingularEnsembl
     input factors from ``default_rng([seed, i, 0])`` and
     ``default_rng([seed, i, 1])``, each as ``sample_haar_orthogonal`` would.
     ``ExplicitMatrices`` uses its first ``n_samples`` matrices in order.
-    The Haar QR, the rotation and the SVD each run once on the whole stack.
+    No generator is built per substream: all substreams' PCG64 states are
+    computed in one vectorised SeedSequence pass and set in turn on one
+    generator, so the output equals per-sample ``default_rng`` byte for byte.
+    ``GaussianEntries`` and ``HaarRotated`` raise ValueError for a negative
+    ``seed``, as ``default_rng`` does.  The Haar QR, the rotation and the SVD each run
+    once on the whole stack.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
@@ -414,7 +517,10 @@ def ensemble_order(
     band fails with probability at most ``delta`` per coordinate, so over
     both ensembles and all ``k`` coordinates the family-wise failure
     probability is at most ``2 * k * delta`` (union bound), not ``delta``.
+    ``delta`` must lie strictly between 0 and 1.
     """
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie strictly between 0 and 1, got {delta!r}")
     if a.spectrum_length != b.spectrum_length:
         raise ValueError("ensembles must share one spectrum length")
     n_grid = int(n_grid)

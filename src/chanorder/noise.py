@@ -24,6 +24,8 @@ from enum import Enum
 
 import numpy as np
 
+from .numerics import checked_tolerance
+
 __all__ = [
     "ORDER_CONVENTION",
     "ATOM_LOCATION_TOL",
@@ -192,8 +194,11 @@ def check_order(a: MonotoneProfile, b: MonotoneProfile, tolerance: float = 1e-9)
 
     SECOND_WORSE means ``b - a`` is a valid profile within the tolerance
     (``b`` carries at least the noise of ``a``); FIRST_WORSE is symmetric;
-    EQUAL when both hold; INCOMPARABLE when neither does.
+    EQUAL when both hold; INCOMPARABLE when neither does.  ``tolerance``
+    must be finite and >= 0 (0 compares exactly); anything else raises
+    ValueError.
     """
+    tolerance = checked_tolerance(tolerance)
     _require_same_flag(a, b)
     grid = _union_grid(a, b)
     da, db = _resample(a, grid), _resample(b, grid)

@@ -19,6 +19,7 @@ __all__ = [
     "solve_feasibility",
     "singular_values",
     "inverse_sqrt_spd",
+    "checked_tolerance",
 ]
 
 # Pivot/zero threshold for the simplex; the user-facing feasibility decision
@@ -208,3 +209,11 @@ def inverse_sqrt_spd(matrix) -> np.ndarray:
             f"matrix is not positive definite: offending eigenvalue {smallest:.6e}"
         )
     return (vectors / np.sqrt(eigenvalues)) @ vectors.T
+
+
+def checked_tolerance(tolerance) -> float:
+    """``tolerance`` as a float; ValueError unless it is finite and >= 0."""
+    tolerance = float(tolerance)
+    if not 0.0 <= tolerance < np.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
+    return tolerance

@@ -114,6 +114,16 @@ class TestNoiseCommands:
         code, _, _ = run_json(capsys, ["noise", "check", "--better", high, "--worse", low])
         assert code == 1
 
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+    def test_bad_tolerance_exits_two(self, capsys, profiles, tolerance):
+        a, b = profiles
+        code = run(["noise", "check", "--better", a, "--worse", b, "--tolerance", tolerance])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith("tolerance must be finite and nonnegative")
+
     def test_lub_round_trip(self, capsys, tmp_path, profiles):
         a, b = profiles
         out = tmp_path / "join.json"
@@ -283,6 +293,22 @@ class TestLgcCommands:
         )
         assert code == 1
         assert doc["result"]["condition"] == "singular values of B not all 1"
+
+    @pytest.mark.parametrize("command", ["check", "verify-equiv"])
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+    def test_bad_tolerance_exits_two(self, capsys, tmp_path, channels, command, tolerance):
+        a, b = channels
+        rot = write(tmp_path / "rot.json", {"type": "matrix", "matrix": [[0.0, -1.0], [1.0, 0.0]]})
+        if command == "check":
+            files = ["--better", b, "--worse", a]
+        else:
+            files = ["--channel", a, "--b-matrix", rot, "--c-matrix", rot]
+        code = run(["lgc", command, *files, "--tolerance", tolerance])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith("tolerance must be finite and nonnegative")
 
     def test_sample_haar_seeded(self, capsys):
         code, doc, _ = run_json(capsys, ["lgc", "sample-haar", "--n", "3", "--seed", "5"])

@@ -94,6 +94,20 @@ class TestIncludes:
             assert spectrum_includes(sb, sc).included
             assert spectrum_includes(sa, sc).included
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+    def test_bad_tolerance_rejected(self, tolerance):
+        weak = GaussianChannel(np.diag([0.5, 0.1]), np.eye(2))
+        strong = GaussianChannel(np.diag([3.0, 2.0]), np.eye(2))
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            includes(weak, strong, tolerance=tolerance)
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            spectrum_includes(canonicalize(weak), canonicalize(strong), tolerance=tolerance)
+
+    def test_zero_tolerance_compares_exactly(self):
+        a = SingularSpectrum([2.0, 1.0])
+        assert spectrum_includes(a, a, tolerance=0).included
+        assert not spectrum_includes(a, SingularSpectrum([2.0, 1.0 + 1e-15]), tolerance=0).included
+
 
 class TestLattice:
     def test_stream_example(self):
@@ -158,6 +172,12 @@ class TestVerifyEquivalence:
         report = verify_equivalence_transform(channel, np.eye(2), np.zeros((2, 2)))
         assert not report.equivalent
         assert report.condition == "C is not left-invertible"
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+    def test_bad_tolerance_rejected(self, tolerance):
+        channel = GaussianChannel(np.diag([2.0, 0.5]), np.eye(2))
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            verify_equivalence_transform(channel, 0.5 * np.eye(2), np.eye(2), tolerance=tolerance)
 
     def test_dimension_mismatch_raises(self):
         channel = GaussianChannel(np.eye(2), np.eye(2))
@@ -250,10 +270,24 @@ class TestEnsembles:
             ExplicitMatrices(tuple(rng.standard_normal((n_samples + 1, *shape)))),
         ]
         for sampler in samplers:
-            for seed in (0, 7, 2**40 + 3):
+            # 2**96 + 1 splits into 5 words with ``i``, more than the
+            # 4-word SeedSequence pool, so it reaches the extra mixing rounds.
+            for seed in (0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5, 2**96 + 1):
                 got = ensemble_from_sampler(sampler, n_samples, seed).samples
                 want = _reference_ensemble(sampler, n_samples, seed)
                 assert got.tobytes() == want.tobytes(), (type(sampler).__name__, seed)
+
+    @pytest.mark.parametrize(
+        "sampler", [GaussianEntries(2, 2), HaarRotated(np.eye(2))], ids=["gaussian", "haar"]
+    )
+    def test_negative_seed_rejected(self, sampler):
+        with pytest.raises(ValueError, match="non-negative"):
+            ensemble_from_sampler(sampler, 3, seed=-1)
+
+    def test_sample_index_beyond_one_word_rejected(self):
+        # Rejected before the stack is allocated.
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            ensemble_from_sampler(GaussianEntries(1, 1), 2**32 + 1, seed=0)
 
     @pytest.mark.parametrize("rows, cols", [(2.5, 2), (2, 2.0), (0, 2), (2, -1), ("2", 2), (True, 2)])
     def test_gaussian_entries_rejects_bad_dimensions(self, rows, cols):
@@ -343,6 +377,12 @@ class TestEnsembleOrder:
         for side in (a, b):
             assert ensemble_order(top, side).ordered
             assert ensemble_order(side, bottom).ordered
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, 1.0, 2.0, 3.0, float("nan")])
+    def test_bad_delta_rejected(self, delta):
+        ensemble = ensemble_from_sampler(GaussianEntries(2, 2), 10, seed=0)
+        with pytest.raises(ValueError, match="delta"):
+            ensemble_order(ensemble, ensemble, delta=delta)
 
     def test_length_mismatch_rejected(self):
         a = ensemble_from_sampler(GaussianEntries(2, 2), 10, seed=0)

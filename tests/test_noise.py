@@ -42,6 +42,18 @@ class TestCheckOrder:
         assert result.relation is Relation.EQUAL
         assert result.max_violation == 0.0
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+    def test_bad_tolerance_rejected(self, tolerance):
+        p = random_profile(np.random.default_rng(1))
+        for a, b in [(p, p), (atom(0.0, 1.0), atom(1.0, 2.0))]:
+            with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+                check_order(a, b, tolerance=tolerance)
+
+    def test_zero_tolerance_allowed(self):
+        p = random_profile(np.random.default_rng(1))
+        assert check_order(p, p, tolerance=0).relation is Relation.EQUAL
+        assert check_order(gaussian(1.0), gaussian(2.0), tolerance=0).relation is Relation.SECOND_WORSE
+
     def test_flag_mismatch_rejected(self):
         spectral = MonotoneProfile.empty(flag="spectral")
         with pytest.raises(ValueError, match="flag"):
