@@ -362,7 +362,7 @@ def _cmd_lgc_sample_haar(args):
 def _cmd_lgc_ensemble_order(args):
     a = _load_typed(args.a, "lgc_ensemble")
     b = _load_typed(args.b, "lgc_ensemble")
-    decision = lgc.ensemble_order(a, b, n_grid=args.n_grid)
+    decision = lgc.ensemble_order(a, b)
     result = {
         "ordered": decision.ordered,
         "direction": decision.direction,
@@ -370,7 +370,7 @@ def _cmd_lgc_ensemble_order(args):
         "max_violation": decision.max_violation,
         "band": decision.band,
     }
-    return {"n_grid": args.n_grid}, result, 0 if decision.ordered else 1, None
+    return {}, result, 0 if decision.ordered else 1, None
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +433,7 @@ _COMMANDS = (
      _LGC_CONVENTIONS),
     ("lgc", "sample-haar", _cmd_lgc_sample_haar,
      (("--n", _REQUIRED_INT), ("--seed", {"type": int})), _LGC_CONVENTIONS),
-    ("lgc", "ensemble-order", _cmd_lgc_ensemble_order,
-     _A_B + (("--n-grid", {"type": int, "default": 101}),), _ENSEMBLE_CONVENTIONS),
+    ("lgc", "ensemble-order", _cmd_lgc_ensemble_order, _A_B, _ENSEMBLE_CONVENTIONS),
 )
 
 

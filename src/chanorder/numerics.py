@@ -44,7 +44,7 @@ class FeasibilityProblem:
     target : 1-D real vector of length ``dim``
         The point whose hull membership is decided.
     tolerance : float
-        Nonnegative max-norm slack allowed when replaying a feasible
+        Finite, nonnegative max-norm slack allowed when replaying a feasible
         mixture.  Default 1e-9.
     """
 
@@ -62,13 +62,11 @@ class FeasibilityProblem:
         stacked = np.column_stack(vectors)
         if not (np.all(np.isfinite(stacked)) and np.all(np.isfinite(target))):
             raise ValueError("columns and target must contain finite values")
-        if not float(self.tolerance) >= 0.0:
-            raise ValueError("tolerance must be nonnegative")
         stacked.setflags(write=False)
         target.setflags(write=False)
         object.__setattr__(self, "columns", stacked)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "tolerance", float(self.tolerance))
+        object.__setattr__(self, "tolerance", checked_tolerance(self.tolerance))
 
     @property
     def n_columns(self) -> int:
@@ -197,7 +195,7 @@ def inverse_sqrt_spd(matrix) -> np.ndarray:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("inverse_sqrt_spd expects a square matrix")
     if not np.all(np.isfinite(matrix)):
-        raise ValueError("inverse_sqrt_spd requires finite entries")
+        raise ValueError("matrix must be finite")
     scale = max(1.0, float(np.max(np.abs(matrix))))
     asymmetry = float(np.max(np.abs(matrix - matrix.T)))
     if asymmetry > 1e-12 * scale:

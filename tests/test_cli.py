@@ -333,6 +333,12 @@ class TestLgcCommands:
         code, doc, _ = run_json(capsys, ["lgc", "ensemble-order", "--a", c, "--b", d])
         assert code == 1 and not doc["result"]["ordered"]
 
+    def test_ensemble_order_has_no_grid_flag(self, capsys, tmp_path):
+        ensemble = lgc.ensemble_from_sampler(lgc.GaussianEntries(2, 2), 20, seed=3)
+        path = write(tmp_path / "e.json", lgc.ensemble_to_json_dict(ensemble))
+        code = run(["lgc", "ensemble-order", "--a", path, "--b", path, "--n-grid", "101"])
+        assert (code, capsys.readouterr().out) == (2, "")
+
 
 class TestErrorsAndFormats:
     def test_unknown_subcommand(self, capsys):
@@ -466,7 +472,7 @@ _CONTRACT = [
     (["lgc", "sample-haar", "--n", "2", "--seed", "5"], 0, _RESULT_KEYS, {"n": 2, "seed": 5},
      _LGC_CONVENTIONS),
     (["lgc", "ensemble-order", "--a", "@double", "--b", "@base"], 0, _RESULT_KEYS,
-     {"n_grid": 101}, _ENSEMBLE_CONVENTIONS),
+     {}, _ENSEMBLE_CONVENTIONS),
 ]
 
 

@@ -389,3 +389,80 @@ class TestEnsembleOrder:
         b = ensemble_from_sampler(GaussianEntries(3, 3), 10, seed=0)
         with pytest.raises(ValueError, match="length"):
             ensemble_order(a, b)
+
+    def test_violation_between_grid_points_found(self):
+        # The CDFs agree at every point of linspace(0, 100, 101) but differ
+        # by 999/2000 on [0.3, 0.6); only an exact comparison sees it.
+        low = SingularEnsemble(np.array([0.0] + [0.3] * 999 + [100.0] * 1000)[:, None], seed=0)
+        high = SingularEnsemble(np.array([0.0] + [0.6] * 999 + [100.0] * 1000)[:, None], seed=0)
+        decision = ensemble_order(low, high)
+        assert decision.ordered
+        assert decision.direction == "second"
+        assert decision.max_margin == pytest.approx(0.4995, abs=1e-12)
+        assert decision.max_violation == 0.0
+
+    def test_grid_size_keyword_removed(self):
+        ensemble = ensemble_from_sampler(GaussianEntries(2, 2), 10, seed=0)
+        with pytest.raises(TypeError):
+            ensemble_order(ensemble, ensemble, n_grid=101)
+
+
+def _brute_force_order(a, b, delta=0.05):
+    """ensemble_order with both CDFs evaluated by broadcasting at every pooled point."""
+    band = np.sqrt(np.log(2 / delta) / (2 * a.n_samples)) + np.sqrt(
+        np.log(2 / delta) / (2 * b.n_samples)
+    )
+    first = second = gap = 0.0
+    for k in range(a.spectrum_length):
+        points = np.concatenate([a.samples[:, k], b.samples[:, k]])
+        fa = (a.samples[:, k][:, None] <= points).mean(0)
+        fb = (b.samples[:, k][:, None] <= points).mean(0)
+        first = max(first, float(np.max(fa - fb)))
+        second = max(second, float(np.max(fb - fa)))
+        gap = max(gap, float(np.max(np.abs(fa - fb))))
+    if first <= band and second <= band:
+        return "equal", gap, max(first, second)
+    if first <= band:
+        return "first", second, first
+    if second <= band:
+        return "second", first, second
+    return None, gap, min(first, second)
+
+
+def _rounded(ensemble, decimals):
+    return SingularEnsemble(np.round(ensemble.samples, decimals), seed=ensemble.seed)
+
+
+_ORACLE_PAIRS = {
+    "gaussian-unequal-counts":
+        lambda: (ensemble_from_sampler(GaussianEntries(2, 2, scale=1.2), 300, seed=21),
+                 ensemble_from_sampler(GaussianEntries(2, 2), 450, seed=22)),
+    "haar-vs-gaussian":
+        lambda: (ensemble_from_sampler(HaarRotated(np.diag([2.0, 0.5])), 250, seed=23),
+                 ensemble_from_sampler(GaussianEntries(2, 2), 400, seed=24)),
+    # Rounding ties samples within and across the two ensembles.
+    "rounded-one-decimal":
+        lambda: (_rounded(ensemble_from_sampler(GaussianEntries(3, 3), 200, seed=25), 1),
+                 _rounded(ensemble_from_sampler(GaussianEntries(3, 3, scale=1.1), 350, seed=26), 1)),
+    "rounded-integer":
+        lambda: (_rounded(ensemble_from_sampler(GaussianEntries(2, 2), 500, seed=27), 0),
+                 _rounded(ensemble_from_sampler(GaussianEntries(2, 2), 120, seed=28), 0)),
+    # Repeated user-supplied matrices: heavy ties, tiny unequal counts.
+    "explicit-repeats":
+        lambda: (ensemble_from_sampler(
+                     ExplicitMatrices([np.diag([2.0, 1.0])] * 3 + [np.eye(2)] * 4), 7, seed=0),
+                 ensemble_from_sampler(
+                     ExplicitMatrices([np.eye(2)] * 2 + [np.diag([3.0, 0.5])] * 3), 5, seed=0)),
+}
+
+
+@pytest.mark.parametrize("make_pair", _ORACLE_PAIRS.values(), ids=_ORACLE_PAIRS.keys())
+def test_ensemble_order_matches_brute_force_cdfs(make_pair):
+    a, b = make_pair()
+    for first, second in ((a, b), (b, a)):
+        decision = ensemble_order(first, second)
+        direction, margin, violation = _brute_force_order(first, second)
+        assert decision.direction == direction
+        assert decision.ordered == (direction is not None)
+        assert decision.max_margin == pytest.approx(margin, abs=1e-12)
+        assert decision.max_violation == pytest.approx(violation, abs=1e-12)

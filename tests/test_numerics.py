@@ -70,9 +70,10 @@ class TestFeasibility:
         with pytest.raises(ValueError):
             FeasibilityProblem([[1.0, 0.0], [1.0, 0.0, 0.0]], [1.0, 0.0])
 
-    def test_negative_tolerance_rejected(self):
+    @pytest.mark.parametrize("tolerance", [-1e-3, float("inf"), float("nan")])
+    def test_negative_tolerance_rejected(self, tolerance):
         with pytest.raises(ValueError):
-            FeasibilityProblem([[1.0]], [1.0], tolerance=-1e-3)
+            FeasibilityProblem([[1.0]], [1.0], tolerance=tolerance)
 
     def test_empty_columns_rejected(self):
         with pytest.raises(ValueError):
