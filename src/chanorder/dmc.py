@@ -340,8 +340,11 @@ def includes(
     1.  NotIncluded results carry a separating functional whose margin
     against the exactly priced best pair, and so against every
     deterministic pair, is strictly positive.  A certificate that fails its
-    check raises ArithmeticError.  ``tolerance`` must be finite and
-    positive, or ValueError is raised.  ``cap`` bounds the size
+    check raises ArithmeticError.  The decision is Euclidean: a worse
+    channel within ``tolerance`` of the hull in the 1-norm, but whose
+    Euclidean-nearest hull point is not, is reported as not included, with
+    a valid separator.  ``tolerance`` must be finite and positive, or
+    ValueError is raised.  ``cap`` bounds the size
     ``n1**n2 * m2**m1`` of the pair space, as for ``degradation_products``.
     """
     tolerance = float(tolerance)

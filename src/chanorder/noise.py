@@ -5,8 +5,10 @@ characteristic-exponent representation of its zero-mean, finite-variance
 noise law: an absolutely continuous slope sampled on a grid plus a finite
 list of positive jumps.  Comparing two channels amounts to checking that the
 difference of the two representations is itself nondecreasing; the lattice
-join takes pointwise maxima of slopes (summing jumps at distinct locations,
-taking the larger jump at shared locations) and the meet is the dual.
+join takes pointwise maxima of slopes and of jump masses, and the meet
+takes minima.  Jumps of two profiles pair one-to-one when their locations
+lie within ``ATOM_LOCATION_TOL``, and a pair sits at the smaller of its two
+locations; an unpaired jump faces mass 0.
 
 The identical machinery orders stationary Gaussian-process noise by its
 power spectral density: construct the profile with ``flag="spectral"`` and
@@ -160,33 +162,31 @@ def gaussian(sigma2: float) -> MonotoneProfile:
     return MonotoneProfile.from_atoms([(0.0, sigma2)])
 
 
-def _require_same_flag(a: MonotoneProfile, b: MonotoneProfile):
+def _aligned(a: MonotoneProfile, b: MonotoneProfile):
+    """Both profiles on shared abscissae: ``(grid, da, db, locations, ma, mb)``.
+
+    The densities are interpolated onto the union grid (linear, so they stay
+    nonnegative; zero outside each profile's span).  The atoms pair
+    one-to-one by a sorted merge: two atoms within ``ATOM_LOCATION_TOL`` form
+    one site at the smaller of their locations, and an unpaired atom faces
+    mass 0.  The sites stay more than the tolerance apart.
+    """
     if a.flag != b.flag:
         raise ValueError(f"interpretation flags differ: {a.flag!r} vs {b.flag!r}")
-
-
-def _union_grid(a: MonotoneProfile, b: MonotoneProfile) -> np.ndarray:
-    return np.union1d(a.grid, b.grid)
-
-
-def _resample(profile: MonotoneProfile, grid: np.ndarray) -> np.ndarray:
-    # Linear interpolation preserves nonnegativity; zero outside the span.
-    return np.interp(grid, profile.grid, profile.density, left=0.0, right=0.0)
-
-
-def _matched_mass(atoms, location: float) -> float:
-    for loc, mass in atoms:
-        if abs(loc - location) <= ATOM_LOCATION_TOL:
-            return mass
-    return 0.0
-
-
-def _one_sided_violation(low_density, high_density, low_atoms, high_atoms) -> float:
-    """How far ``high - low`` is from being a valid profile (0 = valid)."""
-    violation = float(np.max(low_density - high_density, initial=0.0))
-    for loc, mass in low_atoms:
-        violation = max(violation, mass - _matched_mass(high_atoms, loc))
-    return max(violation, 0.0)
+    grid = np.union1d(a.grid, b.grid)
+    da = np.interp(grid, a.grid, a.density, left=0.0, right=0.0)
+    db = np.interp(grid, b.grid, b.density, left=0.0, right=0.0)
+    sites: list[tuple[float, float, float]] = []
+    i = j = 0
+    while i < len(a.atoms) or j < len(b.atoms):
+        la, ma = a.atoms[i] if i < len(a.atoms) else (np.inf, 0.0)
+        lb, mb = b.atoms[j] if j < len(b.atoms) else (np.inf, 0.0)
+        paired = abs(la - lb) <= ATOM_LOCATION_TOL
+        take_a, take_b = paired or la < lb, paired or lb < la
+        sites.append((min(la, lb), ma if take_a else 0.0, mb if take_b else 0.0))
+        i, j = i + take_a, j + take_b
+    locations, ma, mb = np.array(sites, dtype=float).reshape(-1, 3).T
+    return grid, da, db, locations, ma, mb
 
 
 def check_order(a: MonotoneProfile, b: MonotoneProfile, tolerance: float = 1e-9) -> OrderResult:
@@ -199,11 +199,10 @@ def check_order(a: MonotoneProfile, b: MonotoneProfile, tolerance: float = 1e-9)
     ValueError.
     """
     tolerance = checked_tolerance(tolerance)
-    _require_same_flag(a, b)
-    grid = _union_grid(a, b)
-    da, db = _resample(a, grid), _resample(b, grid)
-    second = _one_sided_violation(da, db, a.atoms, b.atoms)
-    first = _one_sided_violation(db, da, b.atoms, a.atoms)
+    _, da, db, _, ma, mb = _aligned(a, b)
+    # How far ``b - a`` (second) and ``a - b`` (first) are from valid profiles.
+    second = float(np.max(np.concatenate([da - db, ma - mb]), initial=0.0))
+    first = float(np.max(np.concatenate([db - da, mb - ma]), initial=0.0))
     second_ok = second <= tolerance
     first_ok = first <= tolerance
     if second_ok and first_ok:
@@ -217,58 +216,31 @@ def check_order(a: MonotoneProfile, b: MonotoneProfile, tolerance: float = 1e-9)
     return OrderResult(relation, float(min(first, second)))
 
 
-def _merge_atoms(a_atoms, b_atoms, mode: str) -> tuple[tuple[float, float], ...]:
-    # mode: "max" keeps unmatched atoms, "min" drops them, "sum" adds masses.
-    merged: list[tuple[float, float]] = []
-    i = j = 0
-    while i < len(a_atoms) and j < len(b_atoms):
-        la, ma = a_atoms[i]
-        lb, mb = b_atoms[j]
-        if abs(la - lb) <= ATOM_LOCATION_TOL:
-            mass = {"max": max(ma, mb), "min": min(ma, mb), "sum": ma + mb}[mode]
-            merged.append((la, mass))
-            i += 1
-            j += 1
-        elif la < lb:
-            if mode != "min":
-                merged.append((la, ma))
-            i += 1
-        else:
-            if mode != "min":
-                merged.append((lb, mb))
-            j += 1
-    if mode != "min":
-        merged.extend(a_atoms[i:])
-        merged.extend(b_atoms[j:])
-    return tuple(merged)
+def _combined(a: MonotoneProfile, b: MonotoneProfile, op) -> MonotoneProfile:
+    # ``op`` acts on slopes and paired masses alike; zero masses are dropped.
+    grid, da, db, locations, ma, mb = _aligned(a, b)
+    masses = op(ma, mb)
+    keep = masses > 0.0
+    return MonotoneProfile(grid, op(da, db), tuple(zip(locations[keep], masses[keep])), a.flag)
 
 
 def lub(a: MonotoneProfile, b: MonotoneProfile) -> MonotoneProfile:
     """Least upper bound: pointwise maximum of slopes.
 
-    Jumps at distinct locations are both kept in full; a shared location
-    takes the larger of the two masses.
+    Unpaired jumps are kept in full; a pair of jumps within
+    ``ATOM_LOCATION_TOL`` takes the larger of the two masses.
     """
-    _require_same_flag(a, b)
-    grid = _union_grid(a, b)
-    density = np.maximum(_resample(a, grid), _resample(b, grid))
-    return MonotoneProfile(grid, density, _merge_atoms(a.atoms, b.atoms, "max"), a.flag)
+    return _combined(a, b, np.maximum)
 
 
 def glb(a: MonotoneProfile, b: MonotoneProfile) -> MonotoneProfile:
-    """Greatest lower bound: pointwise minimum of slopes, shared jumps only."""
-    _require_same_flag(a, b)
-    grid = _union_grid(a, b)
-    density = np.minimum(_resample(a, grid), _resample(b, grid))
-    return MonotoneProfile(grid, density, _merge_atoms(a.atoms, b.atoms, "min"), a.flag)
+    """Greatest lower bound: pointwise minimum of slopes, paired jumps only."""
+    return _combined(a, b, np.minimum)
 
 
 def profile_sum(a: MonotoneProfile, b: MonotoneProfile) -> MonotoneProfile:
     """Profile of the sum of two independent noises: slopes and jumps add."""
-    _require_same_flag(a, b)
-    grid = _union_grid(a, b)
-    density = _resample(a, grid) + _resample(b, grid)
-    return MonotoneProfile(grid, density, _merge_atoms(a.atoms, b.atoms, "sum"), a.flag)
+    return _combined(a, b, np.add)
 
 
 def variance(profile: MonotoneProfile) -> float:

@@ -12,7 +12,7 @@ of its smoothed density at ``4 * order`` points per axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -346,31 +346,27 @@ def input_uniformizing_degradation(order: int) -> TorusSpectrum:
     return TorusSpectrum(order, coeffs, role="degradation")
 
 
-def _same_family_means(a, b):
-    if type(a) is not type(b):
-        raise ValueError("lattice operations need two members of one wrapped family")
+_SCALES = {WrappedGaussian: "sigma2", WrappedCauchy: "gamma"}
+
+
+def _wrapped_pick(a, b, pick):
+    scale = _SCALES.get(type(a))
+    if scale is None or type(b) is not type(a):
+        raise ValueError("lattice operations need two members of one wrapped family "
+                         "(WrappedGaussian or WrappedCauchy)")
     if abs(a.mean - b.mean) > 1e-12:
         raise ValueError("lattice operations need equal means")
+    return replace(a, **{scale: pick(getattr(a, scale), getattr(b, scale))})
 
 
 def wrapped_lub(a, b):
     """Scale maximum within one wrapped family (the noisier member)."""
-    _same_family_means(a, b)
-    if isinstance(a, WrappedGaussian):
-        return WrappedGaussian(a.mean, max(a.sigma2, b.sigma2))
-    if isinstance(a, WrappedCauchy):
-        return WrappedCauchy(a.mean, max(a.gamma, b.gamma))
-    raise ValueError("lattice operations cover WrappedGaussian and WrappedCauchy")
+    return _wrapped_pick(a, b, max)
 
 
 def wrapped_glb(a, b):
     """Scale minimum within one wrapped family (the cleaner member)."""
-    _same_family_means(a, b)
-    if isinstance(a, WrappedGaussian):
-        return WrappedGaussian(a.mean, min(a.sigma2, b.sigma2))
-    if isinstance(a, WrappedCauchy):
-        return WrappedCauchy(a.mean, min(a.gamma, b.gamma))
-    raise ValueError("lattice operations cover WrappedGaussian and WrappedCauchy")
+    return _wrapped_pick(a, b, min)
 
 
 def to_json_dict(spectrum: TorusSpectrum) -> dict:

@@ -136,6 +136,14 @@ class TestNoiseCommands:
             assert code == 0
             assert doc["result"]["relation"] == "second_worse"
 
+    def test_lub_of_chained_atoms(self, capsys, tmp_path):
+        a = write(tmp_path / "a.json", noise.to_json_dict(noise.MonotoneProfile.from_atoms([(0.0, 1.0)])))
+        b = write(tmp_path / "b.json", noise.to_json_dict(
+            noise.MonotoneProfile.from_atoms([(-6e-10, 2.0), (6e-10, 3.0)])))
+        code, doc, _ = run_json(capsys, ["noise", "lub", a, b])
+        assert code == 0
+        assert doc["atoms"] == [[-6e-10, 2.0], [6e-10, 3.0]]
+
     def test_glb_of_distinct_atoms_is_empty(self, capsys, profiles):
         a, b = profiles
         code, doc, _ = run_json(capsys, ["noise", "glb", a, b])

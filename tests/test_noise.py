@@ -65,6 +65,11 @@ class TestCheckOrder:
         high = MonotoneProfile(grid, np.ones(65), flag="spectral")
         assert check_order(low, high).relation is Relation.SECOND_WORSE
 
+    def test_chained_atoms_incomparable(self):
+        # variance 4 against 5: a's atom pairs with b's first atom only.
+        b = MonotoneProfile.from_atoms([(-6e-10, 2.0), (6e-10, 3.0)])
+        assert check_order(atom(0.0, 4.0), b) == noise.OrderResult(Relation.INCOMPARABLE, 2.0)
+
     def test_different_grids(self):
         a = MonotoneProfile(np.linspace(-2.0, 2.0, 101), np.full(101, 0.5))
         b = MonotoneProfile(np.linspace(-3.0, 3.0, 61), np.ones(61))
@@ -83,6 +88,15 @@ class TestLattice:
         joined = glb(atom(0.0, 1.0), atom(1.0, 2.0))
         assert joined.atoms == ()
         assert variance(joined) == 0.0
+
+    def test_chained_atoms_pair_one_to_one_at_the_smaller_location(self):
+        # 0 lies within the matching tolerance of both of b's atoms, which
+        # lie more than the tolerance apart from each other.
+        a, b = atom(0.0, 1.0), MonotoneProfile.from_atoms([(-6e-10, 2.0), (6e-10, 3.0)])
+        for x, y in ((a, b), (b, a)):
+            assert lub(x, y).atoms == ((-6e-10, 2.0), (6e-10, 3.0))
+            assert glb(x, y).atoms == ((-6e-10, 1.0),)
+            assert profile_sum(x, y).atoms == ((-6e-10, 3.0), (6e-10, 3.0))
 
     def test_idempotence(self):
         p = random_profile(np.random.default_rng(2))

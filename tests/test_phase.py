@@ -306,9 +306,15 @@ class TestIsStrict:
             assert wrapped_lub(low, high) == high
             assert wrapped_glb(low, high) == low
 
-    def test_wrapped_lattice_rejects_mixed_families(self):
-        with pytest.raises(ValueError):
-            wrapped_lub(WrappedGaussian(0.0, 1.0), WrappedCauchy(0.0, 1.0))
+    @pytest.mark.parametrize("a, b", [
+        (WrappedGaussian(0.0, 1.0), WrappedCauchy(0.0, 1.0)),
+        (UniformPhase(), UniformPhase()),
+        (PointPhase(0.3), PointPhase(0.3)),
+    ], ids=["mixed", "uniform", "point"])
+    def test_wrapped_lattice_rejects_mixed_families(self, a, b):
+        for operation in (wrapped_lub, wrapped_glb):
+            with pytest.raises(ValueError, match="one wrapped family"):
+                operation(a, b)
 
 
 class TestSpectrumValidation:
