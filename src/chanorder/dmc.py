@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -129,6 +130,9 @@ class DeterministicPair:
     output_map: tuple[int, ...]
 
     def __post_init__(self):
+        for v in (*self.input_map, *self.output_map):
+            if isinstance(v, bool) or not isinstance(v, Integral):
+                raise ValueError(f"map values must be integer indices, got {v!r}")
         input_map = tuple(int(v) for v in self.input_map)
         output_map = tuple(int(v) for v in self.output_map)
         if not input_map or not output_map:
@@ -375,8 +379,8 @@ def _nearest_point(better: StochasticMatrix, target: np.ndarray, n2: int, m2: in
     from its projections, never recomputed as ``target - x``, so it stays
     orthogonal to the corral's hull to rounding however short it gets.
 
-    Returns ``(pairs, weights, None, None)`` once ``||h||_1`` is within
-    ``tolerance``, the phase-1 simplex's own criterion, or within rounding.
+    Returns ``(pairs, weights, None, None)`` once
+    ``||target - x||_1 <= tolerance``, or within rounding.
     Otherwise returns ``(pairs, weights, h, best)``, ``best`` being the
     exact best pair under ``h``, when the worse channel beats it by more
     than ``tolerance * ||h||_1``, or when it cannot move ``x`` because it is

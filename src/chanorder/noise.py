@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -298,11 +299,18 @@ def from_json_dict(obj: dict) -> MonotoneProfile:
     if obj.get("type") != "kfunction":
         raise ValueError("expected a document with type 'kfunction'")
     spec = obj["grid"]
-    grid = np.linspace(float(spec["min"]), float(spec["max"]), int(spec["points"]))
+    density = np.asarray(obj["density"], dtype=float)
+    points = spec["points"]
+    if isinstance(points, bool) or not isinstance(points, Integral) or points != density.size:
+        raise ValueError(
+            f"grid.points must be an integer equal to the {density.size} density values, "
+            f"got {points!r}"
+        )
+    grid = np.linspace(float(spec["min"]), float(spec["max"]), int(points))
     atoms = tuple((float(loc), float(mass)) for loc, mass in obj.get("atoms", []))
     return MonotoneProfile(
         grid=grid,
-        density=np.asarray(obj["density"], dtype=float),
+        density=density,
         atoms=atoms,
         flag=obj.get("flag", "noise_K"),
     )

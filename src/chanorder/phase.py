@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -51,10 +52,11 @@ _MAGNITUDE_TOL = 1e-12
 
 
 def _check_order(order) -> int:
-    order = int(order)
+    if isinstance(order, bool) or not isinstance(order, Integral):
+        raise ValueError(f"order must be an integer, got {order!r}")
     if order < 1:
         raise ValueError("order must be at least 1")
-    return order
+    return int(order)
 
 
 @dataclass(frozen=True)
@@ -383,7 +385,7 @@ def to_json_dict(spectrum: TorusSpectrum) -> dict:
 def from_json_dict(obj: dict) -> TorusSpectrum:
     if obj.get("type") != "torus":
         raise ValueError("expected a document with type 'torus'")
-    order = int(obj["order"])
+    order = _check_order(obj["order"])
     side = 2 * order + 1
     # No dtype here (float would parse "1.0"); the complex view keeps -0.0.
     pairs = np.asarray(obj["coeffs"])

@@ -69,6 +69,18 @@ class TestDmcCommands:
         degraded = load_document(str(out_path)).payload
         assert np.max(np.abs(degraded.entries - dmc.bsc(0.2).entries)) <= 1e-9
 
+    @pytest.mark.parametrize("input_map", [[0.7, 1.2], [True, False]], ids=["float", "bool"])
+    def test_non_integer_witness_map_exits_two(self, capsys, tmp_path, bsc_files, input_map):
+        better, _ = bsc_files
+        witness = write(tmp_path / "witness.json", {
+            "weights": [1.0], "pairs": [{"input_map": input_map, "output_map": [0, 1]}],
+        })
+        code = run(["dmc", "degrade", "--channel", better, "--witness", witness, "--n-outputs", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ValueError" and "integer indices" in error["message"]
+
     @pytest.mark.parametrize("command", ["check", "equiv"])
     @pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
     def test_bad_tolerance_exits_two(self, capsys, tmp_path, command, tolerance):
@@ -149,6 +161,17 @@ class TestNoiseCommands:
         code, doc, _ = run_json(capsys, ["noise", "glb", a, b])
         assert code == 0
         assert doc["atoms"] == []
+
+    @pytest.mark.parametrize("points", [10**12, 2.7], ids=["huge", "float"])
+    def test_grid_points_must_count_the_density(self, capsys, tmp_path, points):
+        profile = write(tmp_path / "k.json", {
+            "type": "kfunction", "grid": {"min": -1.0, "max": 1.0, "points": points},
+            "density": [0.0, 0.0], "atoms": [[0.0, 1.0]],
+        })
+        code = run(["noise", "variance", "--profile", profile])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert json.loads(captured.err)["error"]["type"] == "ValueError"
 
     def test_cf_and_variance(self, capsys, tmp_path):
         profile = write(tmp_path / "g.json", noise.to_json_dict(noise.gaussian(2.0)))
@@ -251,6 +274,19 @@ class TestPhaseCommands:
         assert (code, captured.out) == (2, "")
         assert json.loads(captured.err)["error"] == {"type": "ValueError",
                                                      "message": "order must be at least 1"}
+
+
+    def test_non_integer_document_order_exits_two(self, capsys, tmp_path):
+        doc = phase.to_json_dict(phase.worst_channel(1))
+        doc["order"] = 1.5
+        channel = write(tmp_path / "worst.json", doc)
+        degradation = write(tmp_path / "outuni.json",
+                            phase.to_json_dict(phase.output_uniformizing_degradation(1)))
+        code = run(["phase", "strict", "--channel", channel, "--degradation", degradation])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert json.loads(captured.err)["error"] == {"type": "ValueError",
+                                                     "message": "order must be an integer, got 1.5"}
 
 
 class TestLgcCommands:

@@ -17,7 +17,6 @@ from chanorder.dmc import (
     equivalent,
     includes,
 )
-from chanorder.numerics import FeasibilityProblem, solve_feasibility
 from conftest import random_degradation, random_stochastic
 
 KNOWN_DEFECTS = Path(__file__).resolve().parents[1] / "perfbench" / "known_defects.json"
@@ -214,27 +213,6 @@ def _oracle_instances(count=240, max_pairs=1024, seed=2024):
     return instances
 
 
-def test_decisions_match_full_enumeration():
-    """Column generation against the convex hull of every deterministic pair."""
-    decided = {True: 0, False: 0}
-    for index, (better, worse) in enumerate(_oracle_instances()):
-        candidates, _ = degradation_products(better, worse.entries.shape)
-        target = worse.entries.ravel()
-        reference = solve_feasibility(FeasibilityProblem(candidates, target, 1e-9))
-        decision = includes(better, worse)
-        assert decision.included == reference.feasible, index
-        decided[decision.included] += 1
-        if decision.included:
-            replayed = decision.witness.replay(better, n_outputs=worse.n_outputs)
-            assert np.max(np.abs(replayed.entries - worse.entries)) <= 1e-9, index
-        else:
-            h = decision.separator
-            margin = float(h @ target - np.max(candidates @ h))
-            assert margin > 0.0, index
-            assert decision.margin == pytest.approx(margin, abs=1e-12), index
-    assert min(decided.values()) >= 40
-
-
 def _l1_distance(candidates, target):
     """Least 1-norm distance from ``target`` to the hull of the candidate rows,
     by HiGHS: minimise sum(s+ + s-) subject to A g + s+ - s- = target,
@@ -252,13 +230,28 @@ def _l1_distance(candidates, target):
     return result.fun
 
 
-def test_decisions_match_scipy_l1_distance():
-    """An oracle sharing no solver code with the library: the worse channel is
-    included exactly when its 1-norm distance to the hull is within 1e-9."""
+def test_decisions_match_full_enumeration():
+    """Against an oracle sharing no solver code with the library: the worse
+    channel is included exactly when the HiGHS 1-norm distance from it to the
+    hull of every deterministic pair is within 1e-9.  Witnesses replay, and
+    separators strictly beat every candidate."""
+    decided = {True: 0, False: 0}
     for index, (better, worse) in enumerate(_oracle_instances()):
         candidates, _ = degradation_products(better, worse.entries.shape)
-        distance = _l1_distance(candidates, worse.entries.ravel())
-        assert includes(better, worse).included == (distance <= 1e-9), (index, distance)
+        target = worse.entries.ravel()
+        distance = _l1_distance(candidates, target)
+        decision = includes(better, worse)
+        assert decision.included == (distance <= 1e-9), (index, distance)
+        decided[decision.included] += 1
+        if decision.included:
+            replayed = decision.witness.replay(better, n_outputs=worse.n_outputs)
+            assert np.max(np.abs(replayed.entries - worse.entries)) <= 1e-9, index
+        else:
+            h = decision.separator
+            margin = float(h @ target - np.max(candidates @ h))
+            assert margin > 0.0, index
+            assert decision.margin == pytest.approx(margin, abs=1e-12), index
+    assert min(decided.values()) >= 40
 
 
 def _known_defects():
@@ -424,6 +417,20 @@ class TestDegrade:
         witness = dmc.witness_from_json_dict(doc)
         replayed = witness.replay(bsc(0.1), n_outputs=2)
         assert np.max(np.abs(replayed.entries - bsc(0.3).entries)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "input_map, output_map",
+        [((0.7, 1.2), (0, 1)), ((0, 1), (True, False)), ((0, 1), ("0", "1"))],
+        ids=["float", "bool", "string"],
+    )
+    def test_non_integer_map_entries_rejected(self, input_map, output_map):
+        with pytest.raises(ValueError, match="integer indices"):
+            DeterministicPair(input_map, output_map)
+
+    def test_numpy_integer_map_entries_accepted(self):
+        pair = DeterministicPair(tuple(np.arange(2)), (np.uint8(1), np.int64(0)))
+        assert pair.input_map == (0, 1) and pair.output_map == (1, 0)
+        assert all(type(v) is int for v in (*pair.input_map, *pair.output_map))
 
 
 class TestBestErrorProbability:

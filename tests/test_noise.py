@@ -202,6 +202,13 @@ class TestValidationAndJson:
         assert profiles_equal(p, again)
         assert again.flag == p.flag
 
+    @pytest.mark.parametrize("points", [10**12, 2.7, 3, True], ids=["huge", "float", "mismatch", "bool"])
+    def test_grid_points_must_count_the_density(self, points):
+        doc = {"type": "kfunction", "grid": {"min": -1.0, "max": 1.0, "points": points},
+               "density": [0.0, 0.0]}
+        with pytest.raises(ValueError, match="grid.points"):
+            noise.from_json_dict(doc)
+
     def test_nonuniform_grid_not_serializable(self):
         grid = np.array([0.0, 0.1, 0.5, 2.0])
         with pytest.raises(ValueError, match="uniform"):

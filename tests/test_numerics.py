@@ -1,83 +1,7 @@
 import numpy as np
 import pytest
 
-from chanorder.numerics import (
-    FeasibilityProblem,
-    solve_feasibility,
-    singular_values,
-    inverse_sqrt_spd,
-)
-
-
-def replay_error(problem, weights):
-    return max(
-        float(np.max(np.abs(problem.columns @ weights - problem.target))),
-        abs(float(weights.sum()) - 1.0),
-    )
-
-
-class TestFeasibility:
-    def test_single_point_hull(self):
-        v = np.array([0.25, 0.5, 0.25])
-        cert = solve_feasibility(FeasibilityProblem([v], v))
-        assert cert.feasible
-        assert np.allclose(cert.weights, [1.0])
-
-    def test_segment_combination(self):
-        cert = solve_feasibility(FeasibilityProblem([[0.0, 1.0], [1.0, 0.0]], [0.3, 0.7]))
-        assert cert.feasible
-        assert np.allclose(cert.weights, [0.7, 0.3], atol=1e-12)
-        assert cert.residual <= 1e-9
-
-    def test_off_simplex_target_is_separated(self):
-        problem = FeasibilityProblem([[0.0, 1.0], [1.0, 0.0]], [0.6, 0.6])
-        cert = solve_feasibility(problem)
-        assert not cert.feasible
-        h = cert.separator
-        margin = h @ problem.target - np.max(h @ problem.columns)
-        assert margin > 0.0
-        assert cert.residual == pytest.approx(margin)
-
-    def test_random_instances_replay(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            dim = int(rng.integers(2, 6))
-            count = int(rng.integers(1, 9))
-            columns = rng.random((count, dim))
-            if rng.random() < 0.5:
-                mix = rng.random(count)
-                target = columns.T @ (mix / mix.sum())
-            else:
-                target = rng.random(dim) * 2.0
-            problem = FeasibilityProblem(columns, target)
-            cert = solve_feasibility(problem)
-            if cert.feasible:
-                assert replay_error(problem, cert.weights) <= problem.tolerance
-                assert float(cert.weights.min()) >= 0.0
-            else:
-                h = cert.separator
-                margin = h @ problem.target - np.max(h @ problem.columns)
-                assert margin > 0.0
-
-    def test_deterministic_for_fixed_input(self):
-        columns = np.random.default_rng(3).random((6, 4))
-        target = columns.T @ np.full(6, 1 / 6)
-        a = solve_feasibility(FeasibilityProblem(columns, target))
-        b = solve_feasibility(FeasibilityProblem(columns, target))
-        assert np.array_equal(a.weights, b.weights)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            FeasibilityProblem([[1.0, 0.0], [1.0, 0.0, 0.0]], [1.0, 0.0])
-
-    @pytest.mark.parametrize("tolerance", [-1e-3, float("inf"), float("nan")])
-    def test_negative_tolerance_rejected(self, tolerance):
-        with pytest.raises(ValueError):
-            FeasibilityProblem([[1.0]], [1.0], tolerance=tolerance)
-
-    def test_empty_columns_rejected(self):
-        with pytest.raises(ValueError):
-            FeasibilityProblem([], [1.0])
+from chanorder.numerics import singular_values, inverse_sqrt_spd
 
 
 class TestSingularValues:

@@ -452,3 +452,10 @@ class TestDocumentCodec:
         doc["coeffs"] = corrupt(doc["coeffs"])
         with pytest.raises(error):
             phase.from_json_dict(doc)
+
+    @pytest.mark.parametrize("order", [1.5, 1.0, True, "1"], ids=["fraction", "float", "bool", "string"])
+    def test_non_integer_order_rejected(self, order):
+        doc = phase.to_json_dict(worst_channel(1))
+        doc["order"] = order
+        with pytest.raises(ValueError, match="order must be an integer"):
+            phase.from_json_dict(doc)
