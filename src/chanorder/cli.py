@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dmc, lgc, noise, phase
+from .numerics import _number_array
 
 __all__ = ["ChannelDocument", "load_document", "run", "main"]
 
@@ -106,7 +107,7 @@ def _load_matrix(path: str) -> np.ndarray:
     obj = _read_json(path)
     if obj.get("type") not in (None, "matrix"):
         raise ValueError(f"{path}: expected a matrix document")
-    return np.asarray(obj["matrix"], dtype=float)
+    return _number_array(obj["matrix"], f"{path}: matrix")
 
 
 def _result_doc(command: str, parameters: dict, conventions: list[str], result: dict) -> dict:

@@ -28,6 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .numerics import _number_array
+
 __all__ = [
     "ENUMERATION_CAP",
     "EnumerationTooLargeError",
@@ -553,7 +555,7 @@ def to_json_dict(channel: StochasticMatrix) -> dict:
 def from_json_dict(obj: dict) -> StochasticMatrix:
     if obj.get("type") != "dmc":
         raise ValueError("expected a document with type 'dmc'")
-    return StochasticMatrix(np.asarray(obj["matrix"], dtype=float))
+    return StochasticMatrix(_number_array(obj["matrix"], "matrix"))
 
 
 def witness_to_json_dict(witness: InclusionWitness) -> dict:
@@ -571,7 +573,7 @@ def witness_from_json_dict(obj: dict) -> InclusionWitness:
         DeterministicPair(tuple(p["input_map"]), tuple(p["output_map"]))
         for p in obj["pairs"]
     )
-    weights = np.asarray(obj["weights"], dtype=float)
+    weights = _number_array(obj["weights"], "witness weights").astype(float)
     if weights.size != len(pairs):
         raise ValueError("witness weights and pairs disagree in length")
     return InclusionWitness(pairs=pairs, weights=weights, residual=0.0)

@@ -18,7 +18,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .numerics import checked_tolerance, inverse_sqrt_spd, singular_values
+from .numerics import _number_array, checked_tolerance, inverse_sqrt_spd, singular_values
 
 __all__ = [
     "PADDING_CONVENTION",
@@ -300,6 +300,12 @@ class ExplicitMatrices:
         object.__setattr__(self, "matrices", mats)
 
 
+def _check_seed(seed) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class SingularEnsemble:
     """I.i.d. samples of sorted singular-value vectors."""
@@ -317,7 +323,7 @@ class SingularEnsemble:
         samples = np.clip(samples, 0.0, None)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
     @property
     def n_samples(self) -> int:
@@ -465,7 +471,7 @@ def ensemble_from_sampler(sampler, n_samples: int, seed: int) -> SingularEnsembl
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    seed = int(seed)
+    seed = _check_seed(seed)
     spectra = np.linalg.svd(_draws(sampler, n_samples, seed), compute_uv=False)
     note = f"{type(sampler).__name__} sampler, seed-indexed substreams, seed={seed}"
     return SingularEnsemble(spectra, seed=seed, copula_note=note)
@@ -575,7 +581,7 @@ def to_json_dict(channel: GaussianChannel) -> dict:
 def from_json_dict(obj: dict) -> GaussianChannel:
     if obj.get("type") != "lgc":
         raise ValueError("expected a document with type 'lgc'")
-    return GaussianChannel(np.asarray(obj["H"], dtype=float), np.asarray(obj["Sigma"], dtype=float))
+    return GaussianChannel(_number_array(obj["H"], "H"), _number_array(obj["Sigma"], "Sigma"))
 
 
 def ensemble_to_json_dict(ensemble: SingularEnsemble) -> dict:
@@ -591,7 +597,7 @@ def ensemble_from_json_dict(obj: dict) -> SingularEnsemble:
     if obj.get("type") != "lgc_ensemble":
         raise ValueError("expected a document with type 'lgc_ensemble'")
     return SingularEnsemble(
-        np.asarray(obj["samples"], dtype=float),
-        seed=int(obj.get("seed", 0)),
+        _number_array(obj["samples"], "samples"),
+        seed=obj.get("seed", 0),
         copula_note=str(obj.get("copula_note", "")),
     )

@@ -27,7 +27,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .numerics import checked_tolerance
+from .numerics import _number_array, checked_tolerance
 
 __all__ = [
     "ORDER_CONVENTION",
@@ -299,7 +299,7 @@ def from_json_dict(obj: dict) -> MonotoneProfile:
     if obj.get("type") != "kfunction":
         raise ValueError("expected a document with type 'kfunction'")
     spec = obj["grid"]
-    density = np.asarray(obj["density"], dtype=float)
+    density = _number_array(obj["density"], "density")
     points = spec["points"]
     if isinstance(points, bool) or not isinstance(points, Integral) or points != density.size:
         raise ValueError(
@@ -307,7 +307,8 @@ def from_json_dict(obj: dict) -> MonotoneProfile:
             f"got {points!r}"
         )
     grid = np.linspace(float(spec["min"]), float(spec["max"]), int(points))
-    atoms = tuple((float(loc), float(mass)) for loc, mass in obj.get("atoms", []))
+    pairs = _number_array(obj.get("atoms", []), "atoms")
+    atoms = tuple((float(loc), float(mass)) for loc, mass in pairs)
     return MonotoneProfile(
         grid=grid,
         density=density,

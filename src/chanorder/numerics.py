@@ -1,6 +1,7 @@
 """Shared numerical kernels.
 
-Singular values, symmetric inverse square roots and tolerance validation.
+Singular values, symmetric inverse square roots, tolerance validation and
+the number-only rule for arrays read from documents.
 Every function here is a pure function of its inputs, so all of it is safe
 to call concurrently.
 """
@@ -50,6 +51,18 @@ def inverse_sqrt_spd(matrix) -> np.ndarray:
             f"matrix is not positive definite: offending eigenvalue {smallest:.6e}"
         )
     return (vectors / np.sqrt(eigenvalues)) @ vectors.T
+
+
+def _number_array(value, what: str) -> np.ndarray:
+    """``value`` as ``np.asarray`` parses it; TypeError unless its entries are numbers.
+
+    Every document parser reads its arrays through this, so that JSON
+    strings and booleans are rejected instead of converted to floats.
+    """
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise TypeError(f"{what} must hold only numbers")
+    return array
 
 
 def checked_tolerance(tolerance) -> float:

@@ -6,8 +6,10 @@ two-dimensional characteristic-function coefficients.  Applying a random
 input/output phase pair multiplies that grid pointwise with the coefficient
 grid of the pair ``(output + input phase, output phase)``, so degradation,
 extremal channels, and the can-it-be-undone test all live in the coefficient
-domain.  Every grid is validated on construction, by one zero-padded 2-D FFT
-of its smoothed density at ``4 * order`` points per axis.
+domain.  Every grid is validated on construction: its smoothed density is
+evaluated at ``4 * order`` points per axis by one inverse FFT down the
+``order + 1`` nonnegative-frequency columns and one real inverse FFT along
+the rows, which suffices because the density is real.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from enum import Enum
 from numbers import Integral
 
 import numpy as np
+
+from .numerics import _number_array
 
 __all__ = [
     "EPS_GIBBS",
@@ -110,14 +114,20 @@ class TorusSpectrum:
 
 
 def _smoothed_min(order: int, coeffs: np.ndarray) -> float:
-    # Frequency m sits at index m mod P: the FFT sums the series at 2*pi*k/P.
+    # The real part of the full series is the series of the grid's Hermitian
+    # part, whose sum is real and so fixed by the columns n >= 0: one inverse
+    # FFT down those columns, then one real inverse FFT along the rows.
+    # Frequency m sits at index m mod P; the inverse transforms sum at
+    # -2*pi*k/P, which runs over the same P points.
     points = max(4 * order, 8)
     m = np.arange(-order, order + 1)
     weights = 1.0 - np.abs(m) / (order + 1.0)
-    padded = np.zeros((points, points), dtype=complex)
-    padded[np.ix_(m % points, m % points)] = coeffs * np.outer(weights, weights)
-    density = np.fft.fft2(padded).real / (2.0 * np.pi) ** 2
-    return float(density.min())
+    hermitian = (coeffs[:, order:] + np.conj(coeffs[::-1, order::-1])) / 2.0
+    half = np.zeros((points, points // 2 + 1), dtype=complex)
+    half[m % points, : order + 1] = hermitian * np.outer(weights, weights[order:])
+    half[:, : order + 1] = np.fft.ifft(half[:, : order + 1], axis=0)
+    density = np.fft.irfft(half, n=points, axis=1)
+    return float(density.min()) * points**2 / (2.0 * np.pi) ** 2
 
 
 @dataclass(frozen=True)
@@ -387,11 +397,9 @@ def from_json_dict(obj: dict) -> TorusSpectrum:
         raise ValueError("expected a document with type 'torus'")
     order = _check_order(obj["order"])
     side = 2 * order + 1
-    # No dtype here (float would parse "1.0"); the complex view keeps -0.0.
-    pairs = np.asarray(obj["coeffs"])
-    if pairs.dtype.kind not in "biuf":
-        raise TypeError("coefficients must be [re, im] pairs of numbers")
+    pairs = _number_array(obj["coeffs"], "coefficients")
     if pairs.shape != (side * side, 2):
         raise ValueError(f"coeffs must hold {side * side} [re, im] pairs for order {order}")
+    # The complex view of the pairs keeps -0.0.
     coeffs = np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(side, side)
     return TorusSpectrum(order, coeffs, role=obj.get("role", "channel"))

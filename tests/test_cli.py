@@ -377,6 +377,18 @@ class TestLgcCommands:
         code, doc, _ = run_json(capsys, ["lgc", "ensemble-order", "--a", c, "--b", d])
         assert code == 1 and not doc["result"]["ordered"]
 
+    @pytest.mark.parametrize("seed", [7.9, True], ids=["fraction", "bool"])
+    def test_non_integer_ensemble_seed_exits_two(self, capsys, tmp_path, seed):
+        ensemble = lgc.ensemble_from_sampler(lgc.GaussianEntries(2, 2), 20, seed=3)
+        doc = lgc.ensemble_to_json_dict(ensemble)
+        good = write(tmp_path / "good.json", doc)
+        bad = write(tmp_path / "bad.json", {**doc, "seed": seed})
+        code = run(["lgc", "ensemble-order", "--a", good, "--b", bad])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert json.loads(captured.err)["error"] == {
+            "type": "ValueError", "message": f"seed must be an integer, got {seed!r}"}
+
     def test_ensemble_order_has_no_grid_flag(self, capsys, tmp_path):
         ensemble = lgc.ensemble_from_sampler(lgc.GaussianEntries(2, 2), 20, seed=3)
         path = write(tmp_path / "e.json", lgc.ensemble_to_json_dict(ensemble))
@@ -403,6 +415,24 @@ class TestErrorsAndFormats:
         code = run(["dmc", "check", "--better", str(bad), "--worse", str(bad)])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"]["message"]
+
+    @pytest.mark.parametrize("group", ["dmc", "lgc"])
+    def test_non_number_document_exits_two(self, capsys, tmp_path, group):
+        if group == "dmc":
+            matrix = [["0.25", "0.75"], [True, False]]
+            bad = write(tmp_path / "bad.json", {"type": "dmc", "matrix": matrix})
+            argv = ["dmc", "check", "--better", bad, "--worse", bad]
+        else:
+            channel = lgc.to_json_dict(lgc.GaussianChannel(np.eye(2), np.eye(2)))
+            good = write(tmp_path / "lgc.json", channel)
+            bad = write(tmp_path / "bad.json", {"type": "matrix", "matrix": [["1", "0"], ["0", "1"]]})
+            argv = ["lgc", "verify-equiv", "--channel", good, "--b-matrix", bad, "--c-matrix", bad]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "TypeError"
+        assert error["message"].endswith("matrix must hold only numbers")
 
     def test_wrong_document_type(self, capsys, tmp_path):
         profile = tmp_path / "p.json"

@@ -47,6 +47,21 @@ class TestStochasticMatrix:
         again = dmc.from_json_dict(dmc.to_json_dict(channel))
         assert np.array_equal(channel.entries, again.entries)
 
+    @pytest.mark.parametrize(
+        "parse, doc, what",
+        [
+            (dmc.from_json_dict, {"type": "dmc", "matrix": [["0.25", "0.75"], [True, False]]}, "matrix"),
+            (dmc.from_json_dict, {"type": "dmc", "matrix": [[True, False], [False, True]]}, "matrix"),
+            (dmc.witness_from_json_dict,
+             {"weights": ["1.0"], "pairs": [{"input_map": [0, 1], "output_map": [0, 1]}]},
+             "witness weights"),
+        ],
+        ids=["string-matrix", "bool-matrix", "string-weights"],
+    )
+    def test_non_number_document_arrays_rejected(self, parse, doc, what):
+        with pytest.raises(TypeError, match=f"{what} must hold only numbers"):
+            parse(doc)
+
 
 class TestIncludes:
     def test_self_inclusion(self):

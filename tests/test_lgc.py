@@ -344,6 +344,41 @@ class TestEnsembles:
         assert np.array_equal(again.samples, ensemble.samples)
         assert again.seed == ensemble.seed
 
+    @pytest.mark.parametrize("seed", [7.9, 7.0, True, "7"], ids=["fraction", "float", "bool", "string"])
+    def test_non_integer_seed_rejected(self, seed):
+        doc = {"type": "lgc_ensemble", "samples": [[2.0, 1.0]], "seed": seed}
+        for build in (
+            lambda: lgc.ensemble_from_json_dict(doc),
+            lambda: SingularEnsemble(np.array([[2.0, 1.0]]), seed=seed),
+            lambda: ensemble_from_sampler(FixedMatrix(np.eye(2)), 1, seed),
+        ):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                build()
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint8(7)], ids=["int64", "uint8"])
+    def test_numpy_integer_seed_accepted(self, seed):
+        loaded = lgc.ensemble_from_json_dict({"type": "lgc_ensemble", "samples": [[2.0, 1.0]], "seed": seed})
+        drawn = ensemble_from_sampler(GaussianEntries(2, 2), 3, seed)
+        assert all(type(e.seed) is int and e.seed == 7 for e in (loaded, drawn))
+        reference = ensemble_from_sampler(GaussianEntries(2, 2), 3, 7)
+        assert drawn.samples.tobytes() == reference.samples.tobytes()
+
+    @pytest.mark.parametrize(
+        "parse, doc, what",
+        [
+            (lgc.from_json_dict, {"type": "lgc", "H": [["1.0", "0.0"], ["0.0", "1.0"]],
+                                  "Sigma": [[1.0, 0.0], [0.0, 1.0]]}, "H"),
+            (lgc.from_json_dict, {"type": "lgc", "H": [[1.0, 0.0], [0.0, 1.0]],
+                                  "Sigma": [[True, False], [False, True]]}, "Sigma"),
+            (lgc.ensemble_from_json_dict, {"type": "lgc_ensemble", "samples": [["2.0", "1.0"]]},
+             "samples"),
+        ],
+        ids=["string-H", "bool-Sigma", "string-samples"],
+    )
+    def test_non_number_document_arrays_rejected(self, parse, doc, what):
+        with pytest.raises(TypeError, match=f"{what} must hold only numbers"):
+            parse(doc)
+
 
 class TestEnsembleOrder:
     def test_self_comparison_equal(self):

@@ -209,6 +209,18 @@ class TestValidationAndJson:
         with pytest.raises(ValueError, match="grid.points"):
             noise.from_json_dict(doc)
 
+    @pytest.mark.parametrize(
+        "density, atoms, what",
+        [(["0.5", "0.5"], [], "density"), ([True, False], [], "density"),
+         ([0.5, 0.5], [["0.0", "1.0"]], "atoms")],
+        ids=["string-density", "bool-density", "string-atoms"],
+    )
+    def test_non_number_document_arrays_rejected(self, density, atoms, what):
+        doc = {"type": "kfunction", "grid": {"min": -1.0, "max": 1.0, "points": 2},
+               "density": density, "atoms": atoms}
+        with pytest.raises(TypeError, match=f"{what} must hold only numbers"):
+            noise.from_json_dict(doc)
+
     def test_nonuniform_grid_not_serializable(self):
         grid = np.array([0.0, 0.1, 0.5, 2.0])
         with pytest.raises(ValueError, match="uniform"):

@@ -389,16 +389,27 @@ def random_hermitian(rng, order):
 
 
 class TestFourierReferences:
-    @pytest.mark.parametrize("order", [1, 2, 3, 4, 7, 16, 31, 64])
-    def test_smoothed_min_matches_explicit_sum(self, order):
+    # Order 128 is the 2 * 64 joint grid a degradation of order 64 validates.
+    # The skewed case subtracts skew * sign(n), which is anti-Hermitian: it
+    # stays within _HERMITIAN_TOL and the real part of the full sum drops it,
+    # but the columns n >= 0 alone would lower the uniform grid's minimum.
+    @pytest.mark.parametrize(
+        "order, skew",
+        [pytest.param(order, 0.0, id=str(order)) for order in (1, 2, 3, 4, 7, 16, 31, 64, 128)]
+        + [pytest.param(64, 4.5e-13, id="64-anti-hermitian")],
+    )
+    def test_smoothed_min_matches_explicit_sum(self, order, skew):
         rng = np.random.default_rng(order)
         grids = [
             random_hermitian(rng, order),
             product_channel(
                 from_wrapped(WrappedCauchy(0.3, 0.2), order), from_wrapped(PointPhase(-1.1), order)
             ).coeffs,
+            worst_channel(order).coeffs,
         ]
         for coeffs in grids:
+            coeffs = coeffs - skew * np.sign(np.arange(-order, order + 1))
+            assert np.max(np.abs(np.conj(np.flip(coeffs)) - coeffs)) <= phase._HERMITIAN_TOL
             assert abs(phase._smoothed_min(order, coeffs) - reference_smoothed_min(order, coeffs)) <= 1e-12
 
     def test_smoothed_min_on_the_rejected_grid(self):
@@ -441,11 +452,12 @@ class TestDocumentCodec:
         [
             (lambda coeffs: [["0.0", "0.0"], *coeffs[1:]], TypeError),
             (lambda coeffs: [[None, 0.0], *coeffs[1:]], TypeError),
+            (lambda coeffs: [[bool(re), bool(im)] for re, im in coeffs], TypeError),
             (lambda coeffs: [[0.0, 0.0, 0.0], *coeffs[1:]], ValueError),
             (lambda coeffs: [pair + [0.0] for pair in coeffs], ValueError),
             (lambda coeffs: coeffs[:-1], ValueError),
         ],
-        ids=["string", "null", "one-three-number-entry", "three-number-entries", "short-list"],
+        ids=["string", "null", "bool", "one-three-number-entry", "three-number-entries", "short-list"],
     )
     def test_malformed_coefficients_rejected(self, corrupt, error):
         doc = phase.to_json_dict(worst_channel(2))
