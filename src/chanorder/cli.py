@@ -15,29 +15,48 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from importlib import import_module
+from itertools import chain
 
 import numpy as np
 
-from . import dmc, lgc, noise, phase
 from .numerics import _number_array
 
 __all__ = ["ChannelDocument", "load_document", "run", "main"]
 
-_DMC_CONVENTIONS = [
-    "decisions are deterministic: Wolfe's min-norm-point corral, "
-    "each step priced exactly with ties to the lowest index",
-    "witnesses replay as: sum of weights * (input-degraded, output-degraded channel)",
-]
-_NOISE_CONVENTIONS = [noise.ORDER_CONVENTION]
-_PHASE_CONVENTIONS = [
-    "strict = cannot be undone by any further phase degradation",
-    "a null (worst) channel is excluded from the strictness question",
-]
-_LGC_CONVENTIONS = [lgc.PADDING_CONVENTION]
-_ENSEMBLE_CONVENTIONS = [
-    lgc.PADDING_CONVENTION,
-    "ensemble comparisons assume the two ensembles share a common copula",
-]
+
+# The family modules are imported only once a command or a document names
+# one, so a process loads just the family it works on.  Conventions are
+# therefore functions of the family module: two of them are its constants.
+def _dmc_conventions(dmc):
+    return [
+        "decisions are deterministic: Wolfe's min-norm-point corral, "
+        "each step priced exactly with ties to the lowest index",
+        "witnesses replay as: sum of weights * (input-degraded, output-degraded channel)",
+    ]
+
+
+def _noise_conventions(noise):
+    return [noise.ORDER_CONVENTION]
+
+
+def _phase_conventions(phase):
+    return [
+        "strict = cannot be undone by any further phase degradation",
+        "a null (worst) channel is excluded from the strictness question",
+    ]
+
+
+def _lgc_conventions(lgc):
+    return [lgc.PADDING_CONVENTION]
+
+
+def _ensemble_conventions(lgc):
+    return [
+        lgc.PADDING_CONVENTION,
+        "ensemble comparisons assume the two ensembles share a common copula",
+    ]
+
 
 # Exceptions that mean the input or the invocation was bad (exit 2); any
 # other exception is an internal failure (exit 3).
@@ -63,12 +82,25 @@ class ChannelDocument:
     description: str = ""
 
 
+def _family(name: str):
+    return import_module(f"{__package__}.{name}")
+
+
+def _loader(family: str, parser: str):
+    """Parser ``family.parser``, importing the family on its first document."""
+
+    def load(obj: dict):
+        return getattr(_family(family), parser)(obj)
+
+    return load
+
+
 _LOADERS = {
-    "dmc": dmc.from_json_dict,
-    "kfunction": noise.from_json_dict,
-    "torus": phase.from_json_dict,
-    "lgc": lgc.from_json_dict,
-    "lgc_ensemble": lgc.ensemble_from_json_dict,
+    "dmc": _loader("dmc", "from_json_dict"),
+    "kfunction": _loader("noise", "from_json_dict"),
+    "torus": _loader("phase", "from_json_dict"),
+    "lgc": _loader("lgc", "from_json_dict"),
+    "lgc_ensemble": _loader("lgc", "ensemble_from_json_dict"),
 }
 
 
@@ -133,14 +165,47 @@ def _emit(args, document: dict, table) -> None:
     if args.format == "csv":
         if table is None:
             raise UsageError("csv output is only available for grid or table results")
-        text = "\n".join(",".join(_cell(v) for v in row) for row in table) + "\n"
+        text = "\n".join(",".join(_cell(v) for v in row) for row in table()) + "\n"
     else:
-        text = json.dumps(document, indent=2) + "\n"
+        text = _dumps(document) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+_encode = json.JSONEncoder().encode
+_NUMBERS = frozenset({int, float, bool})
+
+
+def _dumps(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte.
+
+    A list of numbers, or a list of nonempty lists of numbers, goes to the C
+    encoder in one call, and the line breaks and indents are put back by
+    string replacement: a number's JSON text holds no ``", "`` and no
+    bracket.  Everything else is written recursively.  Keys are strings, as
+    in every document the commands build.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{inner}{_encode(key)}: {_dumps(item, inner)}" for key, item in value.items()]
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if not isinstance(value, (list, tuple)) or not value:
+        return _encode(value)
+    types = set(map(type, value))
+    if types <= _NUMBERS:
+        body = _encode(value)[1:-1].replace(", ", ",\n" + inner)
+    elif types == {list} and all(value) and set(map(type, chain.from_iterable(value))) <= _NUMBERS:
+        deeper = inner + "  "
+        rows = _encode(value)[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{deeper}")
+        body = f"[\n{deeper}" + rows.replace(", ", ",\n" + deeper) + f"\n{inner}]"
+    else:
+        body = (",\n" + inner).join(_dumps(item, inner) for item in value)
+    return f"[\n{inner}{body}\n{indent}]"
 
 
 def _cell(value) -> str:
@@ -152,12 +217,13 @@ def _cell(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns (parameters, result, exit code, CSV
-# table or None); the command table below supplies the command name and the
-# conventions.
+# Subcommand handlers.  Each takes its imported family module and the parsed
+# arguments, and returns (parameters, result, exit code, CSV table builder or
+# None); the table is built only for --format csv.  The command table below
+# supplies the command name and the conventions.
 
 
-def _cmd_dmc_check(args):
+def _cmd_dmc_check(dmc, args):
     better = _load_typed(args.better, "dmc")
     worse = _load_typed(args.worse, "dmc")
     decision = dmc.includes(better, worse, tolerance=args.tolerance, cap=args.cap)
@@ -177,7 +243,7 @@ def _cmd_dmc_check(args):
     return parameters, result, 1, None
 
 
-def _cmd_dmc_equiv(args):
+def _cmd_dmc_equiv(dmc, args):
     a = _load_typed(args.a, "dmc")
     b = _load_typed(args.b, "dmc")
     verdict = dmc.equivalent(a, b, tolerance=args.tolerance, cap=args.cap)
@@ -185,22 +251,22 @@ def _cmd_dmc_equiv(args):
     return parameters, {"equivalent": verdict}, 0 if verdict else 1, None
 
 
-def _cmd_dmc_degrade(args):
+def _cmd_dmc_degrade(dmc, args):
     channel = _load_typed(args.channel, "dmc")
     witness = dmc.witness_from_json_dict(_read_json(args.witness))
     degraded = dmc.degrade(channel, witness.pairs, witness.weights, n_outputs=args.n_outputs)
     parameters = {"n_outputs": degraded.n_outputs}
-    return parameters, dmc.to_json_dict(degraded), 0, degraded.entries.tolist()
+    return parameters, dmc.to_json_dict(degraded), 0, degraded.entries.tolist
 
 
-def _cmd_dmc_error_prob(args):
+def _cmd_dmc_error_prob(dmc, args):
     channel = _load_typed(args.channel, "dmc")
     value = dmc.best_error_probability(channel, args.messages, args.block_length, cap=args.cap)
     parameters = {"messages": args.messages, "block_length": args.block_length, "cap": args.cap}
     return parameters, {"error_probability": value}, 0, None
 
 
-def _cmd_noise_check(args):
+def _cmd_noise_check(noise, args):
     better = _load_typed(args.better, "kfunction")
     worse = _load_typed(args.worse, "kfunction")
     outcome = noise.check_order(better, worse, tolerance=args.tolerance)
@@ -213,23 +279,23 @@ def _cmd_noise_check(args):
     return {"tolerance": args.tolerance}, result, 0 if holds else 1, None
 
 
-def _profile_table(profile: noise.MonotoneProfile):
+def _profile_table(profile):
     table = [["kind", "x", "value"]]
     table += [["density", float(u), float(d)] for u, d in zip(profile.grid, profile.density)]
     table += [["atom", float(loc), float(mass)] for loc, mass in profile.atoms]
     return table
 
 
-def _cmd_noise_lattice(args):
+def _cmd_noise_lattice(noise, args):
     a = _load_typed(args.first, "kfunction")
     b = _load_typed(args.second, "kfunction")
     # noise.lub or noise.glb, named by the subcommand; looked up per call so a
     # wrapper installed on the module (a profiler, a test double) sees it.
     result = getattr(noise, args.command)(a, b)
-    return {}, noise.to_json_dict(result), 0, _profile_table(result)
+    return {}, noise.to_json_dict(result), 0, lambda: _profile_table(result)
 
 
-def _cmd_noise_cf(args):
+def _cmd_noise_cf(noise, args):
     profile = _load_typed(args.profile, "kfunction")
     values = []
     for zeta in args.zeta:
@@ -238,12 +304,12 @@ def _cmd_noise_cf(args):
     return {}, {"log_cf": values}, 0, None
 
 
-def _cmd_noise_variance(args):
+def _cmd_noise_variance(noise, args):
     profile = _load_typed(args.profile, "kfunction")
     return {}, {"variance": noise.variance(profile)}, 0, None
 
 
-def _parse_family(spec: str):
+def _parse_family(phase, spec: str):
     parts = spec.split(":")
     kind = parts[0].strip().lower()
     try:
@@ -263,32 +329,32 @@ def _parse_family(spec: str):
     )
 
 
-def _spectrum_table(spectrum: phase.TorusSpectrum):
+def _spectrum_table(spectrum):
     m, n = np.indices(spectrum.coeffs.shape).reshape(2, -1) - spectrum.order
     flat = spectrum.coeffs.ravel()
     columns = (m.tolist(), n.tolist(), flat.real.tolist(), flat.imag.tolist())
     return [("m", "n", "re", "im"), *zip(*columns)]
 
 
-def _phase_result(spectrum, parameters):
-    return parameters, phase.to_json_dict(spectrum), 0, _spectrum_table(spectrum)
+def _phase_result(phase, spectrum, parameters):
+    return parameters, phase.to_json_dict(spectrum), 0, lambda: _spectrum_table(spectrum)
 
 
-def _cmd_phase_build(args):
-    h = phase.from_wrapped(_parse_family(args.h_phase), args.order)
-    v = phase.from_wrapped(_parse_family(args.v_phase), args.order)
+def _cmd_phase_build(phase, args):
+    h = phase.from_wrapped(_parse_family(phase, args.h_phase), args.order)
+    v = phase.from_wrapped(_parse_family(phase, args.v_phase), args.order)
     spectrum = phase.product_channel(h, v)
     parameters = {"h_phase": args.h_phase, "v_phase": args.v_phase, "order": args.order}
-    return _phase_result(spectrum, parameters)
+    return _phase_result(phase, spectrum, parameters)
 
 
-def _cmd_phase_degrade(args):
+def _cmd_phase_degrade(phase, args):
     channel = _load_typed(args.channel, "torus")
     degradation = _load_typed(args.degradation, "torus")
-    return _phase_result(phase.degrade(channel, degradation), {})
+    return _phase_result(phase, phase.degrade(channel, degradation), {})
 
 
-def _cmd_phase_strict(args):
+def _cmd_phase_strict(phase, args):
     channel = _load_typed(args.channel, "torus")
     degradation = _load_typed(args.degradation, "torus")
     outcome = phase.is_strict(channel, degradation, epsilon=args.epsilon)
@@ -309,17 +375,17 @@ _EXTREMALS = {
 }
 
 
-def _cmd_phase_extremal(args):
+def _cmd_phase_extremal(phase, args):
     spectrum = getattr(phase, _EXTREMALS[args.kind])(args.order)
-    return _phase_result(spectrum, {"kind": args.kind, "order": args.order})
+    return _phase_result(phase, spectrum, {"kind": args.kind, "order": args.order})
 
 
-def _cmd_lgc_canon(args):
+def _cmd_lgc_canon(lgc, args):
     spectrum = lgc.canonicalize(_load_typed(args.channel, "lgc"))
-    return {}, {"spectrum": spectrum.values.tolist()}, 0, [list(spectrum.values)]
+    return {}, {"spectrum": spectrum.values.tolist()}, 0, lambda: [list(spectrum.values)]
 
 
-def _cmd_lgc_check(args):
+def _cmd_lgc_check(lgc, args):
     better = _load_typed(args.better, "lgc")
     worse = _load_typed(args.worse, "lgc")
     decision = lgc.includes(better, worse, tolerance=args.tolerance)
@@ -329,15 +395,15 @@ def _cmd_lgc_check(args):
     return {"tolerance": args.tolerance}, result, 0 if decision.included else 1, None
 
 
-def _cmd_lgc_lattice(args):
+def _cmd_lgc_lattice(lgc, args):
     a = lgc.canonicalize(_load_typed(args.first, "lgc"))
     b = lgc.canonicalize(_load_typed(args.second, "lgc"))
     # lgc.lub or lgc.glb, named by the subcommand; looked up per call as above.
     spectrum = getattr(lgc, args.command)(a, b)
-    return {}, {"spectrum": spectrum.values.tolist()}, 0, [list(spectrum.values)]
+    return {}, {"spectrum": spectrum.values.tolist()}, 0, lambda: [list(spectrum.values)]
 
 
-def _cmd_lgc_verify_equiv(args):
+def _cmd_lgc_verify_equiv(lgc, args):
     channel = _load_typed(args.channel, "lgc")
     report = lgc.verify_equivalence_transform(
         channel, _load_matrix(args.b_matrix), _load_matrix(args.c_matrix), tolerance=args.tolerance
@@ -350,17 +416,17 @@ def _cmd_lgc_verify_equiv(args):
     return {"tolerance": args.tolerance}, result, 0 if report.equivalent else 1, None
 
 
-def _cmd_lgc_sample_haar(args):
+def _cmd_lgc_sample_haar(lgc, args):
     if args.seed is not None:
         seed = args.seed
     else:
         env = os.environ.get("CHANORDER_SEED")
         seed = int(env) if env else 0
     matrix = lgc.sample_haar_orthogonal(args.n, seed)
-    return {"n": args.n, "seed": seed}, {"matrix": matrix.tolist()}, 0, matrix.tolist()
+    return {"n": args.n, "seed": seed}, {"matrix": matrix.tolist()}, 0, matrix.tolist
 
 
-def _cmd_lgc_ensemble_order(args):
+def _cmd_lgc_ensemble_order(lgc, args):
     a = _load_typed(args.a, "lgc_ensemble")
     b = _load_typed(args.b, "lgc_ensemble")
     decision = lgc.ensemble_order(a, b)
@@ -392,7 +458,8 @@ _BETTER_WORSE = (("--better", _REQUIRED), ("--worse", _REQUIRED))
 _A_B = (("--a", _REQUIRED), ("--b", _REQUIRED))
 _OPERANDS = (("first", {}), ("second", {}))
 _TOLERANCE = ("--tolerance", {"type": float, "default": 1e-9})
-_CAP = ("--cap", {"type": int, "default": dmc.ENUMERATION_CAP})
+# None stands for the dmc module's ENUMERATION_CAP, read once it is imported.
+_CAP = ("--cap", {"type": int})
 _ORDER = ("--order", {"type": int, "default": 32})
 _OUTPUT = (
     ("--out", {"help": "write the document to a file"}),
@@ -400,41 +467,41 @@ _OUTPUT = (
 )
 
 _COMMANDS = (
-    ("dmc", "check", _cmd_dmc_check, _BETTER_WORSE + (_TOLERANCE, _CAP), _DMC_CONVENTIONS),
-    ("dmc", "equiv", _cmd_dmc_equiv, _A_B + (_TOLERANCE, _CAP), _DMC_CONVENTIONS),
+    ("dmc", "check", _cmd_dmc_check, _BETTER_WORSE + (_TOLERANCE, _CAP), _dmc_conventions),
+    ("dmc", "equiv", _cmd_dmc_equiv, _A_B + (_TOLERANCE, _CAP), _dmc_conventions),
     ("dmc", "degrade", _cmd_dmc_degrade,
-     (_CHANNEL, ("--witness", _REQUIRED), ("--n-outputs", {"type": int})), _DMC_CONVENTIONS),
+     (_CHANNEL, ("--witness", _REQUIRED), ("--n-outputs", {"type": int})), _dmc_conventions),
     ("dmc", "error-prob", _cmd_dmc_error_prob,
      (_CHANNEL, ("--messages", _REQUIRED_INT), ("--block-length", _REQUIRED_INT), _CAP),
-     _DMC_CONVENTIONS),
-    ("noise", "check", _cmd_noise_check, _BETTER_WORSE + (_TOLERANCE,), _NOISE_CONVENTIONS),
-    ("noise", "lub", _cmd_noise_lattice, _OPERANDS, _NOISE_CONVENTIONS),
-    ("noise", "glb", _cmd_noise_lattice, _OPERANDS, _NOISE_CONVENTIONS),
+     _dmc_conventions),
+    ("noise", "check", _cmd_noise_check, _BETTER_WORSE + (_TOLERANCE,), _noise_conventions),
+    ("noise", "lub", _cmd_noise_lattice, _OPERANDS, _noise_conventions),
+    ("noise", "glb", _cmd_noise_lattice, _OPERANDS, _noise_conventions),
     ("noise", "cf", _cmd_noise_cf,
      (("--profile", _REQUIRED), ("--zeta", {"type": float, "action": "append", "required": True})),
-     _NOISE_CONVENTIONS),
-    ("noise", "variance", _cmd_noise_variance, (("--profile", _REQUIRED),), _NOISE_CONVENTIONS),
+     _noise_conventions),
+    ("noise", "variance", _cmd_noise_variance, (("--profile", _REQUIRED),), _noise_conventions),
     ("phase", "build", _cmd_phase_build,
      (("--h-phase", {"required": True, "help": "gain phase family, e.g. wgauss:0:1"}),
       ("--v-phase", {"required": True, "help": "noise phase family, e.g. uniform"}), _ORDER),
-     _PHASE_CONVENTIONS),
+     _phase_conventions),
     ("phase", "degrade", _cmd_phase_degrade, (_CHANNEL, ("--degradation", _REQUIRED)),
-     _PHASE_CONVENTIONS),
+     _phase_conventions),
     ("phase", "strict", _cmd_phase_strict,
      (_CHANNEL, ("--degradation", _REQUIRED), ("--epsilon", {"type": float, "default": 1e-9})),
-     _PHASE_CONVENTIONS),
+     _phase_conventions),
     ("phase", "extremal", _cmd_phase_extremal,
-     (("--kind", {"choices": tuple(_EXTREMALS), "required": True}), _ORDER), _PHASE_CONVENTIONS),
-    ("lgc", "canon", _cmd_lgc_canon, (_CHANNEL,), _LGC_CONVENTIONS),
-    ("lgc", "check", _cmd_lgc_check, _BETTER_WORSE + (_TOLERANCE,), _LGC_CONVENTIONS),
-    ("lgc", "lub", _cmd_lgc_lattice, _OPERANDS, _LGC_CONVENTIONS),
-    ("lgc", "glb", _cmd_lgc_lattice, _OPERANDS, _LGC_CONVENTIONS),
+     (("--kind", {"choices": tuple(_EXTREMALS), "required": True}), _ORDER), _phase_conventions),
+    ("lgc", "canon", _cmd_lgc_canon, (_CHANNEL,), _lgc_conventions),
+    ("lgc", "check", _cmd_lgc_check, _BETTER_WORSE + (_TOLERANCE,), _lgc_conventions),
+    ("lgc", "lub", _cmd_lgc_lattice, _OPERANDS, _lgc_conventions),
+    ("lgc", "glb", _cmd_lgc_lattice, _OPERANDS, _lgc_conventions),
     ("lgc", "verify-equiv", _cmd_lgc_verify_equiv,
      (_CHANNEL, ("--b-matrix", _REQUIRED), ("--c-matrix", _REQUIRED), _TOLERANCE),
-     _LGC_CONVENTIONS),
+     _lgc_conventions),
     ("lgc", "sample-haar", _cmd_lgc_sample_haar,
-     (("--n", _REQUIRED_INT), ("--seed", {"type": int})), _LGC_CONVENTIONS),
-    ("lgc", "ensemble-order", _cmd_lgc_ensemble_order, _A_B, _ENSEMBLE_CONVENTIONS),
+     (("--n", _REQUIRED_INT), ("--seed", {"type": int})), _lgc_conventions),
+    ("lgc", "ensemble-order", _cmd_lgc_ensemble_order, _A_B, _ensemble_conventions),
 )
 
 
@@ -465,9 +532,13 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if not hasattr(args, "handler"):
             raise UsageError("a subcommand is required (see --help)")
-        parameters, result, code, table = args.handler(args)
+        family = _family(args.group)
+        if "cap" in vars(args) and args.cap is None:
+            args.cap = family.ENUMERATION_CAP
+        parameters, result, code, table = args.handler(family, args)
         command = f"{args.group} {args.command}"
-        _emit(args, _result_doc(command, parameters, args.conventions, result), table)
+        conventions = args.conventions(family)
+        _emit(args, _result_doc(command, parameters, conventions, result), table)
         return code
     except Exception as exc:
         _report_error(exc)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import _number_array
+from .numerics import _number_array, checked_integer
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -499,10 +499,12 @@ def degrade(
         raise ValueError("all output maps must be total on the channel outputs")
     if n_outputs is None:
         n_outputs = 1 + max(max(p.output_map) for p in pairs)
-    mixed = np.zeros((n2, int(n_outputs)))
+    else:
+        n_outputs = checked_integer(n_outputs, "n_outputs")
+    mixed = np.zeros((n2, n_outputs))
     for pair, w in zip(pairs, weights):
         if w > 0.0:
-            mixed += w * pair.apply(channel, n_outputs=int(n_outputs))
+            mixed += w * pair.apply(channel, n_outputs=n_outputs)
     return StochasticMatrix(mixed)
 
 
@@ -522,7 +524,8 @@ def best_error_probability(
     only one codebook per multiset of sequences is evaluated.  ``cap`` still
     bounds the count of ordered codebooks, ``n_seq**n_messages``.
     """
-    n_messages, block_length = int(n_messages), int(block_length)
+    n_messages = checked_integer(n_messages, "n_messages")
+    block_length = checked_integer(block_length, "block_length")
     if n_messages < 1 or block_length < 1:
         raise ValueError("n_messages and block_length must be positive")
     n_seq = channel.n_inputs**block_length

@@ -18,7 +18,9 @@ from numbers import Integral
 
 import numpy as np
 
-from .numerics import _number_array, checked_tolerance, inverse_sqrt_spd, singular_values
+from .numerics import (
+    _number_array, checked_integer, checked_tolerance, inverse_sqrt_spd, singular_values,
+)
 
 __all__ = [
     "PADDING_CONVENTION",
@@ -237,7 +239,7 @@ def sample_haar_orthogonal(n: int, seed) -> np.ndarray:
     The sign-corrected QR factor of an i.i.d. Gaussian ``n x n`` matrix
     drawn from ``default_rng(seed)``.
     """
-    n = int(n)
+    n = checked_integer(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
     return _haar(np.random.default_rng(seed).standard_normal((n, n)))
@@ -300,12 +302,6 @@ class ExplicitMatrices:
         object.__setattr__(self, "matrices", mats)
 
 
-def _check_seed(seed) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    return int(seed)
-
-
 @dataclass(frozen=True)
 class SingularEnsemble:
     """I.i.d. samples of sorted singular-value vectors."""
@@ -323,7 +319,7 @@ class SingularEnsemble:
         samples = np.clip(samples, 0.0, None)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        object.__setattr__(self, "seed", checked_integer(self.seed, "seed"))
 
     @property
     def n_samples(self) -> int:
@@ -468,10 +464,10 @@ def ensemble_from_sampler(sampler, n_samples: int, seed: int) -> SingularEnsembl
     ``seed``, as ``default_rng`` does.  The Haar QR, the rotation and the SVD each run
     once on the whole stack.
     """
-    n_samples = int(n_samples)
+    n_samples = checked_integer(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    seed = _check_seed(seed)
+    seed = checked_integer(seed, "seed")
     spectra = np.linalg.svd(_draws(sampler, n_samples, seed), compute_uv=False)
     note = f"{type(sampler).__name__} sampler, seed-indexed substreams, seed={seed}"
     return SingularEnsemble(spectra, seed=seed, copula_note=note)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -306,7 +306,10 @@ def from_json_dict(obj: dict) -> MonotoneProfile:
             f"grid.points must be an integer equal to the {density.size} density values, "
             f"got {points!r}"
         )
-    grid = np.linspace(float(spec["min"]), float(spec["max"]), int(points))
+    bounds = spec["min"], spec["max"]
+    if any(isinstance(v, bool) or not isinstance(v, Real) for v in bounds):
+        raise ValueError(f"grid.min and grid.max must be numbers, got {bounds!r}")
+    grid = np.linspace(float(bounds[0]), float(bounds[1]), int(points))
     pairs = _number_array(obj.get("atoms", []), "atoms")
     atoms = tuple((float(loc), float(mass)) for loc, mass in pairs)
     return MonotoneProfile(

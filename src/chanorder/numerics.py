@@ -1,16 +1,18 @@
 """Shared numerical kernels.
 
-Singular values, symmetric inverse square roots, tolerance validation and
-the number-only rule for arrays read from documents.
+Singular values, symmetric inverse square roots, tolerance and integer
+validation, and the number-only rule for arrays read from documents.
 Every function here is a pure function of its inputs, so all of it is safe
 to call concurrently.
 """
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
-__all__ = ["singular_values", "inverse_sqrt_spd", "checked_tolerance"]
+__all__ = ["singular_values", "inverse_sqrt_spd", "checked_tolerance", "checked_integer"]
 
 
 def singular_values(matrix) -> np.ndarray:
@@ -71,3 +73,13 @@ def checked_tolerance(tolerance) -> float:
     if not 0.0 <= tolerance < np.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
     return tolerance
+
+
+def checked_integer(value, name: str) -> int:
+    """``value`` as an int; ValueError unless it is an integer (a bool is not).
+
+    Numpy integers pass; floats are refused rather than truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from numbers import Integral
 
 import numpy as np
 
-from .numerics import _number_array
+from .numerics import _number_array, checked_integer
 
 __all__ = [
     "EPS_GIBBS",
@@ -56,11 +55,10 @@ _MAGNITUDE_TOL = 1e-12
 
 
 def _check_order(order) -> int:
-    if isinstance(order, bool) or not isinstance(order, Integral):
-        raise ValueError(f"order must be an integer, got {order!r}")
+    order = checked_integer(order, "order")
     if order < 1:
         raise ValueError("order must be at least 1")
-    return int(order)
+    return order
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import chanorder
-from chanorder import dmc, lgc, noise, phase
+from chanorder import cli, dmc, lgc, noise, phase
 from chanorder.cli import load_document, run
 
 
@@ -172,6 +172,17 @@ class TestNoiseCommands:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert json.loads(captured.err)["error"]["type"] == "ValueError"
+
+    def test_string_grid_bound_exits_two(self, capsys, tmp_path):
+        doc = noise.to_json_dict(noise.gaussian(1.0))
+        doc["grid"]["min"] = str(doc["grid"]["min"])
+        profile = write(tmp_path / "k.json", doc)
+        code = run(["noise", "check", "--better", profile, "--worse", profile])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith("grid.min and grid.max must be numbers")
 
     def test_cf_and_variance(self, capsys, tmp_path):
         profile = write(tmp_path / "g.json", noise.to_json_dict(noise.gaussian(2.0)))
@@ -552,8 +563,11 @@ _CONTRACT = [
 
 @pytest.fixture
 def contract_files(tmp_path):
+    return _write_contract_files(tmp_path, order=2)
+
+
+def _write_contract_files(tmp_path, order):
     witness = dmc.includes(dmc.bsc(0.1), dmc.bsc(0.2)).witness
-    order = 2
     torus = phase.product_channel(
         phase.from_wrapped(phase.WrappedCauchy(0.0, 0.3), order),
         phase.from_wrapped(phase.WrappedGaussian(0.0, 0.5), order),
@@ -597,6 +611,78 @@ def test_subcommand_contract(capsys, contract_files, argv, code, keys, parameter
         assert list(doc["metadata"]) == ["command", "parameters", "conventions"]
 
 
+@pytest.mark.parametrize("argv", [case[0] for case in _CONTRACT],
+                         ids=[" ".join(case[0][:2]) for case in _CONTRACT])
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+def test_output_is_json_dumps_indent_two(capsys, monkeypatch, tmp_path, argv, out):
+    # Every command's document, phase grids at order 16 (1,089 coefficient
+    # pairs), is written exactly as json.dumps(document, indent=2) writes it.
+    files = _write_contract_files(tmp_path, order=16)
+    argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+    argv = ["16" if previous == "--order" else a for previous, a in zip(["", *argv], argv)]
+    documents = []
+    build = cli._result_doc
+
+    def record(*args):
+        documents.append(build(*args))
+        return documents[-1]
+
+    monkeypatch.setattr(cli, "_result_doc", record)
+    path = tmp_path / "document.json"
+    run([*argv, "--out", str(path)] if out else argv)
+    captured = capsys.readouterr()
+    text = path.read_text(encoding="utf-8") if out else captured.out
+    assert captured.err == "" and len(documents) == 1
+    assert text == json.dumps(documents[0], indent=2) + "\n"
+
+
+_EDGE_CASES = [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], []], [[1.0], []], [[], [1.0]],
+    [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e300, 5e-324],
+    [[float("nan"), -0.0], [float("inf"), 1]],
+    [True, False, 1, 0.5], [[True, 2], [False, 3.5]], [None, 1.0], [[None], [1.0]],
+    {"metadata": {"name": "Kanal \u00fcber \u00e9t\u00e9 \u2014 \u03bb\u2265\u00bd \U0001d4d2",
+                  "description": "tab\tquote\"backslash\\"}},
+    [1, [2, 3]], [[2, 3], 1], [[1, 2], [3]], [[1, [2]], [3]], [[[1, 2], [3, 4]], [[5, 6]]],
+    [[1, 2], ["a, b", "c], [d"]], ["x, y", 1], [[1, 2], (3, 4)], (1, 2.5), ((1, 2), (3, 4)),
+    [np.float64(0.1), 2.0], [[np.float64(0.1)], [2.0]], {"k": np.float64(-0.0)},
+    2.5, -0.0, "plain", None, True, 7, [[0.1, 0.2, 0.30000000000000004]] * 3,
+]
+
+
+@pytest.mark.parametrize("value", _EDGE_CASES, ids=[str(i) for i in range(len(_EDGE_CASES))])
+def test_emitter_edge_cases(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+def _random_value(rng, depth=0):
+    kind = int(rng.integers(0, 9 if depth < 4 else 5))
+    if kind == 0:
+        return float(rng.choice([np.nan, np.inf, -np.inf, -0.0, rng.standard_normal() * 1e3]))
+    if kind == 1:
+        return int(rng.integers(-10**6, 10**6))
+    if kind == 2:
+        return bool(rng.integers(0, 2))
+    if kind == 3:
+        return None
+    if kind == 4:
+        return "".join(rng.choice(list("ab, []{}\"\u00e9\u2014"), size=int(rng.integers(0, 6))))
+    size = int(rng.integers(0, 4))
+    if kind == 5:
+        return {f"k{i}": _random_value(rng, depth + 1) for i in range(size)}
+    if kind == 6:
+        return rng.standard_normal(size).tolist()
+    if kind == 7:
+        return rng.standard_normal((size, int(rng.integers(0, 3)))).tolist()
+    return [_random_value(rng, depth + 1) for _ in range(size)]
+
+
+def test_emitter_matches_json_dumps_on_random_values():
+    rng = np.random.default_rng(2105)
+    for _ in range(2000):
+        value = _random_value(rng)
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
 
 @pytest.mark.parametrize(
     "failure",
@@ -617,12 +703,34 @@ def test_internal_failure_exits_three(capsys, monkeypatch, bsc_files, failure):
         "error": {"type": type(failure).__name__, "message": str(failure)}}
 
 
-def test_library_import_is_lazy_and_module_runs(bsc_files):
+def test_library_import_is_lazy_and_module_runs(bsc_files, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(chanorder.__file__)))
-    probe = "import sys, chanorder; print(sorted({'chanorder.cli', 'argparse'} & set(sys.modules)))"
-    imported = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                              text=True, check=True)
-    assert imported.stdout.strip() == "[]"
+
+    def probe(code):
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout.strip()
+
+    # The package imports nothing: no front end, no family, no shared kernels.
+    assert probe("import sys, chanorder; print(sorted(m for m in sys.modules "
+                 "if m.startswith('chanorder.') or m == 'argparse'))") == "[]"
+    assert probe("import sys, chanorder; print(chanorder.lgc.PADDING_CONVENTION == "
+                 "sys.modules['chanorder.lgc'].PADDING_CONVENTION, 'lgc' in dir(chanorder))") == "True True"
+
+    # A process running one command loads that family's module and no other.
+    profile = write(tmp_path / "gauss.json", noise.to_json_dict(noise.gaussian(1.0)))
+    commands = {
+        "dmc": ["dmc", "check", "--better", bsc_files[0], "--worse", bsc_files[1]],
+        "noise": ["noise", "variance", "--profile", profile],
+        "phase": ["phase", "extremal", "--kind", "worst", "--order", "2"],
+        "lgc": ["lgc", "sample-haar", "--n", "2", "--seed", "1"],
+    }
+    families = {"dmc", "noise", "phase", "lgc"}
+    for group, argv in commands.items():
+        argv = [*argv, "--out", str(tmp_path / f"{group}.json")]
+        loaded = probe(f"import sys; from chanorder.cli import run; assert run({argv!r}) == 0; "
+                       "print(' '.join(m[10:] for m in sys.modules if m.startswith('chanorder.')))")
+        assert set(loaded.split()) & families == {group}
+
     better, worse = bsc_files
     proc = subprocess.run(
         [sys.executable, "-m", "chanorder", "dmc", "check", "--better", better, "--worse", worse],

@@ -453,6 +453,17 @@ class TestDegrade:
         assert pair.input_map == (0, 1) and pair.output_map == (1, 0)
         assert all(type(v) is int for v in (*pair.input_map, *pair.output_map))
 
+    @pytest.mark.parametrize("n_outputs", [2.5, 2.0, True, "2"], ids=["float", "whole-float", "bool", "string"])
+    def test_non_integer_n_outputs_rejected(self, n_outputs):
+        pair = DeterministicPair((0, 1), (0, 1))
+        with pytest.raises(ValueError, match="n_outputs must be an integer"):
+            degrade(bsc(0.2), [pair], [1.0], n_outputs=n_outputs)
+
+    def test_numpy_integer_n_outputs_accepted(self):
+        pair = DeterministicPair((0, 1), (0, 1))
+        result = degrade(bsc(0.2), [pair], [1.0], n_outputs=np.int64(3))
+        assert result.entries.shape == (2, 3)
+
 
 class TestBestErrorProbability:
     def test_noiseless(self):
@@ -475,6 +486,20 @@ class TestBestErrorProbability:
         b = degrade(a, pairs, weights, n_outputs=3)
         for block in (1, 2):
             assert best_error_probability(a, 2, block) <= best_error_probability(b, 2, block) + 1e-12
+
+    @pytest.mark.parametrize(
+        "n_messages, block_length, name",
+        [(2.7, 1, "n_messages"), (2, 1.9, "block_length"), (True, 1, "n_messages"),
+         (2, 1.0, "block_length")],
+        ids=["float-messages", "float-length", "bool-messages", "whole-float-length"],
+    )
+    def test_non_integer_arguments_rejected(self, n_messages, block_length, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            best_error_probability(bsc(0.1), n_messages, block_length)
+
+    def test_numpy_integer_arguments_accepted(self):
+        value = best_error_probability(bsc(0.1), np.int32(2), np.uint8(1))
+        assert value == best_error_probability(bsc(0.1), 2, 1)
 
     def test_cap(self):
         with pytest.raises(EnumerationTooLargeError, match="codebooks"):

@@ -208,6 +208,14 @@ class TestHaar:
     def test_reproducible(self):
         assert np.array_equal(sample_haar_orthogonal(4, 5), sample_haar_orthogonal(4, 5))
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2"], ids=["float", "whole-float", "bool", "string"])
+    def test_non_integer_size_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sample_haar_orthogonal(n, 1)
+
+    def test_numpy_integer_size_accepted(self):
+        assert np.array_equal(sample_haar_orthogonal(np.int64(3), 5), sample_haar_orthogonal(3, 5))
+
     def test_column_norms(self):
         q = sample_haar_orthogonal(6, 11)
         assert np.max(np.abs(np.linalg.norm(q, axis=0) - 1.0)) <= 1e-10
@@ -354,6 +362,11 @@ class TestEnsembles:
         ):
             with pytest.raises(ValueError, match="seed must be an integer"):
                 build()
+
+    @pytest.mark.parametrize("n_samples", [3.5, 3.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_sample_count_rejected(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            ensemble_from_sampler(GaussianEntries(2, 2), n_samples, 1)
 
     @pytest.mark.parametrize("seed", [np.int64(7), np.uint8(7)], ids=["int64", "uint8"])
     def test_numpy_integer_seed_accepted(self, seed):

@@ -210,6 +210,16 @@ class TestValidationAndJson:
             noise.from_json_dict(doc)
 
     @pytest.mark.parametrize(
+        "low, high", [("-1", 1.0), (-1.0, "1"), (False, 1.0), (None, 1.0)],
+        ids=["string-min", "string-max", "bool-min", "null-min"],
+    )
+    def test_non_number_grid_bounds_rejected(self, low, high):
+        doc = {"type": "kfunction", "grid": {"min": low, "max": high, "points": 2},
+               "density": [0.0, 0.0]}
+        with pytest.raises(ValueError, match="grid.min and grid.max must be numbers"):
+            noise.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
         "density, atoms, what",
         [(["0.5", "0.5"], [], "density"), ([True, False], [], "density"),
          ([0.5, 0.5], [["0.0", "1.0"]], "atoms")],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chanorder.numerics import singular_values, inverse_sqrt_spd
+from chanorder.numerics import checked_integer, singular_values, inverse_sqrt_spd
 
 
 class TestSingularValues:
@@ -49,3 +49,15 @@ class TestInverseSqrtSpd:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             inverse_sqrt_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+class TestCheckedInteger:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+    def test_integers_pass_as_int(self, value):
+        checked = checked_integer(value, "k")
+        assert checked == 3 and type(checked) is int
+
+    @pytest.mark.parametrize("value", [2.7, 3.0, np.float64(3.0), True, np.bool_(True), "3", None])
+    def test_other_values_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^k must be an integer, got "):
+            checked_integer(value, "k")
