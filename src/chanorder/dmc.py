@@ -146,19 +146,19 @@ class DeterministicPair:
 
     def apply(self, channel: StochasticMatrix, n_outputs: int | None = None) -> np.ndarray:
         """Raw matrix of the degraded channel R @ K @ T for this pair."""
+        if n_outputs is None:
+            n_outputs = 1 + max(self.output_map)
+        self._check(channel, n_outputs)
+        collapsed = _collapsed(channel.entries, np.array([self.output_map]), n_outputs)[0]
+        return collapsed[list(self.input_map)]
+
+    def _check(self, channel: StochasticMatrix, n_outputs: int) -> None:
         if max(self.input_map) >= channel.n_inputs:
             raise ValueError("input_map addresses a missing channel input")
         if len(self.output_map) != channel.n_outputs:
             raise ValueError("output_map must be total on the channel outputs")
-        if n_outputs is None:
-            n_outputs = 1 + max(self.output_map)
         if max(self.output_map) >= n_outputs:
             raise ValueError("output_map addresses a missing degraded output")
-        k = channel.entries
-        collapsed = np.zeros((channel.n_inputs, n_outputs))
-        for j, z in enumerate(self.output_map):
-            collapsed[:, z] += k[:, j]
-        return collapsed[list(self.input_map), :]
 
 
 @dataclass(frozen=True)
@@ -200,8 +200,8 @@ def _maps(domain: int, codomain: int) -> np.ndarray:
 def _collapsed(k: np.ndarray, output_maps: np.ndarray, m2: int) -> np.ndarray:
     """``K @ T`` for every output map, stacked: shape (maps, n1, m2).
 
-    Columns are added in output order, as ``DeterministicPair.apply`` does,
-    so each product is bit-identical to the one it computes.
+    The one K T kernel: pricing, ``DeterministicPair.apply`` and ``degrade``
+    all call it, so a product is bit-identical wherever it is computed.
     """
     out = np.zeros((len(output_maps), k.shape[0], m2))
     index = np.arange(len(output_maps))
@@ -501,10 +501,14 @@ def degrade(
         n_outputs = 1 + max(max(p.output_map) for p in pairs)
     else:
         n_outputs = checked_integer(n_outputs, "n_outputs")
+    used = [(pair, w) for pair, w in zip(pairs, weights) if w > 0.0]
+    for pair, _ in used:
+        pair._check(channel, n_outputs)
+    # One kernel call for every pair that carries weight.
+    products = _collapsed(channel.entries, np.array([pair.output_map for pair, _ in used]), n_outputs)
     mixed = np.zeros((n2, n_outputs))
-    for pair, w in zip(pairs, weights):
-        if w > 0.0:
-            mixed += w * pair.apply(channel, n_outputs=n_outputs)
+    for (pair, w), product in zip(used, products):
+        mixed += w * product[list(pair.input_map)]
     return StochasticMatrix(mixed)
 
 

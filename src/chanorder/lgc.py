@@ -220,29 +220,21 @@ def verify_equivalence_transform(
     return EquivalenceReport(True, max_deviation=deviation)
 
 
-def _haar(gauss: np.ndarray) -> np.ndarray:
-    """Haar-orthogonal factors of one Gaussian matrix or of a stack of them.
-
-    QR factorization with the Q columns reflected so the R diagonal is
-    positive -- without that correction the factor is not invariant
-    (Mezzadri 2007).
-    """
-    q, r = np.linalg.qr(gauss)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs[signs == 0.0] = 1.0
-    return q * signs[..., None, :]
-
-
 def sample_haar_orthogonal(n: int, seed) -> np.ndarray:
     """Orthogonal matrix drawn from the rotation-invariant distribution.
 
-    The sign-corrected QR factor of an i.i.d. Gaussian ``n x n`` matrix
-    drawn from ``default_rng(seed)``.
+    The QR factor of an i.i.d. Gaussian ``n x n`` matrix drawn from
+    ``default_rng(seed)``, with its columns reflected so the R diagonal is
+    positive -- without that correction the factor is not invariant
+    (Mezzadri 2007).
     """
     n = checked_integer(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
-    return _haar(np.random.default_rng(seed).standard_normal((n, n)))
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    signs = np.sign(np.diagonal(r))
+    signs[signs == 0.0] = 1.0
+    return q * signs
 
 
 @dataclass(frozen=True)
@@ -330,147 +322,43 @@ class SingularEnsemble:
         return self.samples.shape[1]
 
 
-# numpy's SeedSequence hash (pool of four 32-bit words) and PCG64's 128-bit
-# LCG multiplier, so that a stack's substream states come out as
-# ``default_rng(key)`` would set them, without building one generator per key.
-# tests/test_lgc.py pins the result against ``default_rng`` byte for byte.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _seed_words(seed: int) -> list[int]:
-    """``seed`` as little-endian 32-bit words, as SeedSequence splits an int."""
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    words = [seed & _MASK32]
-    while seed > _MASK32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    return words
-
-
-def _hashmix(init: int, mult: int):
-    """SeedSequence's word hash, with its running constant started at ``init``."""
-    const = init
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = (const * mult) & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return result ^ (result >> np.uint32(16))
-
-
-def _pcg64_states(entropy: np.ndarray) -> list[tuple[int, int]]:
-    """``(state, inc)`` of ``PCG64(SeedSequence(row))`` for each row of words.
-
-    ``entropy`` is a ``(n_keys, n_words)`` uint32 array.  The SeedSequence
-    pool mixing and ``generate_state(4, uint64)`` run column-wise over all
-    rows at once; only PCG64's 128-bit seeding step runs per key.
-    """
-    words = list(entropy.T)
-    hashmix = _hashmix(_INIT_A, _MULT_A)
-    zero = np.zeros(entropy.shape[0], dtype=np.uint32)
-    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-
-    output = _hashmix(_INIT_B, _MULT_B)
-    state = np.stack([output(pool[k % _POOL_SIZE]) for k in range(2 * _POOL_SIZE)], axis=1)
-    seeded = []
-    for s_hi, s_lo, i_hi, i_lo in state.astype("<u4").view("<u8").tolist():
-        inc = (((i_hi << 64 | i_lo) << 1) | 1) & _MASK128
-        seeded.append(((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
-    return seeded
-
-
-def _gaussian_stack(seed: int, n_samples: int, suffix: tuple, shape: tuple[int, int]) -> np.ndarray:
-    """One standard Gaussian ``shape`` matrix per key ``[seed, i, *suffix]``.
-
-    Matrix ``i`` equals ``default_rng([seed, i, *suffix]).standard_normal(shape)``
-    byte for byte: every key's PCG64 state is computed in one vectorised pass
-    and set on a single generator before each draw.
-    """
-    if n_samples > _MASK32 + 1:
-        # Each sample index must stay one 32-bit entropy word.
-        raise ValueError("n_samples must be at most 2**32")
-    words = _seed_words(seed)
-    entropy = np.empty((n_samples, len(words) + 1 + len(suffix)), dtype=np.uint32)
-    entropy[:, : len(words)] = words
-    entropy[:, len(words)] = np.arange(n_samples, dtype=np.uint32)
-    entropy[:, len(words) + 1 :] = suffix
-    bit_generator = np.random.PCG64()
-    generator = np.random.Generator(bit_generator)
-    stack = np.empty((n_samples, *shape))
-    for matrix, (state, inc) in zip(stack, _pcg64_states(entropy)):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        generator.standard_normal(out=matrix)
-    return stack
-
-
-def _draws(sampler, n_samples: int, seed: int) -> np.ndarray:
-    """The ``(n_samples, rows, cols)`` stack of sampled channel matrices."""
+def _spectra(sampler, n_samples: int, seed: int) -> np.ndarray:
+    """The ``(n_samples, k)`` sorted singular values of the sampled matrices."""
     if isinstance(sampler, GaussianEntries):
-        return sampler.scale * _gaussian_stack(seed, n_samples, (), (sampler.rows, sampler.cols))
-    if isinstance(sampler, HaarRotated):
-        rows, cols = sampler.base.shape
-        q_out = _haar(_gaussian_stack(seed, n_samples, (0,), (rows, rows)))
-        q_in = _haar(_gaussian_stack(seed, n_samples, (1,), (cols, cols)))
-        return q_out @ sampler.base @ q_in
-    if isinstance(sampler, FixedMatrix):
-        return np.broadcast_to(sampler.matrix, (n_samples, *sampler.matrix.shape))
+        shape = (n_samples, sampler.rows, sampler.cols)
+        draws = sampler.scale * np.random.default_rng(seed).standard_normal(shape)
+        return np.linalg.svd(draws, compute_uv=False)
+    if isinstance(sampler, (HaarRotated, FixedMatrix)):
+        # Orthogonal factors leave the singular values unchanged, so every
+        # sample of a rotated matrix is the matrix's own spectrum.
+        base = sampler.base if isinstance(sampler, HaarRotated) else sampler.matrix
+        spectrum = singular_values(base)
+        return np.broadcast_to(spectrum, (n_samples, spectrum.size))
     if isinstance(sampler, ExplicitMatrices):
         if n_samples > len(sampler.matrices):
             raise ValueError("not enough user-supplied matrices for the requested samples")
-        return np.stack(sampler.matrices[:n_samples])
+        return np.linalg.svd(np.stack(sampler.matrices[:n_samples]), compute_uv=False)
     raise ValueError(f"unknown sampler: {sampler!r}")
 
 
 def ensemble_from_sampler(sampler, n_samples: int, seed: int) -> SingularEnsemble:
     """Canonical spectra of sampled channel matrices (identity noise).
 
-    Sample ``i`` is drawn from its own substream, so it depends only on
-    ``(seed, i)``, not on ``n_samples``: ``GaussianEntries`` draws from
-    ``default_rng([seed, i])``, and ``HaarRotated`` draws its output and
-    input factors from ``default_rng([seed, i, 0])`` and
-    ``default_rng([seed, i, 1])``, each as ``sample_haar_orthogonal`` would.
+    ``GaussianEntries`` draws all ``n_samples`` matrices from one
+    ``default_rng(seed)`` stream, filled in sample order, so sample ``i``
+    depends only on ``(seed, i)`` and a longer ensemble extends a shorter
+    one; a negative ``seed`` raises ValueError, as ``default_rng`` does.
+    ``HaarRotated`` and ``FixedMatrix`` draw nothing: singular values do not
+    change under orthogonal factors, so every sample is the spectrum of the
+    base matrix, and the seed is recorded but never read.
     ``ExplicitMatrices`` uses its first ``n_samples`` matrices in order.
-    No generator is built per substream: all substreams' PCG64 states are
-    computed in one vectorised SeedSequence pass and set in turn on one
-    generator, so the output equals per-sample ``default_rng`` byte for byte.
-    ``GaussianEntries`` and ``HaarRotated`` raise ValueError for a negative
-    ``seed``, as ``default_rng`` does.  The Haar QR, the rotation and the SVD each run
-    once on the whole stack.
     """
     n_samples = checked_integer(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     seed = checked_integer(seed, "seed")
-    spectra = np.linalg.svd(_draws(sampler, n_samples, seed), compute_uv=False)
-    note = f"{type(sampler).__name__} sampler, seed-indexed substreams, seed={seed}"
-    return SingularEnsemble(spectra, seed=seed, copula_note=note)
+    note = f"{type(sampler).__name__} sampler, seed={seed}"
+    return SingularEnsemble(_spectra(sampler, n_samples, seed), seed=seed, copula_note=note)
 
 
 @dataclass(frozen=True)

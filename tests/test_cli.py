@@ -388,6 +388,16 @@ class TestLgcCommands:
         code, doc, _ = run_json(capsys, ["lgc", "ensemble-order", "--a", c, "--b", d])
         assert code == 1 and not doc["result"]["ordered"]
 
+    def test_rotated_and_fixed_ensembles_of_one_matrix_are_equal(self, capsys, tmp_path):
+        base = np.random.default_rng(3).standard_normal((3, 4))
+        rotated = lgc.ensemble_from_sampler(lgc.HaarRotated(base), 500, seed=0)
+        fixed = lgc.ensemble_from_sampler(lgc.FixedMatrix(base), 500, seed=1)
+        a = write(tmp_path / "rotated.json", lgc.ensemble_to_json_dict(rotated))
+        b = write(tmp_path / "fixed.json", lgc.ensemble_to_json_dict(fixed))
+        code, doc, _ = run_json(capsys, ["lgc", "ensemble-order", "--a", a, "--b", b])
+        assert code == 0
+        assert doc["result"]["direction"] == "equal"
+
     @pytest.mark.parametrize("seed", [7.9, True], ids=["fraction", "bool"])
     def test_non_integer_ensemble_seed_exits_two(self, capsys, tmp_path, seed):
         ensemble = lgc.ensemble_from_sampler(lgc.GaussianEntries(2, 2), 20, seed=3)

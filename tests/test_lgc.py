@@ -22,6 +22,7 @@ from chanorder.lgc import (
     spectrum_includes,
     verify_equivalence_transform,
 )
+from chanorder.numerics import singular_values
 
 
 def rotation(theta):
@@ -245,24 +246,16 @@ class TestHaar:
             assert np.max(np.abs(rotated - base)) <= 1e-10
 
 
-def _reference_draw(sampler, index, seed):
-    # One matrix at a time, as ``ensemble_from_sampler`` draws it.
+def _reference_spectra(sampler, n_samples, seed):
+    # The sampling contract, computed from numpy alone.
     if isinstance(sampler, GaussianEntries):
-        rng = np.random.default_rng([seed, index])
-        return sampler.scale * rng.standard_normal((sampler.rows, sampler.cols))
-    if isinstance(sampler, HaarRotated):
-        rows, cols = sampler.base.shape
-        q_out = sample_haar_orthogonal(rows, [seed, index, 0])
-        q_in = sample_haar_orthogonal(cols, [seed, index, 1])
-        return q_out @ sampler.base @ q_in
-    if isinstance(sampler, FixedMatrix):
-        return sampler.matrix
-    return sampler.matrices[index]
-
-
-def _reference_ensemble(sampler, n_samples, seed):
-    matrices = [_reference_draw(sampler, i, seed) for i in range(n_samples)]
-    return np.linalg.svd(np.stack(matrices), compute_uv=False)
+        shape = (n_samples, sampler.rows, sampler.cols)
+        draws = sampler.scale * np.random.default_rng(seed).standard_normal(shape)
+        return np.linalg.svd(draws, compute_uv=False)
+    if isinstance(sampler, (HaarRotated, FixedMatrix)):
+        base = sampler.base if isinstance(sampler, HaarRotated) else sampler.matrix
+        return np.tile(singular_values(base), (n_samples, 1))
+    return np.linalg.svd(np.stack(sampler.matrices[:n_samples]), compute_uv=False)
 
 
 class TestEnsembles:
@@ -278,24 +271,30 @@ class TestEnsembles:
             ExplicitMatrices(tuple(rng.standard_normal((n_samples + 1, *shape)))),
         ]
         for sampler in samplers:
-            # 2**96 + 1 splits into 5 words with ``i``, more than the
-            # 4-word SeedSequence pool, so it reaches the extra mixing rounds.
             for seed in (0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5, 2**96 + 1):
                 got = ensemble_from_sampler(sampler, n_samples, seed).samples
-                want = _reference_ensemble(sampler, n_samples, seed)
+                want = _reference_spectra(sampler, n_samples, seed)
                 assert got.tobytes() == want.tobytes(), (type(sampler).__name__, seed)
 
-    @pytest.mark.parametrize(
-        "sampler", [GaussianEntries(2, 2), HaarRotated(np.eye(2))], ids=["gaussian", "haar"]
-    )
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (8, 8)])
+    def test_longer_gaussian_ensemble_extends_shorter(self, shape):
+        for seed in (0, 7, 2**40 + 3):
+            short = ensemble_from_sampler(GaussianEntries(*shape), 1, seed).samples
+            long = ensemble_from_sampler(GaussianEntries(*shape), 300, seed).samples
+            assert long[:1].tobytes() == short.tobytes(), seed
+
+    @pytest.mark.parametrize("sampler", [GaussianEntries(2, 2)], ids=["gaussian"])
     def test_negative_seed_rejected(self, sampler):
         with pytest.raises(ValueError, match="non-negative"):
             ensemble_from_sampler(sampler, 3, seed=-1)
 
-    def test_sample_index_beyond_one_word_rejected(self):
-        # Rejected before the stack is allocated.
-        with pytest.raises(ValueError, match="2\\*\\*32"):
-            ensemble_from_sampler(GaussianEntries(1, 1), 2**32 + 1, seed=0)
+    @pytest.mark.parametrize(
+        "sampler", [HaarRotated(np.eye(2)), FixedMatrix(np.eye(2))], ids=["haar", "fixed"]
+    )
+    def test_seed_recorded_but_unread_where_nothing_is_drawn(self, sampler):
+        ensemble = ensemble_from_sampler(sampler, 3, seed=-1)
+        assert ensemble.seed == -1
+        assert ensemble.samples.tobytes() == ensemble_from_sampler(sampler, 3, seed=5).samples.tobytes()
 
     @pytest.mark.parametrize("rows, cols", [(2.5, 2), (2, 2.0), (0, 2), (2, -1), ("2", 2), (True, 2)])
     def test_gaussian_entries_rejects_bad_dimensions(self, rows, cols):
@@ -415,6 +414,16 @@ class TestEnsembleOrder:
         decision = ensemble_order(a, b)
         assert not decision.ordered
         assert decision.max_violation > decision.band
+
+    def test_rotated_and_fixed_matrix_are_equal(self):
+        # Same law, so no rounding-level difference may order them.
+        base = np.random.default_rng(3).standard_normal((3, 4))
+        rotated = ensemble_from_sampler(HaarRotated(base), 500, seed=0)
+        fixed = ensemble_from_sampler(FixedMatrix(base), 500, seed=1)
+        decision = ensemble_order(rotated, fixed)
+        assert decision.ordered
+        assert decision.direction == "equal"
+        assert decision.max_violation == 0.0
 
     def test_quantile_lattice_bounds(self):
         rng = np.random.default_rng(10)
