@@ -9,7 +9,9 @@ exactly against every pair by enumerating the smaller side of the pair
 (input maps or output maps) and choosing the other side greedily.  The
 smaller side's products with the better channel are stacked once per
 decision (at most 1,000 maps at the default cap, the square root of the
-pair count), so each step is one matrix product over them.  It stops
+pair count), laid out so that each step is one flat GEMM with ``h`` and a
+max over the scores' leading axis; a step allocates one score array of
+about the table's size and nothing else of that size.  It stops
 with a witness once the residual's 1-norm is within the tolerance, and with
 ``h`` as a separating functional once no pair can bring the corral closer.
 The answer is a certificate either way, checked before it is returned.
@@ -197,16 +199,20 @@ def _maps(domain: int, codomain: int) -> np.ndarray:
     return np.indices((codomain,) * domain).reshape(domain, -1).T
 
 
-def _collapsed(k: np.ndarray, output_maps: np.ndarray, m2: int) -> np.ndarray:
-    """``K @ T`` for every output map, stacked: shape (maps, n1, m2).
+def _collapsed(k: np.ndarray, output_maps: np.ndarray, m2: int, maps_axis: int = 0) -> np.ndarray:
+    """``K @ T`` for every output map, stacked along ``maps_axis``: shape
+    (maps, n1, m2), or (n1, maps, m2) when ``maps_axis`` is 1.
 
     The one K T kernel: pricing, ``DeterministicPair.apply`` and ``degrade``
-    all call it, so a product is bit-identical wherever it is computed.
+    all call it, so a product is bit-identical wherever it is computed, in
+    either layout.
     """
-    out = np.zeros((len(output_maps), k.shape[0], m2))
+    n1 = k.shape[0]
+    out = np.zeros((n1, len(output_maps), m2) if maps_axis else (len(output_maps), n1, m2))
+    stacked = out.swapaxes(0, maps_axis)
     index = np.arange(len(output_maps))
     for j in range(k.shape[1]):
-        out[index, :, output_maps[:, j]] += k[:, j]
+        stacked[index, :, output_maps[:, j]] += k[:, j]
     return out
 
 
@@ -284,9 +290,9 @@ def _byte_keys(rows: np.ndarray) -> np.ndarray:
 
 class _PricingTable(NamedTuple):
     """The smaller side's maps, one per row, and their products with ``K``,
-    stacked once per decision: ``K T`` for each output map, shape
-    ``(maps, n1, m2)``, or ``(R K)^T`` for each input map, shape
-    ``(maps, m1, n2)``."""
+    stacked once per decision in the layout that makes pricing one flat
+    GEMM: ``K T`` for each output map, shape ``(n1, maps, m2)``, or ``R K``
+    for each input map side by side, shape ``(n2, maps * m1)``."""
 
     k: np.ndarray
     n2: int
@@ -301,31 +307,36 @@ def _pricing_table(k: np.ndarray, n2: int, m2: int) -> _PricingTable:
     n1, m1 = k.shape
     if m2**m1 <= n1**n2:
         maps = _maps(m1, m2)
-        return _PricingTable(k, n2, m2, True, maps, _collapsed(k, maps, m2))
+        return _PricingTable(k, n2, m2, True, maps, _collapsed(k, maps, m2, maps_axis=1))
     maps = _maps(n2, n1)
-    return _PricingTable(k, n2, m2, False, maps, np.swapaxes(k[maps], 1, 2))
+    return _PricingTable(k, n2, m2, False, maps, k[maps.T].reshape(n2, -1))
 
 
 def _best_pair(table: _PricingTable, h: np.ndarray) -> tuple[DeterministicPair, np.ndarray]:
     """The pair maximizing ``<h, vec(R K T)>`` over all deterministic pairs,
     and that ``vec(R K T)``.
 
-    One product of the table with ``H = h.reshape(n2, m2)``.  For a fixed
-    output map T each degraded input w independently takes
-    ``argmax_i (K T H^T)[i, w]``; for a fixed input map R each better output
-    j takes ``argmax_z ((R K)^T H)[j, z]``.  Ties go to the lowest index.
+    One flat GEMM of the table with ``H = h.reshape(n2, m2)``, then maxima
+    over the scores' leading axis.  For a fixed output map T each degraded
+    input w independently takes ``argmax_i (K T H^T)[i, w]``; for a fixed
+    input map R each better output j takes ``argmax_z (H^T R K)[z, j]``.
+    Ties go to the lowest index.  The score array has the table's size
+    times ``n2 / m2`` or ``m2 / n2``; nothing else of that size is made.
     The column is bit-identical to ``DeterministicPair.apply``'s.
     """
     hm = h.reshape(table.n2, table.m2)
+    products = table.products
     if table.output_side:
-        scores = table.products @ hm.T
-        best = int(np.argmax(scores.max(axis=1).sum(axis=1)))
-        inputs = scores[best].argmax(axis=0)
+        n1, maps, m2 = products.shape
+        scores = (products.reshape(-1, m2) @ hm.T).reshape(n1, maps, table.n2)
+        best = int(np.argmax(scores.max(axis=0).sum(axis=1)))
+        inputs = scores[:, best, :].argmax(axis=0)
         pair = _pair(tuple(inputs.tolist()), tuple(table.maps[best].tolist()))
-        return pair, table.products[best][inputs].ravel()
-    scores = table.products @ hm
-    best = int(np.argmax(scores.max(axis=2).sum(axis=1)))
-    outputs = scores[best].argmax(axis=1)
+        return pair, products[:, best, :][inputs].ravel()
+    m1 = table.k.shape[1]
+    scores = hm.T @ products
+    best = int(np.argmax(scores.max(axis=0).reshape(-1, m1).sum(axis=1)))
+    outputs = scores[:, best * m1:(best + 1) * m1].argmax(axis=0)
     pair = _pair(tuple(table.maps[best].tolist()), tuple(outputs.tolist()))
     column = _collapsed(table.k, outputs[None, :], table.m2)[0][table.maps[best]]
     return pair, column.ravel()

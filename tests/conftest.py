@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from chanorder import dmc, noise
+from chanorder import dmc, lgc, noise
 
 
 def random_stochastic(rng, n_inputs, n_outputs):
@@ -20,6 +20,16 @@ def random_degradation(rng, channel, n_inputs, n_outputs, max_pairs=3):
         pairs.append(dmc.DeterministicPair(input_map, output_map))
     weights = rng.random(n_pairs) + 0.05
     return pairs, weights / weights.sum()
+
+
+def rotated_copies(base, n_samples):
+    """``Q1 @ base @ Q2`` for seeded orthogonal ``Q1``, ``Q2``: one law,
+    spectra equal to ``base``'s up to rounding."""
+    n, m = base.shape
+    return lgc.ExplicitMatrices([
+        lgc.sample_haar_orthogonal(n, [1, i]) @ base @ lgc.sample_haar_orthogonal(m, [2, i])
+        for i in range(n_samples)
+    ])
 
 
 _ATOM_SITES = (-1.0, -0.5, 0.0, 0.5, 1.0)

@@ -9,6 +9,7 @@ import pytest
 import chanorder
 from chanorder import cli, dmc, lgc, noise, phase
 from chanorder.cli import load_document, run
+from conftest import rotated_copies
 
 
 def write(path, obj):
@@ -393,6 +394,17 @@ class TestLgcCommands:
         rotated = lgc.ensemble_from_sampler(lgc.HaarRotated(base), 500, seed=0)
         fixed = lgc.ensemble_from_sampler(lgc.FixedMatrix(base), 500, seed=1)
         a = write(tmp_path / "rotated.json", lgc.ensemble_to_json_dict(rotated))
+        b = write(tmp_path / "fixed.json", lgc.ensemble_to_json_dict(fixed))
+        code, doc, _ = run_json(capsys, ["lgc", "ensemble-order", "--a", a, "--b", b])
+        assert code == 0
+        assert doc["result"]["direction"] == "equal"
+
+    def test_rotated_copies_and_fixed_matrix_are_equal(self, capsys, tmp_path):
+        # Spectra equal up to rounding, so the order must not separate them.
+        base = np.random.default_rng(3).standard_normal((3, 3))
+        copies = lgc.ensemble_from_sampler(rotated_copies(base, 200), 200, seed=0)
+        fixed = lgc.ensemble_from_sampler(lgc.FixedMatrix(base), 200, seed=0)
+        a = write(tmp_path / "copies.json", lgc.ensemble_to_json_dict(copies))
         b = write(tmp_path / "fixed.json", lgc.ensemble_to_json_dict(fixed))
         code, doc, _ = run_json(capsys, ["lgc", "ensemble-order", "--a", a, "--b", b])
         assert code == 0

@@ -7,6 +7,7 @@ import pytest
 
 from chanorder import dmc
 from chanorder.dmc import (
+    ENUMERATION_CAP,
     DeterministicPair,
     EnumerationTooLargeError,
     StochasticMatrix,
@@ -348,6 +349,10 @@ def _rebuilt_best_pair(k, h, n2, m2):
         (3, 2, 2, 3, True),
         (2, 4, 3, 3, False),
         (3, 4, 2, 2, False),
+        (4, 4, 3, 4, False),
+        (4, 4, 4, 3, True),
+        (5, 5, 3, 2, True),
+        (5, 3, 2, 5, False),
     ],
 )
 def test_best_pair_matches_rebuilt_pricing(n1, m1, n2, m2, output_side):
@@ -368,6 +373,37 @@ def test_best_pair_matches_rebuilt_pricing(n1, m1, n2, m2, output_side):
             assert pair == want, h
             assert column.tobytes() == want.apply(better, n_outputs=m2).ravel().tobytes(), h
             assert float(h @ column) >= float(np.max(candidates @ h)) - 1e-12, h
+
+
+def _certificate(decision):
+    if decision.included:
+        witness = decision.witness
+        return True, witness.pairs, witness.weights.tobytes(), witness.residual
+    return False, decision.separator.tobytes(), decision.margin
+
+
+def test_certificates_match_table_free_pricing(monkeypatch):
+    """Pricing from the table gives, byte for byte, the certificates of
+    pricing that rebuilds every product at each call."""
+    rng = np.random.default_rng(1718)
+    channel = random_stochastic(rng, 5, 5)
+    pairs, weights = random_degradation(rng, channel, 5, 5, max_pairs=5)
+    oracle = _oracle_instances(count=300, max_pairs=4**8, seed=1717)
+    # A better channel with its first row repeated last makes pricing tie.
+    oracle += [(StochasticMatrix(np.vstack([b.entries[:-1], b.entries[:1]])), w)
+               for b, w in oracle[:100]]
+    instances = [(better, worse, ENUMERATION_CAP) for better, worse in oracle]
+    instances.append((channel, degrade(channel, pairs, weights, n_outputs=5), 5**10))
+    priced = [_certificate(includes(better, worse, cap=cap)) for better, worse, cap in instances]
+
+    def rebuilt(table, h):
+        pair = _rebuilt_best_pair(table.k, h, table.n2, table.m2)
+        return pair, pair.apply(StochasticMatrix(table.k), n_outputs=table.m2).ravel()
+
+    monkeypatch.setattr(dmc, "_best_pair", rebuilt)
+    for index, (better, worse, cap) in enumerate(instances):
+        assert _certificate(includes(better, worse, cap=cap)) == priced[index], index
+    assert {certificate[0] for certificate in priced} == {True, False}
 
 
 def test_degradation_products_structure():

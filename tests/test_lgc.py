@@ -23,6 +23,7 @@ from chanorder.lgc import (
     verify_equivalence_transform,
 )
 from chanorder.numerics import singular_values
+from conftest import rotated_copies
 
 
 def rotation(theta):
@@ -424,6 +425,19 @@ class TestEnsembleOrder:
         assert decision.ordered
         assert decision.direction == "equal"
         assert decision.max_violation == 0.0
+
+    def test_rotated_copies_equal_within_rounding(self):
+        # The copies' spectra differ from the fixed one by up to 2.7e-15,
+        # rounding, which alone would put max_violation at 0.44 against a
+        # band of 0.19.
+        base = np.random.default_rng(3).standard_normal((3, 3))
+        copies = ensemble_from_sampler(rotated_copies(base, 200), 200, seed=0)
+        fixed = ensemble_from_sampler(FixedMatrix(base), 200, seed=0)
+        assert 0.0 < np.max(np.abs(copies.samples - fixed.samples)) < 1e-14
+        for first, second in ((copies, fixed), (fixed, copies)):
+            decision = ensemble_order(first, second)
+            assert (decision.ordered, decision.direction) == (True, "equal")
+            assert decision.max_violation == decision.max_margin == 0.0
 
     def test_quantile_lattice_bounds(self):
         rng = np.random.default_rng(10)
