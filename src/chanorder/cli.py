@@ -505,14 +505,25 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The command-line parser.
+
+    Every group parser is built, so top-level help and errors are whole.
+    Subcommand parsers are built for every group, or, given ``argv``, only
+    for the group named by its first positional argument, the one group
+    argparse reads.
+    """
     parser = _Parser(prog="chanorder", description=__doc__)
     groups = parser.add_subparsers(dest="group")
+    named = None if argv is None else next((arg for arg in argv if not arg.startswith("-")), "")
     commands = {}
+    for group, text in _GROUP_HELP.items():
+        group_parser = groups.add_parser(group, help=text)
+        if named in (None, group):
+            commands[group] = group_parser.add_subparsers(dest="command")
     for group, command, handler, arguments, conventions in _COMMANDS:
         if group not in commands:
-            group_parser = groups.add_parser(group, help=_GROUP_HELP[group])
-            commands[group] = group_parser.add_subparsers(dest="command")
+            continue
         sub = commands[group].add_parser(command)
         for name, options in arguments + _OUTPUT:
             sub.add_argument(name, **options)
@@ -527,9 +538,9 @@ def _report_error(exc: Exception) -> None:
 
 def run(argv=None) -> int:
     """Parse arguments, execute one subcommand, and return the exit code."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         if not hasattr(args, "handler"):
             raise UsageError("a subcommand is required (see --help)")
         family = _family(args.group)

@@ -11,7 +11,13 @@ smaller side's products with the better channel are stacked once per
 decision (at most 1,000 maps at the default cap, the square root of the
 pair count), laid out so that each step is one flat GEMM with ``h`` and a
 max over the scores' leading axis; a step allocates one score array of
-about the table's size and nothing else of that size.  It stops
+about the table's size and nothing else of that size.  The corral keeps an
+orthonormal basis of its differences and the combinations of its columns
+that make each basis vector: a joining pair grows the basis by one
+Gram-Schmidt step done twice, a dropped pair removes one basis vector after
+a Householder reflection, and each minor step reads its weight change
+from the kept factor and projects ``h`` off the corral's hull twice, so no
+step refactors the corral.  It stops
 with a witness once the residual's 1-norm is within the tolerance, and with
 ``h`` as a separating functional once no pair can bring the corral closer.
 The answer is a certificate either way, checked before it is returned.
@@ -23,6 +29,7 @@ provided to exercise the error-probability monotonicity of the order.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Integral
@@ -203,9 +210,10 @@ def _collapsed(k: np.ndarray, output_maps: np.ndarray, m2: int, maps_axis: int =
     """``K @ T`` for every output map, stacked along ``maps_axis``: shape
     (maps, n1, m2), or (n1, maps, m2) when ``maps_axis`` is 1.
 
-    The one K T kernel: pricing, ``DeterministicPair.apply`` and ``degrade``
-    all call it, so a product is bit-identical wherever it is computed, in
-    either layout.
+    The one K T kernel: the output-side pricing table,
+    ``DeterministicPair.apply`` and ``degrade`` all call it, so a product is
+    bit-identical wherever it is computed, in either layout.  The
+    input-side pricing column repeats its additions in its order.
     """
     n1 = k.shape[0]
     out = np.zeros((n1, len(output_maps), m2) if maps_axis else (len(output_maps), n1, m2))
@@ -336,9 +344,14 @@ def _best_pair(table: _PricingTable, h: np.ndarray) -> tuple[DeterministicPair, 
     m1 = table.k.shape[1]
     scores = hm.T @ products
     best = int(np.argmax(scores.max(axis=0).reshape(-1, m1).sum(axis=1)))
-    outputs = scores[:, best * m1:(best + 1) * m1].argmax(axis=0)
-    pair = _pair(tuple(table.maps[best].tolist()), tuple(outputs.tolist()))
-    column = _collapsed(table.k, outputs[None, :], table.m2)[0][table.maps[best]]
+    outputs = scores[:, best * m1:(best + 1) * m1].argmax(axis=0).tolist()
+    pair = _pair(tuple(table.maps[best].tolist()), tuple(outputs))
+    # R K T from the table's R K, adding each better output j in j order, as
+    # _collapsed does.
+    rk = products[:, best * m1:(best + 1) * m1]
+    column = np.zeros((table.n2, table.m2))
+    for j, z in enumerate(outputs):
+        column[:, z] += rk[:, j]
     return pair, column.ravel()
 
 
@@ -382,15 +395,23 @@ def includes(
 def _nearest_point(better: StochasticMatrix, target: np.ndarray, n2: int, m2: int, tolerance: float):
     """Wolfe's min-norm-point algorithm over the hull of every ``vec(R K T)``.
 
-    The corral is a list of affinely independent pairs with positive convex
-    weights whose point ``x`` is the one nearest ``target`` on their affine
-    hull.  Each major step prices ``h = target - x`` with ``_best_pair``
-    against the pricing table built once here, and adds the best pair with
-    its column from the table; minor steps then move to the nearest point of
-    the new corral's affine hull, line-searching back and dropping a pair
-    whenever a weight would turn negative (Wolfe 1976).  ``h`` is updated
-    from its projections, never recomputed as ``target - x``, so it stays
-    orthogonal to the corral's hull to rounding however short it gets.
+    The corral (``_Corral``) is a list of affinely independent pairs with
+    positive convex weights whose point ``x`` is the one nearest ``target``
+    on their affine hull.  Each major step prices ``h = target - x`` with
+    ``_best_pair`` against the pricing table built once here, and adds the
+    best pair with its column from the table; minor steps then move to the
+    nearest point of the new corral's affine hull, line-searching back and
+    dropping a pair whenever a weight would turn negative (Wolfe 1976).
+    The corral keeps a factor of its differences ``columns[1:] -
+    columns[0]``: an orthonormal basis ``Q`` of their span, grown on an add
+    by one Gram-Schmidt step done twice, and the combinations ``B`` of the
+    columns that make each basis vector.  A drop reflects the basis so that
+    only its last vector uses the dropped column, and removes that vector.
+    A minor step takes ``s = Q^T h``, moves the weights by ``B s``, and
+    projects ``h`` off the hull twice, ``h - Q s`` and again; no step
+    refactors the corral.  ``h`` is updated from its projections, never
+    recomputed as ``target - x``, so it stays orthogonal to the corral's
+    hull to rounding however short it gets.
 
     Returns ``(pairs, weights, None, None)`` once
     ``||target - x||_1 <= tolerance``, or within rounding.
@@ -403,54 +424,130 @@ def _nearest_point(better: StochasticMatrix, target: np.ndarray, n2: int, m2: in
     """
     table = _pricing_table(better.entries, n2, m2)
     pair, column = _best_pair(table, target)
-    pairs, columns = [pair], column[None, :]
-    weights = np.ones(1)
-    h = target - columns[0]
+    corral = _Corral(pair, column)
+    h = target - column
     for _ in range(_MAX_STEPS):
-        if float(np.abs(h).sum()) <= max(tolerance, _ROUNDING * target.size):
-            return pairs, weights, None, None
+        length = float(np.abs(h).sum())
+        if length <= max(tolerance, _ROUNDING * target.size):
+            return corral.pairs, corral.weights[:corral.size].copy(), None, None
         pair, column = _best_pair(table, h)
-        step = column - columns[0]
-        if (float(h @ step) <= _ON_HULL * float(np.linalg.norm(h) * np.linalg.norm(step))
-                or float(h @ target - h @ column) > tolerance * float(np.abs(h).sum())):
-            return pairs, weights, h, pair
-        pairs.append(pair)
-        columns = np.vstack([columns, column])
-        weights = np.append(weights, 0.0)
+        step = column - corral.columns[0]
+        if (float(h @ step) <= _ON_HULL * math.sqrt(h @ h) * math.sqrt(step @ step)
+                or float(h @ target - h @ column) > tolerance * length):
+            return corral.pairs, corral.weights[:corral.size].copy(), h, pair
+        corral.add(pair, column, step)
         while True:
-            move, residual = _affine_step(columns, h)
+            move, residual = corral.affine_step(h)
+            weights = corral.weights[:corral.size]
             if float((weights + move).min()) > 0.0:
-                weights, h = weights + move, residual
+                weights += move
+                h = residual
                 break
             # Move towards the affine minimiser until the first weight
             # reaches zero, and drop the pairs that did.
             falling = weights + move <= 0.0
             scale = float(np.min(weights[falling] / np.maximum(-move[falling], np.finfo(float).tiny)))
-            weights = weights + scale * move
+            weights += scale * move
             h = h + scale * (residual - h)
             keep = weights > 0.0
             keep[np.argmin(weights)] = False
-            pairs = [p for p, kept in zip(pairs, keep) if kept]
-            columns, weights = columns[keep], weights[keep]
+            for index in np.flatnonzero(~keep)[::-1].tolist():
+                corral.drop(index)
     raise ArithmeticError(f"min-norm-point search did not converge in {_MAX_STEPS} steps")
 
 
-def _affine_step(columns: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weight change, summing to 0, from the corral's point to the nearest
-    point of its affine hull, and the residual ``h`` there.
+class _Corral:
+    """Wolfe's corral: its pairs, their columns ``C`` (one per row) and
+    convex weights, and a kept factor of the differences
+    ``D = columns[1:] - columns[0]``.
 
-    Both come from ``h`` itself, so they are accurate relative to ``h`` and
-    not to the unit scale of the columns.  The residual is projected off
-    the hull twice ("twice is enough"), so it is orthogonal to the hull to
-    rounding.
+    ``basis`` holds ``Q^T``: an orthonormal basis ``Q`` of the span of
+    ``D``, one vector per row.  ``coords`` holds ``B``, one row per pair and
+    one column per basis vector, with ``C^T B = Q`` and zero column sums:
+    each basis vector as a combination of the columns whose weights total
+    0.  Until the first drop, ``B``'s rows after the first are ``R^-1`` of
+    ``D = Q R`` and its first row is minus their sum.  The pairs are
+    affinely independent, so there are at most ``dim + 1`` of them, and
+    every buffer is allocated at that bound once.
     """
-    if len(columns) == 1:
-        return np.zeros(1), h
-    q, r = np.linalg.qr((columns[1:] - columns[0]).T)
-    shift = np.linalg.solve(r, q.T @ h)
-    residual = h - q @ (q.T @ h)
-    residual = residual - q @ (q.T @ residual)
-    return np.concatenate([[-shift.sum()], shift]), residual
+
+    def __init__(self, pair: DeterministicPair, column: np.ndarray):
+        dim = column.size
+        self.pairs = [pair]
+        self.columns = np.empty((dim + 1, dim))
+        self.weights = np.empty(dim + 1)
+        self.basis = np.empty((dim, dim))
+        self.coords = np.empty((dim + 1, dim))
+        self.columns[0], self.weights[0] = column, 1.0
+        self.size = 1
+
+    def add(self, pair: DeterministicPair, column: np.ndarray, step: np.ndarray) -> None:
+        """Join ``pair`` with weight 0; ``step`` is ``column - columns[0]``.
+
+        ``Q`` grows by one Gram-Schmidt step done twice ("twice is
+        enough"), ``step = Q r + rho q`` with ``q`` orthogonal to ``Q``, so
+        ``q`` is ``column - columns[0] - C^T B r`` over ``rho``: ``B`` gains
+        that column and a row holding ``1 / rho`` in it.  The step is off
+        the corral's affine hull (``_nearest_point`` checks it), so ``rho``
+        is positive.
+        """
+        k = self.size
+        q = self.basis[:k - 1]
+        r = q @ step
+        orthogonal = step - r @ q
+        again = q @ orthogonal
+        orthogonal -= again @ q
+        r += again
+        rho = math.sqrt(orthogonal @ orthogonal)
+        self.basis[k - 1] = orthogonal / rho
+        self.coords[:k, k - 1] = self.coords[:k, :k - 1] @ r / -rho
+        self.coords[0, k - 1] -= 1.0 / rho
+        self.coords[k, :k - 1] = 0.0
+        self.coords[k, k - 1] = 1.0 / rho
+        self.pairs.append(pair)
+        self.columns[k], self.weights[k] = column, 0.0
+        self.size = k + 1
+
+    def affine_step(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Weight change, summing to 0, from the corral's point to the nearest
+        point of its affine hull, and the residual ``h`` there.
+
+        With ``s = Q^T h`` the change is ``B s`` and the residual is
+        ``h - Q s``, projected off the hull a second time ("twice is
+        enough"), so it is orthogonal to the hull to rounding.  Both come
+        from ``h`` itself, so they are accurate relative to ``h`` and not to
+        the unit scale of the columns.
+        """
+        k = self.size
+        q = self.basis[:k - 1]
+        s = q @ h
+        residual = h - s @ q
+        residual -= (q @ residual) @ q
+        return self.coords[:k, :k - 1] @ s, residual
+
+    def drop(self, index: int) -> None:
+        """Remove the pair at ``index`` and downdate the factor.
+
+        Row ``index`` of ``B`` says how much of the dropped column each
+        basis vector takes.  One Householder reflection ``H`` of the basis
+        sends that row to a multiple of the last unit vector, so only the
+        last vector of ``Q H`` uses the dropped column: it is removed with
+        ``B``'s last column, and row ``index`` of ``B H``, zero to
+        rounding, goes with the pair.  No QR is refactored.
+        """
+        k = self.size
+        q, coords = self.basis[:k - 1], self.coords[:k, :k - 1]
+        reflector = coords[index] / math.sqrt(coords[index] @ coords[index])
+        reflector[-1] += math.copysign(1.0, reflector[-1])
+        reflector *= math.sqrt(2.0 / (reflector @ reflector))
+        self.basis[:k - 2] = (q - reflector[:, None] * (reflector @ q))[:-1]
+        reflected = (coords - (coords @ reflector)[:, None] * reflector)[:, :-1]
+        self.coords[:index, :k - 2] = reflected[:index]
+        self.coords[index:k - 1, :k - 2] = reflected[index + 1:]
+        del self.pairs[index]
+        self.columns[index:k - 1] = self.columns[index + 1:k]
+        self.weights[index:k - 1] = self.weights[index + 1:k]
+        self.size = k - 1
 
 
 def _checked_witness(better, worse, pairs, weights, tolerance) -> InclusionDecision:

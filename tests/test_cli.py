@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -427,6 +429,40 @@ class TestLgcCommands:
         path = write(tmp_path / "e.json", lgc.ensemble_to_json_dict(ensemble))
         code = run(["lgc", "ensemble-order", "--a", path, "--b", path, "--n-grid", "101"])
         assert (code, capsys.readouterr().out) == (2, "")
+
+
+def _parse(parser, argv):
+    """What parsing ``argv`` prints, and the usage error it raises, if any."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        try:
+            parser.parse_args(argv)
+            outcome = "parsed"
+        except SystemExit as exc:
+            outcome = f"exit {exc.code}"
+        except cli.UsageError as exc:
+            outcome = f"usage error: {exc}"
+    return outcome, printed.getvalue()
+
+
+_GROUPS = tuple(cli._GROUP_HELP)
+_PARSER_PROBES = [
+    [], ["--help"], ["-h", "dmc"], ["frobnicate"], ["dm", "check"], ["--frobnicate", "dmc", "check"],
+    *([group] for group in _GROUPS),
+    *([group, "--help"] for group in _GROUPS),
+    *([group, "frobnicate"] for group in _GROUPS),
+    *([group, other, "--help"] for group in _GROUPS for other in _GROUPS if other != group),
+    *([group, command, "--help"] for group, command, *_ in cli._COMMANDS),
+    *([group, command] for group, command, *_ in cli._COMMANDS),
+    *([group, command, "--frobnicate"] for group, command, *_ in cli._COMMANDS),
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_PROBES, ids=lambda argv: " ".join(argv) or "(none)")
+def test_parser_for_the_named_group_reads_like_the_full_parser(argv):
+    """``run`` builds subcommand parsers only for the group its arguments
+    name; help and usage errors are byte-identical to the full parser's."""
+    assert _parse(cli.build_parser(argv), argv) == _parse(cli.build_parser(), argv)
 
 
 class TestErrorsAndFormats:

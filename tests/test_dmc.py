@@ -406,6 +406,147 @@ def test_certificates_match_table_free_pricing(monkeypatch):
     assert {certificate[0] for certificate in priced} == {True, False}
 
 
+def test_input_side_column_is_the_bytes_of_apply():
+    """The input-side column is built from the table's ``R K`` and is, byte
+    for byte, ``DeterministicPair.apply``'s ``R K T``."""
+    rng = np.random.default_rng(1812)
+    seen = set()
+    for n1, m1, n2, m2 in ((4, 4, 3, 4), (3, 4, 2, 3), (2, 3, 3, 4), (3, 3, 2, 4)):
+        repeated = random_stochastic(rng, n1, m1).entries.copy()
+        repeated[-1] = repeated[0]
+        for better in (random_stochastic(rng, n1, m1), StochasticMatrix(repeated)):
+            table = dmc._pricing_table(better.entries, n2, m2)
+            assert not table.output_side
+            for _ in range(250):
+                h = rng.standard_normal(n2 * m2) * rng.integers(1, 4, size=n2 * m2)
+                pair, column = dmc._best_pair(table, h)
+                assert column.tobytes() == pair.apply(better, n_outputs=m2).ravel().tobytes(), h
+                seen.add((n1, m1, n2, m2, pair))
+    assert len(seen) > 500
+
+
+def _fresh_qr_step(columns, h):
+    """The corral's affine step from a fresh QR of its differences, as
+    ``_nearest_point`` took it before it kept a factor."""
+    if len(columns) == 1:
+        return np.zeros(1), h
+    q, r = np.linalg.qr((columns[1:] - columns[0]).T)
+    shift = np.linalg.solve(r, q.T @ h)
+    residual = h - q @ (q.T @ h)
+    residual = residual - q @ (q.T @ residual)
+    return np.concatenate([[-shift.sum()], shift]), residual
+
+
+class _FreshQrCorral(dmc._Corral):
+    """A corral that takes every step from a fresh QR, ignoring the kept factor."""
+
+    def affine_step(self, h):
+        return _fresh_qr_step(self.columns[:self.size], h)
+
+
+class _CheckedCorral(dmc._Corral):
+    """A corral that checks its kept factor against a fresh QR after every
+    add and drop, and each step against ``_fresh_qr_step``."""
+
+    events = {"add": 0, "drop": 0, "anchor drop": 0}
+
+    def _check_factor(self):
+        k = self.size
+        q, coords = self.basis[:k - 1], self.coords[:k, :k - 1]
+        assert np.abs(q @ q.T - np.eye(k - 1)).max() <= 1e-12
+        columns = self.columns[:k]
+        if k > 1:
+            fresh, _ = np.linalg.qr((columns[1:] - columns[0]).T)
+            assert np.abs(fresh - q.T @ (q @ fresh)).max() <= 1e-12
+        assert np.abs(columns.T @ coords - q.T).max() <= 1e-12 * max(1.0, np.abs(coords).max())
+        assert np.abs(coords.sum(axis=0)).max() <= 1e-12 * max(1.0, np.abs(coords).max())
+
+    def add(self, pair, column, step):
+        super().add(pair, column, step)
+        self.events["add"] += 1
+        self._check_factor()
+
+    def drop(self, index):
+        super().drop(index)
+        self.events["drop"] += 1
+        self.events["anchor drop"] += index == 0
+        self._check_factor()
+
+    def affine_step(self, h):
+        move, residual = super().affine_step(h)
+        want_move, want_residual = _fresh_qr_step(self.columns[:self.size], h)
+        scale = float(np.linalg.norm(h))
+        assert np.abs(residual - want_residual).max() <= 1e-12 * scale
+        # A weight is a distance over the differences' scale: their least
+        # singular value turns a weight error into a distance error.
+        differences = self.columns[1:self.size] - self.columns[0]
+        if len(differences):
+            least = float(np.linalg.svd(differences, compute_uv=False)[-1])
+            assert np.abs(move - want_move).max() * least <= 1e-12 * scale
+        return move, residual
+
+
+def _factor_instances(count, seed):
+    """Oracle instances, the first third again with a better channel whose
+    last row repeats its first, and mixtures nudged 1e-11 to 1e-3 off the
+    hull."""
+    instances = _oracle_instances(count=count, max_pairs=4**8, seed=seed)
+    instances += [(StochasticMatrix(np.vstack([b.entries[:-1], b.entries[:1]])), w)
+                  for b, w in instances[:count // 3]]
+    rng = np.random.default_rng(seed)
+    for exponent in np.linspace(-11.0, -3.0, count // 3):
+        better = random_stochastic(rng, 4, 4)
+        n2, m2 = (int(v) for v in rng.integers(2, 5, size=2))
+        pairs, weights = random_degradation(rng, better, n2, m2, max_pairs=6)
+        worse = degrade(better, pairs, weights, n_outputs=m2).entries
+        noise = random_stochastic(rng, n2, m2).entries
+        nudge = 10.0**exponent
+        instances.append((better, StochasticMatrix((1.0 - nudge) * worse + nudge * noise)))
+    return instances
+
+
+def test_kept_factor_tracks_a_fresh_qr(monkeypatch):
+    """Along real decisions, after every add and drop, the kept basis is
+    orthonormal and spans what a fresh QR spans, and every step's weight
+    change and residual match the fresh QR's."""
+    monkeypatch.setattr(_CheckedCorral, "events", dict.fromkeys(_CheckedCorral.events, 0))
+    monkeypatch.setattr(dmc, "_Corral", _CheckedCorral)
+    for better, worse in _factor_instances(count=150, seed=1813):
+        includes(better, worse, cap=4**8)
+    events = _CheckedCorral.events
+    assert events["add"] > 300 and events["drop"] > 20 and events["anchor drop"] > 0, events
+
+
+def test_kept_factor_decides_like_a_fresh_qr(monkeypatch):
+    """Seeded parity with the corral that refactors on every step: the same
+    decision on every instance, and every certificate checks against the
+    full enumeration.  The kept factor never calls a QR or a solve."""
+    instances = _factor_instances(count=300, seed=1814)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kept factor needs no QR and no solve")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "qr", refuse)
+        patch.setattr(np.linalg, "solve", refuse)
+        kept = [includes(better, worse, cap=4**8) for better, worse in instances]
+    monkeypatch.setattr(dmc, "_Corral", _FreshQrCorral)
+    decided = {True: 0, False: 0}
+    for index, ((better, worse), decision) in enumerate(zip(instances, kept)):
+        assert decision.included == includes(better, worse, cap=4**8).included, index
+        decided[decision.included] += 1
+        if decision.included:
+            witness = decision.witness
+            assert abs(float(witness.weights.sum()) - 1.0) <= 1e-9, index
+            replayed = witness.replay(better, n_outputs=worse.n_outputs)
+            assert np.max(np.abs(replayed.entries - worse.entries)) <= 1e-9, index
+        else:
+            candidates, _ = degradation_products(better, worse.entries.shape, cap=4**8)
+            h = decision.separator
+            assert float(h @ worse.entries.ravel() - np.max(candidates @ h)) > 0.0, index
+    assert min(decided.values()) >= 60, decided
+
+
 def test_degradation_products_structure():
     # Repeated rows make distinct pairs give equal products.
     k = StochasticMatrix([[0.6, 0.3, 0.1], [0.6, 0.3, 0.1], [0.2, 0.2, 0.6]])
