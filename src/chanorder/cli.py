@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from importlib import import_module
@@ -417,13 +416,8 @@ def _cmd_lgc_verify_equiv(lgc, args):
 
 
 def _cmd_lgc_sample_haar(lgc, args):
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        env = os.environ.get("CHANORDER_SEED")
-        seed = int(env) if env else 0
-    matrix = lgc.sample_haar_orthogonal(args.n, seed)
-    return {"n": args.n, "seed": seed}, {"matrix": matrix.tolist()}, 0, matrix.tolist
+    matrix = lgc.sample_haar_orthogonal(args.n, args.seed)
+    return {"n": args.n, "seed": args.seed}, {"matrix": matrix.tolist()}, 0, matrix.tolist
 
 
 def _cmd_lgc_ensemble_order(lgc, args):
@@ -500,7 +494,7 @@ _COMMANDS = (
      (_CHANNEL, ("--b-matrix", _REQUIRED), ("--c-matrix", _REQUIRED), _TOLERANCE),
      _lgc_conventions),
     ("lgc", "sample-haar", _cmd_lgc_sample_haar,
-     (("--n", _REQUIRED_INT), ("--seed", {"type": int})), _lgc_conventions),
+     (("--n", _REQUIRED_INT), ("--seed", {"type": int, "default": 0})), _lgc_conventions),
     ("lgc", "ensemble-order", _cmd_lgc_ensemble_order, _A_B, _ensemble_conventions),
 )
 

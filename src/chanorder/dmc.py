@@ -157,6 +157,8 @@ class DeterministicPair:
         """Raw matrix of the degraded channel R @ K @ T for this pair."""
         if n_outputs is None:
             n_outputs = 1 + max(self.output_map)
+        else:
+            n_outputs = checked_integer(n_outputs, "n_outputs")
         self._check(channel, n_outputs)
         collapsed = _collapsed(channel.entries, np.array([self.output_map]), n_outputs)[0]
         return collapsed[list(self.input_map)]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log, sqrt
-from numbers import Integral
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
     "EnsembleOrderDecision",
     "GaussianEntries",
     "HaarRotated",
-    "FixedMatrix",
     "ExplicitMatrices",
     "canonicalize",
     "includes",
@@ -247,10 +245,13 @@ class GaussianEntries:
 
     def __post_init__(self):
         for name in ("rows", "cols"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-                raise ValueError("rows and cols must be positive integers")
-            object.__setattr__(self, name, int(value))
+            try:
+                value = checked_integer(getattr(self, name), name)
+            except ValueError as err:
+                raise ValueError(f"rows and cols must be positive integers: {err}") from None
+            if value < 1:
+                raise ValueError(f"rows and cols must be positive integers, got {name}={value}")
+            object.__setattr__(self, name, value)
         if not np.isfinite(self.scale):
             raise ValueError("scale must be finite")
 
@@ -266,19 +267,6 @@ class HaarRotated:
         if base.ndim != 2 or base.size == 0 or not np.all(np.isfinite(base)):
             raise ValueError("base must be a nonempty finite 2-D matrix")
         object.__setattr__(self, "base", base)
-
-
-@dataclass(frozen=True)
-class FixedMatrix:
-    """Sampler: the same matrix every draw."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.size == 0 or not np.all(np.isfinite(matrix)):
-            raise ValueError("matrix must be a nonempty finite 2-D matrix")
-        object.__setattr__(self, "matrix", matrix)
 
 
 @dataclass(frozen=True)
@@ -328,11 +316,10 @@ def _spectra(sampler, n_samples: int, seed: int) -> np.ndarray:
         shape = (n_samples, sampler.rows, sampler.cols)
         draws = sampler.scale * np.random.default_rng(seed).standard_normal(shape)
         return np.linalg.svd(draws, compute_uv=False)
-    if isinstance(sampler, (HaarRotated, FixedMatrix)):
+    if isinstance(sampler, HaarRotated):
         # Orthogonal factors leave the singular values unchanged, so every
         # sample of a rotated matrix is the matrix's own spectrum.
-        base = sampler.base if isinstance(sampler, HaarRotated) else sampler.matrix
-        spectrum = singular_values(base)
+        spectrum = singular_values(sampler.base)
         return np.broadcast_to(spectrum, (n_samples, spectrum.size))
     if isinstance(sampler, ExplicitMatrices):
         if n_samples > len(sampler.matrices):
@@ -348,9 +335,9 @@ def ensemble_from_sampler(sampler, n_samples: int, seed: int) -> SingularEnsembl
     ``default_rng(seed)`` stream, filled in sample order, so sample ``i``
     depends only on ``(seed, i)`` and a longer ensemble extends a shorter
     one; a negative ``seed`` raises ValueError, as ``default_rng`` does.
-    ``HaarRotated`` and ``FixedMatrix`` draw nothing: singular values do not
-    change under orthogonal factors, so every sample is the spectrum of the
-    base matrix, and the seed is recorded but never read.
+    ``HaarRotated`` draws nothing: singular values do not change under
+    orthogonal factors, so every sample is the spectrum of the base matrix,
+    and the seed is recorded but never read.
     ``ExplicitMatrices`` uses its first ``n_samples`` matrices in order.
     """
     n_samples = checked_integer(n_samples, "n_samples")

@@ -93,7 +93,9 @@ class MonotoneProfile:
     grid : strictly increasing 1-D abscissae.
     density : slope of the absolutely continuous part, sampled on ``grid``;
         values below ``-1e-12`` are rejected, small negatives are clamped
-        to 0.  Treated as 0 outside the grid's span.
+        to 0.  Treated as 0 outside the grid's span.  ``None`` is the zero
+        slope: ``MonotoneProfile(atoms=...)`` is a pure-jump profile and
+        ``MonotoneProfile()`` the zero-noise one.
     atoms : finite list of ``(location, mass)`` jumps with positive masses
         and locations pairwise farther apart than the matching tolerance.
     flag : "noise_K" for noise representations, "spectral" for power
@@ -140,18 +142,6 @@ class MonotoneProfile:
         object.__setattr__(self, "density", density)
         object.__setattr__(self, "atoms", atoms)
 
-    @classmethod
-    def from_atoms(cls, atoms, flag: str = "noise_K", grid=None) -> "MonotoneProfile":
-        """Pure-jump profile (zero absolutely continuous part)."""
-        if grid is None:
-            grid = default_grid()
-        return cls(grid=grid, density=None, atoms=tuple(atoms), flag=flag)
-
-    @classmethod
-    def empty(cls, flag: str = "noise_K", grid=None) -> "MonotoneProfile":
-        """The zero-noise profile."""
-        return cls.from_atoms((), flag=flag, grid=grid)
-
 
 def gaussian(sigma2: float) -> MonotoneProfile:
     """Profile of a zero-mean Gaussian noise with the given variance."""
@@ -159,8 +149,8 @@ def gaussian(sigma2: float) -> MonotoneProfile:
     if sigma2 < 0.0:
         raise ValueError("variance must be nonnegative")
     if sigma2 == 0.0:
-        return MonotoneProfile.empty()
-    return MonotoneProfile.from_atoms([(0.0, sigma2)])
+        return MonotoneProfile()
+    return MonotoneProfile(atoms=((0.0, sigma2),))
 
 
 def _aligned(a: MonotoneProfile, b: MonotoneProfile):
@@ -272,6 +262,8 @@ def log_cf(profile: MonotoneProfile, zeta: float) -> complex:
     if profile.flag != "noise_K":
         raise ValueError("log_cf is defined for noise_K profiles only")
     z = float(zeta)
+    if not np.isfinite(z):
+        raise ValueError(f"zeta must be finite, got {zeta!r}")
     smooth = np.trapezoid(_kernel(z * profile.grid) * profile.density, profile.grid)
     jumps = sum(mass * _kernel(np.array([z * loc]))[0] for loc, mass in profile.atoms)
     return complex(z * z * (smooth + jumps))

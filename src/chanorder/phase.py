@@ -24,7 +24,6 @@ from .numerics import _number_array, checked_integer
 __all__ = [
     "EPS_GIBBS",
     "TorusSpectrum",
-    "PhaseDegradation",
     "WrappedGaussian",
     "WrappedCauchy",
     "UniformPhase",
@@ -224,33 +223,21 @@ def from_grid(pdf_samples, order: int, role: str = "channel") -> TorusSpectrum:
     return TorusSpectrum(order, coeffs, role=role)
 
 
-@dataclass(frozen=True)
-class PhaseDegradation:
-    """Joint law of the input/output phase pair applied to a channel.
-
-    ``joint`` holds the coefficients ``E[exp(j(p*input + q*output))]`` of the
-    raw pair; reindexing (see ``degradation_coeffs``) turns it into the grid
-    that multiplies channel spectra.
-    """
-
-    joint: TorusSpectrum
-
-
-def joint_from_marginals(input_family, output_family, order: int) -> PhaseDegradation:
-    """Degradation with independent input and output phases."""
+def joint_from_marginals(input_family, output_family, order: int) -> TorusSpectrum:
+    """Joint law of independent input and output phases."""
     i_seq = from_wrapped(input_family, order)
     o_seq = from_wrapped(output_family, order)
-    return PhaseDegradation(TorusSpectrum(int(order), np.outer(i_seq, o_seq), role="channel"))
+    return TorusSpectrum(order, np.outer(i_seq, o_seq), role="channel")
 
 
-def degradation_coeffs(degradation: PhaseDegradation, order: int | None = None) -> TorusSpectrum:
+def degradation_coeffs(joint: TorusSpectrum, order: int | None = None) -> TorusSpectrum:
     """Reindex a joint phase law into the multiplicative degradation grid.
 
-    The grid entry at ``(m, n)`` is the joint coefficient at
-    ``(m, m + n)``, which needs the joint spectrum to extend to twice the
-    requested order.
+    ``joint`` holds the coefficients ``E[exp(j(p*input + q*output))]`` of the
+    raw input/output phase pair.  The grid entry at ``(m, n)`` is the joint
+    coefficient at ``(m, m + n)``, which needs the joint spectrum to extend
+    to twice the requested order.
     """
-    joint = degradation.joint
     if order is None:
         order = joint.order // 2
     order = _check_order(order)

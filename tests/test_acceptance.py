@@ -131,7 +131,7 @@ def test_criterion_04_noise_lattice():
             failures.append(("strict variance", i))
 
     def atom(loc, mass):
-        return noise.MonotoneProfile.from_atoms([(loc, mass)])
+        return noise.MonotoneProfile(atoms=[(loc, mass)])
 
     if noise.lub(atom(0, 1), atom(0, 2)).atoms != ((0.0, 2.0),):
         failures.append(("lub same location",))

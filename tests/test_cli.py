@@ -111,11 +111,11 @@ class TestNoiseCommands:
     def profiles(self, tmp_path):
         a = write(
             tmp_path / "a.json",
-            noise.to_json_dict(noise.MonotoneProfile.from_atoms([(0.0, 1.0)])),
+            noise.to_json_dict(noise.MonotoneProfile(atoms=[(0.0, 1.0)])),
         )
         b = write(
             tmp_path / "b.json",
-            noise.to_json_dict(noise.MonotoneProfile.from_atoms([(1.0, 2.0)])),
+            noise.to_json_dict(noise.MonotoneProfile(atoms=[(1.0, 2.0)])),
         )
         return a, b
 
@@ -152,9 +152,9 @@ class TestNoiseCommands:
             assert doc["result"]["relation"] == "second_worse"
 
     def test_lub_of_chained_atoms(self, capsys, tmp_path):
-        a = write(tmp_path / "a.json", noise.to_json_dict(noise.MonotoneProfile.from_atoms([(0.0, 1.0)])))
+        a = write(tmp_path / "a.json", noise.to_json_dict(noise.MonotoneProfile(atoms=[(0.0, 1.0)])))
         b = write(tmp_path / "b.json", noise.to_json_dict(
-            noise.MonotoneProfile.from_atoms([(-6e-10, 2.0), (6e-10, 3.0)])))
+            noise.MonotoneProfile(atoms=[(-6e-10, 2.0), (6e-10, 3.0)])))
         code, doc, _ = run_json(capsys, ["noise", "lub", a, b])
         assert code == 0
         assert doc["atoms"] == [[-6e-10, 2.0], [6e-10, 3.0]]
@@ -194,6 +194,15 @@ class TestNoiseCommands:
         assert doc["result"]["log_cf"][0]["re"] == pytest.approx(-1.0)
         code, doc, _ = run_json(capsys, ["noise", "variance", "--profile", profile])
         assert code == 0 and doc["result"]["variance"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("zeta", ["nan", "inf", "-inf"])
+    def test_cf_rejects_non_finite_zeta(self, capsys, tmp_path, zeta):
+        profile = write(tmp_path / "g.json", noise.to_json_dict(noise.gaussian(2.0)))
+        code = run(["noise", "cf", "--profile", profile, "--zeta", "1.0", f"--zeta={zeta}"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        error = json.loads(captured.err)["error"]
+        assert error == {"type": "ValueError", "message": f"zeta must be finite, got {float(zeta)!r}"}
 
 
 class TestPhaseCommands:
@@ -392,9 +401,10 @@ class TestLgcCommands:
         assert code == 1 and not doc["result"]["ordered"]
 
     def test_rotated_and_fixed_ensembles_of_one_matrix_are_equal(self, capsys, tmp_path):
+        # One base matrix at two seeds: both are the fixed matrix's spectrum.
         base = np.random.default_rng(3).standard_normal((3, 4))
         rotated = lgc.ensemble_from_sampler(lgc.HaarRotated(base), 500, seed=0)
-        fixed = lgc.ensemble_from_sampler(lgc.FixedMatrix(base), 500, seed=1)
+        fixed = lgc.ensemble_from_sampler(lgc.HaarRotated(base), 500, seed=1)
         a = write(tmp_path / "rotated.json", lgc.ensemble_to_json_dict(rotated))
         b = write(tmp_path / "fixed.json", lgc.ensemble_to_json_dict(fixed))
         code, doc, _ = run_json(capsys, ["lgc", "ensemble-order", "--a", a, "--b", b])
@@ -405,7 +415,7 @@ class TestLgcCommands:
         # Spectra equal up to rounding, so the order must not separate them.
         base = np.random.default_rng(3).standard_normal((3, 3))
         copies = lgc.ensemble_from_sampler(rotated_copies(base, 200), 200, seed=0)
-        fixed = lgc.ensemble_from_sampler(lgc.FixedMatrix(base), 200, seed=0)
+        fixed = lgc.ensemble_from_sampler(lgc.HaarRotated(base), 200, seed=0)
         a = write(tmp_path / "copies.json", lgc.ensemble_to_json_dict(copies))
         b = write(tmp_path / "fixed.json", lgc.ensemble_to_json_dict(fixed))
         code, doc, _ = run_json(capsys, ["lgc", "ensemble-order", "--a", a, "--b", b])
@@ -548,11 +558,12 @@ class TestErrorsAndFormats:
         assert loaded.name == "bsc25"
         assert loaded.kind == "dmc"
 
-    def test_seed_env_override(self, capsys, monkeypatch):
+    def test_seed_env_ignored(self, capsys, monkeypatch):
+        # --seed defaults to 0; no environment variable supplies it.
         monkeypatch.setenv("CHANORDER_SEED", "17")
         code, doc_env, _ = run_json(capsys, ["lgc", "sample-haar", "--n", "2"])
-        assert code == 0 and doc_env["parameters"]["seed"] == 17
-        code, doc_flag, _ = run_json(capsys, ["lgc", "sample-haar", "--n", "2", "--seed", "17"])
+        assert code == 0 and doc_env["parameters"]["seed"] == 0
+        code, doc_flag, _ = run_json(capsys, ["lgc", "sample-haar", "--n", "2", "--seed", "0"])
         assert doc_flag["result"]["matrix"] == doc_env["result"]["matrix"]
 
 

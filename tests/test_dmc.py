@@ -635,11 +635,15 @@ class TestDegrade:
         pair = DeterministicPair((0, 1), (0, 1))
         with pytest.raises(ValueError, match="n_outputs must be an integer"):
             degrade(bsc(0.2), [pair], [1.0], n_outputs=n_outputs)
+        with pytest.raises(ValueError, match="n_outputs must be an integer"):
+            pair.apply(bsc(0.2), n_outputs=n_outputs)
 
     def test_numpy_integer_n_outputs_accepted(self):
         pair = DeterministicPair((0, 1), (0, 1))
         result = degrade(bsc(0.2), [pair], [1.0], n_outputs=np.int64(3))
         assert result.entries.shape == (2, 3)
+        raw = pair.apply(bsc(0.2), n_outputs=np.int64(3))
+        assert raw.tobytes() == pair.apply(bsc(0.2), n_outputs=3).tobytes()
 
 
 class TestBestErrorProbability:

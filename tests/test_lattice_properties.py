@@ -45,8 +45,8 @@ def noise_below(low, high):
     return noise.check_order(low, high).relation in (Relation.SECOND_WORSE, Relation.EQUAL)
 
 
-_CHAIN = (noise.MonotoneProfile.from_atoms([(0.0, 4.0)], grid=_GRIDS[0]),
-          noise.MonotoneProfile.from_atoms([(-6e-10, 2.0), (6e-10, 3.0)], grid=_GRIDS[0]))
+_CHAIN = (noise.MonotoneProfile(atoms=[(0.0, 4.0)], grid=_GRIDS[0]),
+          noise.MonotoneProfile(atoms=[(-6e-10, 2.0), (6e-10, 3.0)], grid=_GRIDS[0]))
 
 
 @SETTINGS

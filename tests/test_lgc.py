@@ -4,7 +4,6 @@ import pytest
 from chanorder import lgc
 from chanorder.lgc import (
     ExplicitMatrices,
-    FixedMatrix,
     GaussianChannel,
     GaussianEntries,
     HaarRotated,
@@ -253,9 +252,8 @@ def _reference_spectra(sampler, n_samples, seed):
         shape = (n_samples, sampler.rows, sampler.cols)
         draws = sampler.scale * np.random.default_rng(seed).standard_normal(shape)
         return np.linalg.svd(draws, compute_uv=False)
-    if isinstance(sampler, (HaarRotated, FixedMatrix)):
-        base = sampler.base if isinstance(sampler, HaarRotated) else sampler.matrix
-        return np.tile(singular_values(base), (n_samples, 1))
+    if isinstance(sampler, HaarRotated):
+        return np.tile(singular_values(sampler.base), (n_samples, 1))
     return np.linalg.svd(np.stack(sampler.matrices[:n_samples]), compute_uv=False)
 
 
@@ -268,7 +266,6 @@ class TestEnsembles:
         samplers = [
             GaussianEntries(*shape, scale=1.5),
             HaarRotated(base),
-            FixedMatrix(base),
             ExplicitMatrices(tuple(rng.standard_normal((n_samples + 1, *shape)))),
         ]
         for sampler in samplers:
@@ -289,9 +286,7 @@ class TestEnsembles:
         with pytest.raises(ValueError, match="non-negative"):
             ensemble_from_sampler(sampler, 3, seed=-1)
 
-    @pytest.mark.parametrize(
-        "sampler", [HaarRotated(np.eye(2)), FixedMatrix(np.eye(2))], ids=["haar", "fixed"]
-    )
+    @pytest.mark.parametrize("sampler", [HaarRotated(np.eye(2))], ids=["haar"])
     def test_seed_recorded_but_unread_where_nothing_is_drawn(self, sampler):
         ensemble = ensemble_from_sampler(sampler, 3, seed=-1)
         assert ensemble.seed == -1
@@ -313,7 +308,7 @@ class TestEnsembles:
 
     @pytest.mark.parametrize("matrix", [np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((0, 0))])
     @pytest.mark.parametrize(
-        "build", [FixedMatrix, lambda m: ExplicitMatrices((np.eye(2), m))], ids=["fixed", "explicit"]
+        "build", [HaarRotated, lambda m: ExplicitMatrices((np.eye(2), m))], ids=["fixed", "explicit"]
     )
     def test_matrix_samplers_reject_empty_matrix(self, build, matrix):
         with pytest.raises(ValueError, match="nonempty finite"):
@@ -321,7 +316,7 @@ class TestEnsembles:
 
     def test_fixed_matrix_sampler(self):
         matrix = np.diag([2.0, 0.5])
-        ensemble = ensemble_from_sampler(FixedMatrix(matrix), 10, seed=0)
+        ensemble = ensemble_from_sampler(HaarRotated(matrix), 10, seed=0)
         assert np.allclose(ensemble.samples, np.tile([2.0, 0.5], (10, 1)))
 
     def test_haar_rotated_keeps_spectrum(self):
@@ -358,7 +353,7 @@ class TestEnsembles:
         for build in (
             lambda: lgc.ensemble_from_json_dict(doc),
             lambda: SingularEnsemble(np.array([[2.0, 1.0]]), seed=seed),
-            lambda: ensemble_from_sampler(FixedMatrix(np.eye(2)), 1, seed),
+            lambda: ensemble_from_sampler(HaarRotated(np.eye(2)), 1, seed),
         ):
             with pytest.raises(ValueError, match="seed must be an integer"):
                 build()
@@ -417,10 +412,11 @@ class TestEnsembleOrder:
         assert decision.max_violation > decision.band
 
     def test_rotated_and_fixed_matrix_are_equal(self):
-        # Same law, so no rounding-level difference may order them.
+        # One base matrix at two seeds: the same law, the fixed matrix's
+        # spectrum, so no rounding-level difference may order them.
         base = np.random.default_rng(3).standard_normal((3, 4))
         rotated = ensemble_from_sampler(HaarRotated(base), 500, seed=0)
-        fixed = ensemble_from_sampler(FixedMatrix(base), 500, seed=1)
+        fixed = ensemble_from_sampler(HaarRotated(base), 500, seed=1)
         decision = ensemble_order(rotated, fixed)
         assert decision.ordered
         assert decision.direction == "equal"
@@ -432,7 +428,7 @@ class TestEnsembleOrder:
         # band of 0.19.
         base = np.random.default_rng(3).standard_normal((3, 3))
         copies = ensemble_from_sampler(rotated_copies(base, 200), 200, seed=0)
-        fixed = ensemble_from_sampler(FixedMatrix(base), 200, seed=0)
+        fixed = ensemble_from_sampler(HaarRotated(base), 200, seed=0)
         assert 0.0 < np.max(np.abs(copies.samples - fixed.samples)) < 1e-14
         for first, second in ((copies, fixed), (fixed, copies)):
             decision = ensemble_order(first, second)

@@ -19,7 +19,7 @@ from conftest import random_profile
 
 
 def atom(location, mass):
-    return MonotoneProfile.from_atoms([(location, mass)])
+    return MonotoneProfile(atoms=[(location, mass)])
 
 
 def profiles_equal(a, b, tolerance=1e-9):
@@ -55,7 +55,7 @@ class TestCheckOrder:
         assert check_order(gaussian(1.0), gaussian(2.0), tolerance=0).relation is Relation.SECOND_WORSE
 
     def test_flag_mismatch_rejected(self):
-        spectral = MonotoneProfile.empty(flag="spectral")
+        spectral = MonotoneProfile(flag="spectral")
         with pytest.raises(ValueError, match="flag"):
             check_order(gaussian(1.0), spectral)
 
@@ -67,7 +67,7 @@ class TestCheckOrder:
 
     def test_chained_atoms_incomparable(self):
         # variance 4 against 5: a's atom pairs with b's first atom only.
-        b = MonotoneProfile.from_atoms([(-6e-10, 2.0), (6e-10, 3.0)])
+        b = MonotoneProfile(atoms=[(-6e-10, 2.0), (6e-10, 3.0)])
         assert check_order(atom(0.0, 4.0), b) == noise.OrderResult(Relation.INCOMPARABLE, 2.0)
 
     def test_different_grids(self):
@@ -92,7 +92,7 @@ class TestLattice:
     def test_chained_atoms_pair_one_to_one_at_the_smaller_location(self):
         # 0 lies within the matching tolerance of both of b's atoms, which
         # lie more than the tolerance apart from each other.
-        a, b = atom(0.0, 1.0), MonotoneProfile.from_atoms([(-6e-10, 2.0), (6e-10, 3.0)])
+        a, b = atom(0.0, 1.0), MonotoneProfile(atoms=[(-6e-10, 2.0), (6e-10, 3.0)])
         for x, y in ((a, b), (b, a)):
             assert lub(x, y).atoms == ((-6e-10, 2.0), (6e-10, 3.0))
             assert glb(x, y).atoms == ((-6e-10, 1.0),)
@@ -141,7 +141,7 @@ class TestVariance:
         assert variance(atom(0.0, 2.5)) == 2.5
 
     def test_empty(self):
-        assert variance(MonotoneProfile.empty()) == 0.0
+        assert variance(MonotoneProfile()) == 0.0
 
     def test_unit_density_block(self):
         grid = np.linspace(0.0, 1.0, 513)
@@ -158,7 +158,7 @@ class TestLogCf:
                 assert value.real == pytest.approx(expected, rel=1e-12)
 
     def test_empty_profile(self):
-        assert log_cf(MonotoneProfile.empty(), 1.3) == 0.0
+        assert log_cf(MonotoneProfile(), 1.3) == 0.0
 
     def test_unit_atom_off_origin(self):
         # Direct evaluation of the integrand at u = 1.
@@ -173,9 +173,14 @@ class TestLogCf:
             combined = log_cf(a, zeta) + log_cf(b, zeta)
             assert log_cf(merged, zeta) == pytest.approx(combined, abs=1e-9)
 
+    @pytest.mark.parametrize("zeta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_zeta_rejected(self, zeta):
+        with pytest.raises(ValueError, match="zeta must be finite"):
+            log_cf(gaussian(1.0), zeta)
+
     def test_spectral_profile_rejected(self):
         with pytest.raises(ValueError, match="noise_K"):
-            log_cf(MonotoneProfile.empty(flag="spectral"), 1.0)
+            log_cf(MonotoneProfile(flag="spectral"), 1.0)
 
 
 class TestValidationAndJson:
@@ -186,11 +191,11 @@ class TestValidationAndJson:
 
     def test_atom_mass_positive(self):
         with pytest.raises(ValueError, match="positive"):
-            MonotoneProfile.from_atoms([(0.0, 0.0)])
+            MonotoneProfile(atoms=[(0.0, 0.0)])
 
     def test_atoms_too_close(self):
         with pytest.raises(ValueError, match="separated"):
-            MonotoneProfile.from_atoms([(0.0, 1.0), (1e-12, 1.0)])
+            MonotoneProfile(atoms=[(0.0, 1.0), (1e-12, 1.0)])
 
     def test_grid_strictly_increasing(self):
         with pytest.raises(ValueError, match="increasing"):

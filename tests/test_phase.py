@@ -5,7 +5,6 @@ import pytest
 
 from chanorder import phase
 from chanorder.phase import (
-    PhaseDegradation,
     PointPhase,
     Strictness,
     TorusSpectrum,
@@ -154,13 +153,23 @@ class TestDegradationCoeffs:
         side = 4 * order + 1
         joint_coeffs = np.zeros((side, side), dtype=complex)
         np.fill_diagonal(joint_coeffs, 1.0)
-        joint = PhaseDegradation(TorusSpectrum(2 * order, joint_coeffs, role="channel"))
+        joint = TorusSpectrum(2 * order, joint_coeffs, role="channel")
         grid = degradation_coeffs(joint, order)
         assert np.array_equal(grid.coeffs, output_uniformizing_degradation(order).coeffs)
 
     def test_default_order_is_half(self):
         joint = joint_from_marginals(UniformPhase(), UniformPhase(), 8)
         assert degradation_coeffs(joint).order == 4
+
+    def test_joint_law_is_a_torus_spectrum(self):
+        # joint_from_marginals returns the joint law itself, a channel-role
+        # TorusSpectrum, and degradation_coeffs reads it as it stands.
+        order = 3
+        joint = joint_from_marginals(WrappedGaussian(0.2, 0.4), PointPhase(1.1), 2 * order)
+        assert type(joint) is TorusSpectrum and (joint.order, joint.role) == (2 * order, "channel")
+        grid = degradation_coeffs(joint, order)
+        assert (grid.order, grid.role) == (order, "degradation")
+        assert grid.coefficient(1, -1) == joint.coefficient(1, 0)
 
     def test_insufficient_joint_order(self):
         joint = joint_from_marginals(UniformPhase(), UniformPhase(), 4)
@@ -212,18 +221,14 @@ class TestDegrade:
         rng = np.random.default_rng(3)
         channel = from_grid(smooth_pdf(rng, 64), order)
         pair_pdf = smooth_pdf(rng, 64)
-        degradation = degradation_coeffs(
-            PhaseDegradation(from_grid(pair_pdf, 2 * order)), order
-        )
+        degradation = degradation_coeffs(from_grid(pair_pdf, 2 * order), order)
         degraded = degrade(channel, degradation)
         assert np.all(np.abs(degraded.coeffs) <= np.abs(channel.coeffs) + 1e-12)
 
     def test_worst_channel_absorbing(self):
         order = 4
         rng = np.random.default_rng(4)
-        degradation = degradation_coeffs(
-            PhaseDegradation(from_grid(smooth_pdf(rng, 64), 2 * order)), order
-        )
+        degradation = degradation_coeffs(from_grid(smooth_pdf(rng, 64), 2 * order), order)
         assert np.array_equal(
             degrade(worst_channel(order), degradation).coeffs, worst_channel(order).coeffs
         )
@@ -431,11 +436,11 @@ class TestFourierReferences:
     @pytest.mark.parametrize("order", [1, 3, 8])
     def test_degradation_coeffs_matches_row_loop(self, order):
         rng = np.random.default_rng(40 + order)
-        joint = PhaseDegradation(from_grid(smooth_pdf(rng, 48), 2 * order + int(rng.integers(0, 3))))
+        joint = from_grid(smooth_pdf(rng, 48), 2 * order + int(rng.integers(0, 3)))
         expected = np.empty((2 * order + 1, 2 * order + 1), dtype=complex)
         for i, m in enumerate(range(-order, order + 1)):
             for j, n in enumerate(range(-order, order + 1)):
-                expected[i, j] = joint.joint.coefficient(m, m + n)
+                expected[i, j] = joint.coefficient(m, m + n)
         assert np.array_equal(degradation_coeffs(joint, order).coeffs, expected)
 
 
