@@ -240,14 +240,18 @@ def variance(profile: MonotoneProfile) -> float:
 
 
 def _kernel(x: np.ndarray) -> np.ndarray:
-    """(exp(jx) - 1 - jx) / x**2, stable through x = 0."""
+    """(exp(jx) - 1 - jx) / x**2, stable through x = 0 and at every finite x.
+
+    Its magnitude is at most 1/2; dividing by x twice keeps x**2 from
+    overflowing past |x| = 1e154.
+    """
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape, dtype=complex)
     small = np.abs(x) < 1e-4
     xs = x[small]
     out[small] = -0.5 - 1j * xs / 6.0 + xs**2 / 24.0 + 1j * xs**3 / 120.0
     xl = x[~small]
-    out[~small] = (np.exp(1j * xl) - 1.0 - 1j * xl) / (xl * xl)
+    out[~small] = (np.exp(1j * xl) - 1.0 - 1j * xl) / xl / xl
     return out
 
 
@@ -257,16 +261,30 @@ def log_cf(profile: MonotoneProfile, zeta: float) -> complex:
     Trapezoid quadrature of the characteristic-exponent integrand against
     the slope, plus exact jump terms; the integrand at the origin is
     ``-zeta**2 / 2``, which makes a jump at 0 of mass ``s`` contribute
-    exactly ``-s * zeta**2 / 2``.
+    exactly ``-s * zeta**2 / 2``.  The zero profile gives 0 at every finite
+    ``zeta``; a value past the float range, or a ``zeta * u`` past it at an
+    abscissa ``u`` that carries mass, raises ``ValueError``.
     """
     if profile.flag != "noise_K":
         raise ValueError("log_cf is defined for noise_K profiles only")
     z = float(zeta)
     if not np.isfinite(z):
         raise ValueError(f"zeta must be finite, got {zeta!r}")
-    smooth = np.trapezoid(_kernel(z * profile.grid) * profile.density, profile.grid)
+    # Where the slope is 0 the integrand is evaluated at u = 0, so z * u
+    # stays finite off the support.
+    grid = np.where(profile.density > 0.0, profile.grid, 0.0)
+    reach = max([float(np.abs(grid).max()), *(abs(loc) for loc, _ in profile.atoms)])
+    if not np.isfinite(z * reach):
+        raise ValueError(f"zeta={zeta!r} times the profile's support exceeds the float range")
+    smooth = np.trapezoid(_kernel(z * grid) * profile.density, profile.grid)
     jumps = sum(mass * _kernel(np.array([z * loc]))[0] for loc, mass in profile.atoms)
-    return complex(z * z * (smooth + jumps))
+    # The kernel sum is at most half the variance, so z * total is finite and
+    # the product overflows only when the value does.
+    total = complex(smooth + jumps)
+    value = complex(z * (z * total.real), z * (z * total.imag))
+    if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+        raise ValueError(f"log_cf at zeta={zeta!r} exceeds the float range")
+    return value
 
 
 def to_json_dict(profile: MonotoneProfile) -> dict:

@@ -10,6 +10,14 @@ domain.  Every grid is validated on construction: its smoothed density is
 evaluated at ``4 * order`` points per axis by one inverse FFT down the
 ``order + 1`` nonnegative-frequency columns and one real inverse FFT along
 the rows, which suffices because the density is real.
+
+Independent phases give the rank-one grid ``outer(h, v)``.
+``product_channel`` and ``joint_from_marginals`` run the same checks on it,
+except that when both factors are exactly Hermitian the smoothed density is
+``f_h[k] * f_v[l]`` for the factors' real 1-D Fejer series on the same
+points, so its minimum is the least of the four products of their extremes:
+two length-``4 * order`` transforms instead of the 2-D one.  Any other
+factor pair, and every other grid, takes the 2-D check.
 """
 
 from __future__ import annotations
@@ -72,6 +80,10 @@ class TorusSpectrum:
     distributions, so the check convolves with the nonnegative triangular
     (Fejer) kernel, which is nonnegative for every genuine distribution and
     still rejects grids that are not characteristic coefficients at all.
+    Spectra that ``product_channel`` and ``joint_from_marginals`` build from
+    two exactly Hermitian factors take that minimum from the factors' 1-D
+    series (see the module docstring); every other grid, including one
+    passed here directly, is checked in 2-D.
     """
 
     order: int
@@ -79,27 +91,7 @@ class TorusSpectrum:
     role: str = "channel"
 
     def __post_init__(self):
-        order = _check_order(self.order)
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        side = 2 * order + 1
-        if coeffs.shape != (side, side):
-            raise ValueError(f"coeffs must have shape {(side, side)}")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coeffs must be finite")
-        if self.role not in _ROLES:
-            raise ValueError(f"role must be one of {_ROLES}")
-        if abs(coeffs[order, order] - 1.0) > _HERMITIAN_TOL:
-            raise ValueError("the coefficient at the origin must equal 1")
-        hermitian_gap = float(np.max(np.abs(np.conj(np.flip(coeffs)) - coeffs)))
-        if hermitian_gap > _HERMITIAN_TOL:
-            raise ValueError(f"coefficients are not Hermitian: gap {hermitian_gap:.3e}")
-        magnitudes = np.abs(coeffs)
-        if float(magnitudes.max()) > 1.0 + _MAGNITUDE_TOL:
-            raise ValueError("coefficient magnitudes must not exceed 1")
-        low = _smoothed_min(order, coeffs)
-        if low < -EPS_GIBBS:
-            raise ValueError(f"reconstructed density dips to {low:.3e}; not a distribution")
-        coeffs.setflags(write=False)
+        order, coeffs = _checked_grid(self.order, self.coeffs, self.role)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -108,6 +100,61 @@ class TorusSpectrum:
         if abs(m) > self.order or abs(n) > self.order:
             raise ValueError("frequency outside the truncation order")
         return complex(self.coeffs[m + self.order, n + self.order])
+
+
+def _checked_grid(order, coeffs, role: str, factors=None) -> tuple[int, np.ndarray]:
+    """Every spectrum invariant; returns the order and a read-only grid.
+
+    ``factors`` is ``(h, v)`` when the grid is ``np.outer(h, v)``: if both
+    are exactly Hermitian, the density minimum comes from their 1-D series.
+    """
+    order = _check_order(order)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    side = 2 * order + 1
+    if coeffs.shape != (side, side):
+        raise ValueError(f"coeffs must have shape {(side, side)}")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("coeffs must be finite")
+    if role not in _ROLES:
+        raise ValueError(f"role must be one of {_ROLES}")
+    if abs(coeffs[order, order] - 1.0) > _HERMITIAN_TOL:
+        raise ValueError("the coefficient at the origin must equal 1")
+    hermitian_gap = float(np.max(np.abs(np.conj(np.flip(coeffs)) - coeffs)))
+    if hermitian_gap > _HERMITIAN_TOL:
+        raise ValueError(f"coefficients are not Hermitian: gap {hermitian_gap:.3e}")
+    magnitudes = np.abs(coeffs)
+    if float(magnitudes.max()) > 1.0 + _MAGNITUDE_TOL:
+        raise ValueError("coefficient magnitudes must not exceed 1")
+    if factors is not None and all(np.array_equal(np.conj(s[::-1]), s) for s in factors):
+        low = _product_min(order, *factors)
+    else:
+        low = _smoothed_min(order, coeffs)
+    if low < -EPS_GIBBS:
+        raise ValueError(f"reconstructed density dips to {low:.3e}; not a distribution")
+    coeffs.setflags(write=False)
+    return order, coeffs
+
+
+def _product_spectrum(h: np.ndarray, v: np.ndarray) -> TorusSpectrum:
+    """Channel spectrum of the rank-one grid ``np.outer(h, v)``."""
+    order, coeffs = _checked_grid((h.size - 1) // 2, np.outer(h, v), "channel", factors=(h, v))
+    # Every check has run: fill the frozen fields without a second one.
+    spectrum = object.__new__(TorusSpectrum)
+    for name, value in (("order", order), ("coeffs", coeffs), ("role", "channel")):
+        object.__setattr__(spectrum, name, value)
+    return spectrum
+
+
+def _product_min(order: int, h: np.ndarray, v: np.ndarray) -> float:
+    # Under the tensor Fejer weights the smoothed density of outer(h, v) at
+    # grid point (k, l) is f_h[k] * f_v[l] on the P points _smoothed_min
+    # uses; f_h and f_v are real because h and v are Hermitian, so the least
+    # product is one of the four products of their extremes.
+    points = max(4 * order, 8)
+    weights = 1.0 - np.arange(order + 1) / (order + 1.0)
+    f_h, f_v = np.fft.irfft(np.stack([h[order:], v[order:]]) * weights, n=points, axis=1)
+    low = min(a * b for a in (f_h.min(), f_h.max()) for b in (f_v.min(), f_v.max()))
+    return float(low) * points**2 / (2.0 * np.pi) ** 2
 
 
 def _smoothed_min(order: int, coeffs: np.ndarray) -> float:
@@ -160,23 +207,39 @@ def from_wrapped(family, order: int) -> np.ndarray:
 
     Returns the ``2*order + 1`` coefficients at frequencies
     ``-order .. order``, sampled from the continuous characteristic function
-    of the unwrapped law.
+    of the unwrapped law.  Every parameter must be finite, and so must the
+    mean or angle times ``order``; a ``ValueError`` names the one that is not.
     """
     order = _check_order(order)
     m = np.arange(-order, order + 1)
+    # A scale whose product with m or m**2 passes the float range gives the
+    # coefficient's limit exp(-inf) = 0.
     if isinstance(family, WrappedGaussian):
-        if family.sigma2 < 0.0:
-            raise ValueError("sigma2 must be nonnegative")
-        return np.exp(1j * m * family.mean - family.sigma2 * m.astype(float) ** 2 / 2.0)
+        _check_parameters(family, order, "mean", "sigma2")
+        with np.errstate(over="ignore"):
+            return np.exp(1j * m * family.mean - family.sigma2 * m.astype(float) ** 2 / 2.0)
     if isinstance(family, WrappedCauchy):
-        if family.gamma < 0.0:
-            raise ValueError("gamma must be nonnegative")
-        return np.exp(1j * m * family.mean - family.gamma * np.abs(m))
+        _check_parameters(family, order, "mean", "gamma")
+        with np.errstate(over="ignore"):
+            return np.exp(1j * m * family.mean - family.gamma * np.abs(m))
     if isinstance(family, UniformPhase):
         return (m == 0).astype(complex)
     if isinstance(family, PointPhase):
+        _check_parameters(family, order, "angle")
         return np.exp(1j * m * family.angle)
     raise ValueError(f"unknown circular family: {family!r}")
+
+
+def _check_parameters(family, order: int, angle: str, scale: str | None = None) -> None:
+    """Finite parameters, a nonnegative scale, and finite angles ``m * angle``."""
+    for name in (angle, scale) if scale else (angle,):
+        value = getattr(family, name)
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not np.isfinite(order * float(getattr(family, angle))):
+        raise ValueError(f"{angle} times the order {order} is not finite")
+    if scale and getattr(family, scale) < 0.0:
+        raise ValueError(f"{scale} must be nonnegative")
 
 
 def _validate_sequence(seq) -> np.ndarray:
@@ -196,8 +259,7 @@ def product_channel(h_marginal, v_marginal) -> TorusSpectrum:
     v = _validate_sequence(v_marginal)
     if h.size != v.size:
         raise ValueError("marginal sequences must share one order")
-    order = (h.size - 1) // 2
-    return TorusSpectrum(order, np.outer(h, v), role="channel")
+    return _product_spectrum(h, v)
 
 
 def from_grid(pdf_samples, order: int, role: str = "channel") -> TorusSpectrum:
@@ -225,9 +287,7 @@ def from_grid(pdf_samples, order: int, role: str = "channel") -> TorusSpectrum:
 
 def joint_from_marginals(input_family, output_family, order: int) -> TorusSpectrum:
     """Joint law of independent input and output phases."""
-    i_seq = from_wrapped(input_family, order)
-    o_seq = from_wrapped(output_family, order)
-    return TorusSpectrum(order, np.outer(i_seq, o_seq), role="channel")
+    return _product_spectrum(from_wrapped(input_family, order), from_wrapped(output_family, order))
 
 
 def degradation_coeffs(joint: TorusSpectrum, order: int | None = None) -> TorusSpectrum:

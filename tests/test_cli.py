@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -204,8 +205,39 @@ class TestNoiseCommands:
         error = json.loads(captured.err)["error"]
         assert error == {"type": "ValueError", "message": f"zeta must be finite, got {float(zeta)!r}"}
 
+    def test_cf_large_zeta(self, capsys, tmp_path):
+        # The zero profile gives 0 at any finite zeta; -zeta**2 / 2 past the
+        # float range is an input error.  Warnings would turn into exit 3.
+        zero = write(tmp_path / "zero.json", noise.to_json_dict(noise.gaussian(0.0)))
+        unit = write(tmp_path / "unit.json", noise.to_json_dict(noise.gaussian(1.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc, err = run_json(capsys, ["noise", "cf", "--profile", zero, "--zeta", "1e155",
+                                               "--zeta", "1e300"])
+            assert (code, err) == (0, "")
+            assert doc["result"]["log_cf"] == [{"zeta": 1e155, "re": 0.0, "im": 0.0},
+                                               {"zeta": 1e300, "re": 0.0, "im": 0.0}]
+            code = run(["noise", "cf", "--profile", unit, "--zeta", "1e200"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        error = json.loads(captured.err)["error"]
+        assert error == {"type": "ValueError", "message": "log_cf at zeta=1e+200 exceeds the float range"}
+
 
 class TestPhaseCommands:
+    @pytest.mark.parametrize(
+        "spec, message",
+        [("wgauss:0:inf", "sigma2 must be finite, got inf"), ("wcauchy:nan:1", "mean must be finite, got nan"),
+         ("point:-inf", "angle must be finite, got -inf")],
+    )
+    def test_build_rejects_non_finite_parameter(self, capsys, spec, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["phase", "build", "--h-phase", spec, "--v-phase", "uniform", "--order", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
+
     def test_build_degrade_strict(self, capsys, tmp_path):
         channel_path = tmp_path / "channel.json"
         code = run(

@@ -1,4 +1,6 @@
 import cmath
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +179,35 @@ class TestLogCf:
     def test_non_finite_zeta_rejected(self, zeta):
         with pytest.raises(ValueError, match="zeta must be finite"):
             log_cf(gaussian(1.0), zeta)
+
+    @pytest.mark.parametrize("zeta", [1e154, 1e155, 1e300, -1e300, 1.7e308])
+    def test_zero_profile_is_zero_at_any_finite_zeta(self, zeta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_cf(gaussian(0.0), zeta) == 0.0
+
+    def test_large_zeta_in_range(self):
+        # zeta**2 overflows at 1.5e154, but -zeta**2 / 2 does not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = log_cf(gaussian(1.0), 1.5e154)
+            assert value.imag == 0.0
+            assert value.real == pytest.approx(-1.125e308, rel=1e-12)
+            # Off the origin the integrand is (exp(j zeta) - 1 - j zeta) at u = 1.
+            value = log_cf(atom(1.0, 1.0), 1e200)
+            assert value.imag == pytest.approx(-1e200, rel=1e-12)
+            assert -2.0 <= value.real <= 0.0
+
+    @pytest.mark.parametrize(
+        "profile, zeta",
+        [(gaussian(1.0), 1e155), (gaussian(1.0), -1e200), (atom(10.0, 1.0), 1e308)],
+        ids=["value-overflows", "value-overflows-negative", "zeta-times-support-overflows"],
+    )
+    def test_out_of_range_rejected(self, profile, zeta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"zeta={zeta!r}")):
+                log_cf(profile, zeta)
 
     def test_spectral_profile_rejected(self):
         with pytest.raises(ValueError, match="noise_K"):

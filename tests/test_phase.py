@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,37 @@ class TestFromWrapped:
             from_wrapped(WrappedGaussian(0.0, -1.0), 3)
         with pytest.raises(ValueError):
             from_wrapped(WrappedCauchy(0.0, -0.5), 3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "family, name",
+        [
+            (lambda x: WrappedGaussian(x, 1.0), "mean"),
+            (lambda x: WrappedGaussian(0.0, x), "sigma2"),
+            (lambda x: WrappedCauchy(x, 1.0), "mean"),
+            (lambda x: WrappedCauchy(0.0, x), "gamma"),
+            (PointPhase, "angle"),
+        ],
+        ids=["wgauss-mean", "wgauss-sigma2", "wcauchy-mean", "wcauchy-gamma", "point-angle"],
+    )
+    def test_non_finite_parameter_rejected(self, family, name, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+                from_wrapped(family(value), 2)
+
+    def test_scale_past_the_float_range_is_the_uniform_limit(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for family in (WrappedGaussian(0.5, 1e308), WrappedCauchy(0.5, 1e308)):
+                assert np.array_equal(from_wrapped(family, 3), from_wrapped(UniformPhase(), 3))
+
+    def test_angle_multiple_past_the_float_range_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            from_wrapped(PointPhase(1e308), 1)
+            with pytest.raises(ValueError, match="angle times the order 2 is not finite"):
+                from_wrapped(PointPhase(1e308), 2)
 
 
 class TestProductChannel:
@@ -442,6 +474,122 @@ class TestFourierReferences:
             for j, n in enumerate(range(-order, order + 1)):
                 expected[i, j] = joint.coefficient(m, m + n)
         assert np.array_equal(degradation_coeffs(joint, order).coeffs, expected)
+
+
+def hermitian_sequence(rng, order, spread):
+    # Unit at the origin with off-origin magnitudes summing to ``spread``
+    # (each at most 1): the Fejer series stays positive below spread 1/2 and
+    # may dip below zero past it.
+    tail = rng.standard_normal(order) + 1j * rng.standard_normal(order)
+    tail *= spread / np.abs(tail).sum()
+    tail /= max(1.0, np.abs(tail).max())
+    return np.concatenate([np.conj(tail[::-1]), [1.0], tail])
+
+
+def wrapped_family(rng):
+    kind = int(rng.integers(4))
+    mean = float(rng.uniform(-np.pi, np.pi))
+    if kind == 0:
+        return WrappedGaussian(mean, float(rng.uniform(0.0, 3.0)))
+    if kind == 1:
+        return WrappedCauchy(mean, float(rng.uniform(0.0, 2.0)))
+    return PointPhase(mean) if kind == 2 else UniformPhase()
+
+
+def validation_outcome(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def is_hermitian(seq):
+    return np.array_equal(np.conj(seq[::-1]), seq)
+
+
+class TestRankOneRule:
+    # product_channel and joint_from_marginals decide a grid outer(h, v) with
+    # exactly Hermitian factors from the factors' 1-D Fejer series; every
+    # other grid goes through the 2-D check.
+    def test_factor_rule_matches_the_two_dimensional_check(self):
+        rng = np.random.default_rng(2020)
+        outcomes = {"accepted": 0, "density": 0, "fallback": 0}
+        for order in range(1, 65):
+            wrapped = [from_wrapped(wrapped_family(rng), order) for _ in range(6)]
+            loose = [hermitian_sequence(rng, order, rng.uniform(0.0, 3.0)) for _ in range(3)]
+            twist = np.exp(1j * rng.uniform(-np.pi, np.pi))
+            pairs = [
+                (wrapped[0], wrapped[1]),
+                (wrapped[2], wrapped[3]),
+                (loose[0], wrapped[4]),
+                (wrapped[5], loose[1]),
+                (loose[1], loose[2]),
+                # Not Hermitian, with a Hermitian outer product.
+                (1j * wrapped[0], -1j * wrapped[1]),
+                (twist * loose[0], np.conj(twist) * wrapped[4]),
+            ]
+            for h, v in pairs:
+                coeffs = np.outer(h, v)
+                expected = validation_outcome(lambda: TorusSpectrum(order, coeffs))
+                assert validation_outcome(lambda: product_channel(h, v)) == expected, (order, expected)
+                if is_hermitian(h) and is_hermitian(v):
+                    low = phase._product_min(order, h, v)
+                    assert abs(low - phase._smoothed_min(order, coeffs)) <= 1e-12
+                else:
+                    outcomes["fallback"] += 1
+                if expected == "accepted":
+                    outcomes["accepted"] += 1
+                else:
+                    assert expected.startswith("reconstructed density dips to"), expected
+                    outcomes["density"] += 1
+        # Every wrapped and loose factor took the 1-D rule; only the two
+        # twisted pairs per order fell back.
+        assert outcomes["fallback"] == 2 * 64, outcomes
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_built_spectrum_matches_the_constructor(self):
+        order = 5
+        h = from_wrapped(WrappedGaussian(0.4, 0.3), order)
+        v = from_wrapped(WrappedCauchy(-1.2, 0.1), order)
+        expected = TorusSpectrum(order, np.outer(h, v))
+        for built in (product_channel(h, v), joint_from_marginals(WrappedGaussian(0.4, 0.3),
+                                                                  WrappedCauchy(-1.2, 0.1), order)):
+            assert (built.order, built.role) == (expected.order, expected.role)
+            assert type(built.order) is int
+            assert built.coeffs.tobytes() == expected.coeffs.tobytes()
+            assert not built.coeffs.flags.writeable
+            with pytest.raises(AttributeError):
+                built.role = "degradation"
+
+    def test_two_dimensional_check_runs_off_the_rule_only(self, monkeypatch):
+        calls = []
+        smoothed_min = phase._smoothed_min
+        monkeypatch.setattr(
+            phase, "_smoothed_min", lambda order, coeffs: calls.append(order) or smoothed_min(order, coeffs)
+        )
+
+        def checks(build):
+            calls.clear()
+            build()
+            return len(calls)
+
+        order = 4
+        families = [WrappedGaussian(0.3, 0.5), WrappedCauchy(-1.0, 0.2), PointPhase(0.7), UniformPhase()]
+        for a in families:
+            for b in families:
+                assert checks(lambda: product_channel(from_wrapped(a, order), from_wrapped(b, order))) == 0
+                assert checks(lambda: joint_from_marginals(a, b, 2 * order)) == 0
+        h, v = from_wrapped(families[0], order), from_wrapped(families[1], order)
+        channel = product_channel(h, v)
+        joint = joint_from_marginals(families[2], families[1], 2 * order)
+        grid = degradation_coeffs(joint, order)
+        assert checks(lambda: product_channel(1j * h, -1j * v)) == 1
+        assert checks(lambda: phase.from_json_dict(phase.to_json_dict(channel))) == 1
+        assert checks(lambda: from_grid(np.ones((8, 8)), order)) == 1
+        assert checks(lambda: degrade(channel, grid)) == 1
+        assert checks(lambda: degradation_coeffs(joint, order)) == 1
+        assert checks(lambda: TorusSpectrum(order, channel.coeffs)) == 1
 
 
 class TestDocumentCodec:
