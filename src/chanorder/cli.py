@@ -115,7 +115,8 @@ def load_document(path: str) -> ChannelDocument:
     """Load any supported channel document, dispatching on its type tag."""
     obj = _read_json(path)
     kind = obj.get("type")
-    loader = _LOADERS.get(kind)
+    # A tag that is not a string (a list, say) is unknown, not unhashable.
+    loader = _LOADERS.get(kind) if isinstance(kind, str) else None
     if loader is None:
         raise ValueError(f"{path}: unknown document type {kind!r}")
     meta = obj.get("metadata", {}) if isinstance(obj.get("metadata"), dict) else {}

@@ -82,7 +82,7 @@ class EnumerationTooLargeError(ValueError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StochasticMatrix:
     """Row-stochastic matrix of transition probabilities, inputs x outputs.
 
@@ -172,7 +172,7 @@ class DeterministicPair:
             raise ValueError("output_map addresses a missing degraded output")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InclusionWitness:
     """Convex mixture of deterministic pairs reproducing the worse channel."""
 
@@ -184,7 +184,7 @@ class InclusionWitness:
         return degrade(better, self.pairs, self.weights, n_outputs=n_outputs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InclusionDecision:
     """Result of an inclusion query: a witness or a separating functional."""
 

@@ -12,7 +12,7 @@ Dvoretzky-Kiefer-Wolfowitz confidence band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import log, sqrt
 
 import numpy as np
@@ -55,12 +55,13 @@ PADDING_CONVENTION = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianChannel:
     """Channel matrix plus full-rank noise covariance, outputs x inputs."""
 
     H: np.ndarray
     Sigma: np.ndarray
+    spectrum: SingularSpectrum = field(init=False, repr=False)
 
     def __post_init__(self):
         h = np.asarray(self.H, dtype=float)
@@ -70,16 +71,17 @@ class GaussianChannel:
         if sigma.ndim != 2 or sigma.shape != (h.shape[0], h.shape[0]):
             raise ValueError("Sigma must be square with one row per channel output")
         try:
-            inverse_sqrt_spd(sigma)
+            whitener = inverse_sqrt_spd(sigma)
         except ValueError as exc:
             raise ValueError(f"Sigma: {exc}") from None
         h.setflags(write=False)
         sigma.setflags(write=False)
         object.__setattr__(self, "H", h)
         object.__setattr__(self, "Sigma", sigma)
+        object.__setattr__(self, "spectrum", SingularSpectrum(singular_values(whitener @ h)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingularSpectrum:
     """Sorted nonincreasing singular values of a whitened channel."""
 
@@ -119,12 +121,12 @@ class EquivalenceReport:
 def canonicalize(channel: GaussianChannel) -> SingularSpectrum:
     """Sorted singular values of the noise-whitened channel matrix.
 
-    Invariant under admissible input/output processing (orthonormal-row
-    input matrices and left-invertible output matrices), so it identifies
-    the channel's equivalence class.
+    Computed once, when the channel is built, with the whitener that
+    validates ``Sigma``.  Invariant under admissible processing (input
+    matrices with orthonormal rows, left-invertible output matrices), so it
+    identifies the channel's equivalence class.
     """
-    whitener = inverse_sqrt_spd(channel.Sigma)
-    return SingularSpectrum(singular_values(whitener @ channel.H))
+    return channel.spectrum
 
 
 def spectrum_includes(
@@ -151,7 +153,7 @@ def includes(
     tolerance: float = 1e-9,
 ) -> SpectrumOrderDecision:
     """Decide inclusion between two channels via their canonical spectra."""
-    return spectrum_includes(canonicalize(better), canonicalize(worse), tolerance)
+    return spectrum_includes(better.spectrum, worse.spectrum, tolerance)
 
 
 def _pad_pair(a: SingularSpectrum, b: SingularSpectrum) -> tuple[np.ndarray, np.ndarray]:
@@ -162,15 +164,13 @@ def _pad_pair(a: SingularSpectrum, b: SingularSpectrum) -> tuple[np.ndarray, np.
 def lub(a: SingularSpectrum, b: SingularSpectrum) -> SingularSpectrum:
     """Element-wise maximum; max of two sorted vectors stays sorted."""
     va, vb = _pad_pair(a, b)
-    out = np.maximum(va, vb)
-    return SingularSpectrum(out)
+    return SingularSpectrum(np.maximum(va, vb))
 
 
 def glb(a: SingularSpectrum, b: SingularSpectrum) -> SingularSpectrum:
     """Element-wise minimum; min of two sorted vectors stays sorted."""
     va, vb = _pad_pair(a, b)
-    out = np.minimum(va, vb)
-    return SingularSpectrum(out)
+    return SingularSpectrum(np.minimum(va, vb))
 
 
 def verify_equivalence_transform(
@@ -211,7 +211,7 @@ def verify_equivalence_transform(
     except ValueError:
         return EquivalenceReport(False, condition="transformed noise covariance not positive definite")
 
-    original, moved = _pad_pair(canonicalize(channel), canonicalize(transformed))
+    original, moved = _pad_pair(channel.spectrum, transformed.spectrum)
     deviation = float(np.max(np.abs(moved - original)))
     if deviation > tolerance:
         return EquivalenceReport(False, condition="canonical spectra differ", max_deviation=deviation)
@@ -256,7 +256,7 @@ class GaussianEntries:
             raise ValueError("scale must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HaarRotated:
     """Sampler: fresh orthogonal factors on both sides of a fixed matrix."""
 
@@ -269,7 +269,7 @@ class HaarRotated:
         object.__setattr__(self, "base", base)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExplicitMatrices:
     """Sampler: a user-supplied list of channel matrices, used in order."""
 
@@ -282,7 +282,7 @@ class ExplicitMatrices:
         object.__setattr__(self, "matrices", mats)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingularEnsemble:
     """I.i.d. samples of sorted singular-value vectors."""
 

@@ -84,7 +84,7 @@ def default_grid() -> np.ndarray:
     return np.linspace(-_DEFAULT_U_MAX, _DEFAULT_U_MAX, _DEFAULT_POINTS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonotoneProfile:
     """Nondecreasing bounded representation of an infinitely divisible noise.
 
@@ -309,6 +309,8 @@ def from_json_dict(obj: dict) -> MonotoneProfile:
     if obj.get("type") != "kfunction":
         raise ValueError("expected a document with type 'kfunction'")
     spec = obj["grid"]
+    if not isinstance(spec, dict):
+        raise ValueError(f"grid must be an object with min, max and points, got {spec!r}")
     density = _number_array(obj["density"], "density")
     points = spec["points"]
     if isinstance(points, bool) or not isinstance(points, Integral) or points != density.size:
@@ -319,7 +321,14 @@ def from_json_dict(obj: dict) -> MonotoneProfile:
     bounds = spec["min"], spec["max"]
     if any(isinstance(v, bool) or not isinstance(v, Real) for v in bounds):
         raise ValueError(f"grid.min and grid.max must be numbers, got {bounds!r}")
-    grid = np.linspace(float(bounds[0]), float(bounds[1]), int(points))
+    try:
+        low, high = float(bounds[0]), float(bounds[1])
+    except OverflowError:  # an integer past the float range
+        low = high = np.inf
+    # Checked before np.linspace, which warns on a span that is not finite.
+    if not np.isfinite(high - low):
+        raise ValueError("grid needs at least two finite points")
+    grid = np.linspace(low, high, int(points))
     pairs = _number_array(obj.get("atoms", []), "atoms")
     atoms = tuple((float(loc), float(mass)) for loc, mass in pairs)
     return MonotoneProfile(

@@ -68,7 +68,7 @@ def _check_order(order) -> int:
     return order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorusSpectrum:
     """Truncated characteristic-function grid of a torus distribution.
 

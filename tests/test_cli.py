@@ -393,6 +393,28 @@ class TestLgcCommands:
         assert code == 1
         assert doc["result"]["condition"] == "singular values of B not all 1"
 
+    @pytest.mark.parametrize("command, built", [
+        ("canon", 1), ("check", 2), ("lub", 2), ("glb", 2), ("verify-equiv", 2),
+    ])
+    def test_one_whitening_per_channel(self, capsys, monkeypatch, tmp_path, channels,
+                                       command, built):
+        # verify-equiv builds the transformed channel besides the loaded one.
+        a, b = channels
+        rot = write(tmp_path / "rot.json", {"type": "matrix", "matrix": [[0.0, -1.0], [1.0, 0.0]]})
+        files = {
+            "canon": ["--channel", a],
+            "check": ["--better", a, "--worse", b],
+            "lub": [a, b],
+            "glb": [a, b],
+            "verify-equiv": ["--channel", a, "--b-matrix", rot, "--c-matrix", rot],
+        }[command]
+        calls = []
+        whiten = lgc.inverse_sqrt_spd
+        monkeypatch.setattr(lgc, "inverse_sqrt_spd", lambda m: calls.append(m) or whiten(m))
+        code, _, _ = run_json(capsys, ["lgc", command, *files])
+        assert code in (0, 1)
+        assert len(calls) == built
+
     @pytest.mark.parametrize("command", ["check", "verify-equiv"])
     @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
     def test_bad_tolerance_exits_two(self, capsys, tmp_path, channels, command, tolerance):
@@ -505,6 +527,52 @@ def test_parser_for_the_named_group_reads_like_the_full_parser(argv):
     """``run`` builds subcommand parsers only for the group its arguments
     name; help and usage errors are byte-identical to the full parser's."""
     assert _parse(cli.build_parser(argv), argv) == _parse(cli.build_parser(), argv)
+
+
+# Bad documents that once reached numpy or a dict lookup before validation.
+# Each must exit 2 with the one-line JSON error as all of stderr, and no
+# numpy warning.
+_GAUSSIAN_DOC = noise.to_json_dict(noise.gaussian(1.0))
+_NOISE_ARGV = {
+    "check": lambda path: ["noise", "check", "--better", path, "--worse", path],
+    "lub": lambda path: ["noise", "lub", path, path],
+    "cf": lambda path: ["noise", "cf", "--profile", path, "--zeta", "1.0"],
+    "variance": lambda path: ["noise", "variance", "--profile", path],
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", _NOISE_ARGV)
+@pytest.mark.parametrize("grid, message", [
+    ({"max": float("inf")}, "grid needs at least two finite points"),
+    ({"min": float("-inf")}, "grid needs at least two finite points"),
+    ({"max": float("nan")}, "grid needs at least two finite points"),
+    ({"min": -1e308, "max": 1e308}, "grid needs at least two finite points"),
+    ({"max": 10**400}, "grid needs at least two finite points"),
+    (1.5, "grid must be an object with min, max and points, got 1.5"),
+    ([-1.0, 1.0], "grid must be an object with min, max and points, got [-1.0, 1.0]"),
+], ids=["max-inf", "min-inf", "max-nan", "span-overflow", "huge-int", "float", "list"])
+def test_bad_kfunction_grid_exits_two(capsys, tmp_path, command, grid, message):
+    doc = dict(_GAUSSIAN_DOC)
+    doc["grid"] = {**doc["grid"], **grid} if isinstance(grid, dict) else grid
+    code = run(_NOISE_ARGV[command](write(tmp_path / "k.json", doc)))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", [[], {}, 1, None], ids=["list", "object", "number", "null"])
+def test_non_string_document_type_exits_two(capsys, tmp_path, kind):
+    path = write(tmp_path / "doc.json", {**lgc.to_json_dict(lgc.GaussianChannel(np.eye(2), np.eye(2))),
+                                        "type": kind})
+    code = run(["lgc", "check", "--better", path, "--worse", path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"] == {
+        "type": "ValueError", "message": f"{path}: unknown document type {kind!r}"}
 
 
 class TestErrorsAndFormats:

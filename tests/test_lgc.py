@@ -21,7 +21,7 @@ from chanorder.lgc import (
     spectrum_includes,
     verify_equivalence_transform,
 )
-from chanorder.numerics import singular_values
+from chanorder.numerics import inverse_sqrt_spd, singular_values
 from conftest import rotated_copies
 
 
@@ -51,6 +51,34 @@ class TestCanonicalize:
     def test_requires_spd_noise(self):
         with pytest.raises(ValueError, match="positive definite"):
             GaussianChannel(np.eye(2), np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("outputs", range(1, 9))
+    def test_spectrum_is_the_whitened_singular_values(self, outputs):
+        rng = np.random.default_rng([21, outputs])
+        for inputs in (1, outputs, outputs + 3):
+            h, sigma = rng.standard_normal((outputs, inputs)), random_spd(rng, outputs)
+            expected = singular_values(inverse_sqrt_spd(sigma) @ h)
+            assert canonicalize(GaussianChannel(h, sigma)).values.tobytes() == expected.tobytes()
+
+    def test_one_whitening_per_channel(self, monkeypatch):
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix)
+            return inverse_sqrt_spd(matrix)
+
+        monkeypatch.setattr(lgc, "inverse_sqrt_spd", counted)
+        rng = np.random.default_rng(5)
+        a = GaussianChannel(rng.standard_normal((3, 2)), random_spd(rng, 3))
+        b = GaussianChannel(rng.standard_normal((2, 4)), random_spd(rng, 2))
+        assert len(calls) == 2
+        assert canonicalize(a) is canonicalize(a)
+        includes(a, b)
+        includes(b, a)
+        assert len(calls) == 2
+        # The transformed channel is the one more channel built.
+        assert verify_equivalence_transform(a, rotation(0.3), 2.0 * np.eye(3)).equivalent
+        assert len(calls) == 3
 
 
 class TestIncludes:
@@ -148,8 +176,6 @@ class TestVerifyEquivalence:
         assert report.equivalent
 
     def test_whitening_step(self):
-        from chanorder.numerics import inverse_sqrt_spd
-
         rng = np.random.default_rng(2)
         sigma = random_spd(rng, 3)
         channel = GaussianChannel(rng.standard_normal((3, 3)), sigma)
