@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from importlib import import_module
@@ -162,12 +163,17 @@ def _result_doc(command: str, parameters: dict, conventions: list[str], result: 
 
 
 def _emit(args, document: dict, table) -> None:
-    if args.format == "csv":
-        if table is None:
-            raise UsageError("csv output is only available for grid or table results")
-        text = "\n".join(",".join(_cell(v) for v in row) for row in table()) + "\n"
-    else:
-        text = _dumps(document) + "\n"
+    if args.format == "csv" and table is None:
+        raise UsageError("csv output is only available for grid or table results")
+    try:
+        if args.format == "csv":
+            text = "\n".join(",".join(_cell(v) for v in row) for row in table()) + "\n"
+        else:
+            text = _dumps(document) + "\n"
+    except ValueError as exc:
+        # A NaN or an infinity in a result is an internal failure (exit 3),
+        # not bad input, and nothing is written.
+        raise FloatingPointError(f"result is not finite: {exc}") from exc
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -175,18 +181,20 @@ def _emit(args, document: dict, table) -> None:
         sys.stdout.write(text)
 
 
-_encode = json.JSONEncoder().encode
+# Strict JSON: NaN and the infinities raise ValueError instead of printing.
+_encode = json.JSONEncoder(allow_nan=False).encode
 _NUMBERS = frozenset({int, float, bool})
 
 
 def _dumps(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)``, byte for byte.
+    """``json.dumps(value, indent=2, allow_nan=False)``, byte for byte.
 
-    A list of numbers, or a list of nonempty lists of numbers, goes to the C
-    encoder in one call, and the line breaks and indents are put back by
-    string replacement: a number's JSON text holds no ``", "`` and no
-    bracket.  Everything else is written recursively.  Keys are strings, as
-    in every document the commands build.
+    So a NaN or an infinity anywhere raises ValueError.  A list of numbers,
+    or a list of nonempty lists of numbers, goes to the C encoder in one
+    call, and the line breaks and indents are put back by string
+    replacement: a number's JSON text holds no ``", "`` and no bracket.
+    Everything else is written recursively.  Keys are strings, as in every
+    document the commands build.
     """
     inner = indent + "  "
     if isinstance(value, dict):
@@ -210,6 +218,8 @@ def _dumps(value, indent: str = "") -> str:
 
 def _cell(value) -> str:
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"{value!r} in a table")
         return repr(float(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))

@@ -157,16 +157,23 @@ def _aligned(a: MonotoneProfile, b: MonotoneProfile):
     """Both profiles on shared abscissae: ``(grid, da, db, locations, ma, mb)``.
 
     The densities are interpolated onto the union grid (linear, so they stay
-    nonnegative; zero outside each profile's span).  The atoms pair
-    one-to-one by a sorted merge: two atoms within ``ATOM_LOCATION_TOL`` form
-    one site at the smaller of their locations, and an unpaired atom faces
-    mass 0.  The sites stay more than the tolerance apart.
+    nonnegative; zero outside each profile's span).  Two profiles on
+    bitwise-equal grids skip that: the union is their grid and each density
+    is its own, exactly what the interpolation returns there.  (Grids that
+    differ only in the sign of a zero take the union, which may keep either
+    zero.)  The atoms pair one-to-one by a sorted merge: two atoms within
+    ``ATOM_LOCATION_TOL`` form one site at the smaller of their locations,
+    and an unpaired atom faces mass 0.  The sites stay more than the
+    tolerance apart.
     """
     if a.flag != b.flag:
         raise ValueError(f"interpretation flags differ: {a.flag!r} vs {b.flag!r}")
-    grid = np.union1d(a.grid, b.grid)
-    da = np.interp(grid, a.grid, a.density, left=0.0, right=0.0)
-    db = np.interp(grid, b.grid, b.density, left=0.0, right=0.0)
+    if a.grid.tobytes() == b.grid.tobytes():
+        grid, da, db = a.grid, a.density, b.density
+    else:
+        grid = np.union1d(a.grid, b.grid)
+        da = np.interp(grid, a.grid, a.density, left=0.0, right=0.0)
+        db = np.interp(grid, b.grid, b.density, left=0.0, right=0.0)
     sites: list[tuple[float, float, float]] = []
     i = j = 0
     while i < len(a.atoms) or j < len(b.atoms):

@@ -12,18 +12,24 @@ evaluated at ``4 * order`` points per axis by one inverse FFT down the
 the rows, which suffices because the density is real.
 
 Independent phases give the rank-one grid ``outer(h, v)``.
-``product_channel`` and ``joint_from_marginals`` run the same checks on it,
-except that when both factors are exactly Hermitian the smoothed density is
-``f_h[k] * f_v[l]`` for the factors' real 1-D Fejer series on the same
-points, so its minimum is the least of the four products of their extremes:
-two length-``4 * order`` transforms instead of the 2-D one.  Any other
-factor pair, and every other grid, takes the 2-D check.
+``product_channel`` and ``joint_from_marginals`` reach the same verdicts on
+it from its two factors when both are exactly Hermitian.  The smoothed
+density is then ``f_h[k] * f_v[l]`` for the factors' real 1-D Fejer series
+on the same points, so its minimum is the least of the four products of
+their extremes: two length-``4 * order`` transforms instead of the 2-D one.
+If also ``max|h| * max|v|``, widened by a few rounding errors, is within the
+magnitude bound, the grid's entries are finite and within that bound and
+the grid is Hermitian to rounding, so of the entrywise checks only the
+origin is read: O(order) work instead of O(order**2).  Any other factor
+pair, and every other grid, takes the full checks, with the same
+exceptions and messages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -81,9 +87,10 @@ class TorusSpectrum:
     (Fejer) kernel, which is nonnegative for every genuine distribution and
     still rejects grids that are not characteristic coefficients at all.
     Spectra that ``product_channel`` and ``joint_from_marginals`` build from
-    two exactly Hermitian factors take that minimum from the factors' 1-D
-    series (see the module docstring); every other grid, including one
-    passed here directly, is checked in 2-D.
+    two exactly Hermitian factors take that minimum, and when the factors'
+    magnitudes bound the grid's also the entrywise checks, from the factors
+    (see the module docstring); every other grid, including one passed here
+    directly, is checked entry by entry and in 2-D.
     """
 
     order: int
@@ -105,34 +112,62 @@ class TorusSpectrum:
 def _checked_grid(order, coeffs, role: str, factors=None) -> tuple[int, np.ndarray]:
     """Every spectrum invariant; returns the order and a read-only grid.
 
-    ``factors`` is ``(h, v)`` when the grid is ``np.outer(h, v)``: if both
-    are exactly Hermitian, the density minimum comes from their 1-D series.
+    ``factors`` is ``(h, v)`` when the grid is ``np.outer(h, v)``.  If both
+    are exactly Hermitian, the density minimum comes from their 1-D series,
+    and if also ``_bounded_product(h, v)`` holds, the entrywise checks of the
+    grid, which would pass, are skipped: only the origin is read.
     """
     order = _check_order(order)
     coeffs = np.asarray(coeffs, dtype=complex)
     side = 2 * order + 1
     if coeffs.shape != (side, side):
         raise ValueError(f"coeffs must have shape {(side, side)}")
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("coeffs must be finite")
-    if role not in _ROLES:
-        raise ValueError(f"role must be one of {_ROLES}")
-    if abs(coeffs[order, order] - 1.0) > _HERMITIAN_TOL:
-        raise ValueError("the coefficient at the origin must equal 1")
-    hermitian_gap = float(np.max(np.abs(np.conj(np.flip(coeffs)) - coeffs)))
-    if hermitian_gap > _HERMITIAN_TOL:
-        raise ValueError(f"coefficients are not Hermitian: gap {hermitian_gap:.3e}")
-    magnitudes = np.abs(coeffs)
-    if float(magnitudes.max()) > 1.0 + _MAGNITUDE_TOL:
-        raise ValueError("coefficient magnitudes must not exceed 1")
-    if factors is not None and all(np.array_equal(np.conj(s[::-1]), s) for s in factors):
-        low = _product_min(order, *factors)
+    rank_one = factors is not None and all(np.array_equal(np.conj(s[::-1]), s) for s in factors)
+    if rank_one and _bounded_product(*factors):
+        _check_origin(order, coeffs)
     else:
-        low = _smoothed_min(order, coeffs)
+        _check_entries(order, coeffs, role)
+    low = _product_min(order, *factors) if rank_one else _smoothed_min(order, coeffs)
     if low < -EPS_GIBBS:
         raise ValueError(f"reconstructed density dips to {low:.3e}; not a distribution")
     coeffs.setflags(write=False)
     return order, coeffs
+
+
+def _check_entries(order: int, coeffs: np.ndarray, role: str) -> None:
+    """The full-grid checks: finite, role, origin, Hermitian, magnitudes."""
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("coeffs must be finite")
+    if role not in _ROLES:
+        raise ValueError(f"role must be one of {_ROLES}")
+    _check_origin(order, coeffs)
+    hermitian_gap = float(np.max(np.abs(np.conj(np.flip(coeffs)) - coeffs)))
+    if hermitian_gap > _HERMITIAN_TOL:
+        raise ValueError(f"coefficients are not Hermitian: gap {hermitian_gap:.3e}")
+    if float(np.abs(coeffs).max()) > 1.0 + _MAGNITUDE_TOL:
+        raise ValueError("coefficient magnitudes must not exceed 1")
+
+
+def _check_origin(order: int, coeffs: np.ndarray) -> None:
+    if abs(coeffs[order, order] - 1.0) > _HERMITIAN_TOL:
+        raise ValueError("the coefficient at the origin must equal 1")
+
+
+# A complex product, and the modulus of it and of each factor, round by less
+# than this factor together.
+_PRODUCT_ROUNDING = 1.0 + 8.0 * np.finfo(float).eps
+
+
+def _bounded_product(h: np.ndarray, v: np.ndarray) -> bool:
+    # With exactly Hermitian factors, outer(h, v) passes every entrywise
+    # check when this holds: its entries are finite, their moduli stay
+    # within the magnitude tolerance, and entry (m, n) is computed as the
+    # exact conjugate of entry (-m, -n), whose gap is 0 (at most a few eps
+    # under any rounding) and far below _HERMITIAN_TOL.  A NaN or an infinity
+    # in a factor makes the product NaN or inf, so the test fails.  Python
+    # floats multiply inf by 0 without a numpy warning.
+    bound = float(np.abs(h).max()) * float(np.abs(v).max())
+    return bound * _PRODUCT_ROUNDING <= 1.0 + _MAGNITUDE_TOL
 
 
 def _product_spectrum(h: np.ndarray, v: np.ndarray) -> TorusSpectrum:
@@ -428,11 +463,10 @@ def wrapped_glb(a, b):
 
 def to_json_dict(spectrum: TorusSpectrum) -> dict:
     """JSON object for a spectrum file: row-major [re, im] pairs."""
-    flat = spectrum.coeffs.ravel()
     return {
         "type": "torus",
         "order": spectrum.order,
-        "coeffs": np.column_stack([flat.real, flat.imag]).tolist(),
+        "coeffs": spectrum.coeffs.ravel().view(float).reshape(-1, 2).tolist(),
         "role": spectrum.role,
     }
 
@@ -442,9 +476,33 @@ def from_json_dict(obj: dict) -> TorusSpectrum:
         raise ValueError("expected a document with type 'torus'")
     order = _check_order(obj["order"])
     side = 2 * order + 1
-    pairs = _number_array(obj["coeffs"], "coefficients")
+    pairs = _coefficient_pairs(obj["coeffs"])
     if pairs.shape != (side * side, 2):
         raise ValueError(f"coeffs must hold {side * side} [re, im] pairs for order {order}")
     # The complex view of the pairs keeps -0.0.
     coeffs = np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(side, side)
     return TorusSpectrum(order, coeffs, role=obj.get("role", "channel"))
+
+
+def _coefficient_pairs(rows) -> np.ndarray:
+    """The document's ``coeffs`` as numpy parses them; TypeError unless all are numbers.
+
+    A list of ``[re, im]`` float pairs, as ``to_json_dict`` writes and
+    ``json`` reads, takes one flat pass.  A list of pairs holding a boolean
+    is refused, also among numbers, where numpy would read it as 0 or 1.
+    Anything else (int entries, numpy arrays and scalars, ragged or nested
+    lists) is read by ``_number_array``, as every document parser reads its
+    arrays.
+    """
+    try:
+        pairs = type(rows) in (list, tuple) and set(map(len, rows)) == {2}
+    except TypeError:  # a row without a length, such as a number
+        pairs = False
+    if pairs:
+        flat = list(chain.from_iterable(rows))
+        kinds = set(map(type, flat))
+        if kinds <= {float}:
+            return np.array(flat, dtype=float).reshape(-1, 2)
+        if bool in kinds:
+            raise TypeError("coefficients must hold only numbers")
+    return _number_array(rows, "coefficients")

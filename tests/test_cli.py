@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -321,6 +322,19 @@ class TestPhaseCommands:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert json.loads(captured.err)["error"]["type"] in ("TypeError", "ValueError")
+
+    def test_boolean_coefficient_exits_two(self, capsys, tmp_path):
+        # numpy alone reads the origin's [true, 0.0] as [1.0, 0.0].
+        doc = phase.to_json_dict(phase.worst_channel(2))
+        doc["coeffs"][len(doc["coeffs"]) // 2][0] = True
+        channel = write(tmp_path / "bad.json", doc)
+        degradation = write(tmp_path / "outuni.json",
+                            phase.to_json_dict(phase.output_uniformizing_degradation(2)))
+        code = run(["phase", "strict", "--channel", channel, "--degradation", degradation])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == json.dumps({"error": {
+            "type": "TypeError", "message": "coefficients must hold only numbers"}}) + "\n"
 
     @pytest.mark.parametrize("kind", ["worst", "output-uniform", "input-uniform"])
     def test_negative_order_exits_two(self, capsys, kind):
@@ -819,9 +833,21 @@ _EDGE_CASES = [
 ]
 
 
+def _text_or_error(dumps, value):
+    try:
+        return dumps(value)
+    except ValueError:
+        return ValueError
+
+
+def strict_dumps(value):
+    """``json.dumps(value, indent=2)`` without NaN and infinities: ValueError."""
+    return _text_or_error(lambda v: json.dumps(v, indent=2, allow_nan=False), value)
+
+
 @pytest.mark.parametrize("value", _EDGE_CASES, ids=[str(i) for i in range(len(_EDGE_CASES))])
 def test_emitter_edge_cases(value):
-    assert cli._dumps(value) == json.dumps(value, indent=2)
+    assert _text_or_error(cli._dumps, value) == strict_dumps(value)
 
 
 def _random_value(rng, depth=0):
@@ -850,7 +876,7 @@ def test_emitter_matches_json_dumps_on_random_values():
     rng = np.random.default_rng(2105)
     for _ in range(2000):
         value = _random_value(rng)
-        assert cli._dumps(value) == json.dumps(value, indent=2)
+        assert _text_or_error(cli._dumps, value) == strict_dumps(value)
 
 
 @pytest.mark.parametrize(
@@ -870,6 +896,31 @@ def test_internal_failure_exits_three(capsys, monkeypatch, bsc_files, failure):
     assert captured.out == ""
     assert json.loads(captured.err) == {
         "error": {"type": type(failure).__name__, "message": str(failure)}}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_result_exits_three(capsys, monkeypatch, tmp_path, value):
+    # Strict JSON: a NaN or an infinity never reaches stdout.
+    profile = write(tmp_path / "gauss.json", noise.to_json_dict(noise.gaussian(1.0)))
+    monkeypatch.setattr(noise, "variance", lambda profile: value)
+    code = run(["noise", "variance", "--profile", profile])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.count("\n") == 1
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "FloatingPointError"
+    assert error["message"].startswith("result is not finite: Out of range float values")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_table_exits_three_in_either_format(capsys, monkeypatch, tmp_path, fmt):
+    channel = write(tmp_path / "lgc.json", lgc.to_json_dict(lgc.GaussianChannel(np.eye(2), np.eye(2))))
+    spectrum = types.SimpleNamespace(values=np.array([np.nan, 1.0]))
+    monkeypatch.setattr(lgc, "canonicalize", lambda channel: spectrum)
+    code = run(["lgc", "canon", "--channel", channel, "--format", fmt])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert json.loads(captured.err)["error"]["type"] == "FloatingPointError"
 
 
 def test_library_import_is_lazy_and_module_runs(bsc_files, tmp_path):

@@ -138,6 +138,60 @@ class TestLattice:
             assert relation is not Relation.INCOMPARABLE
 
 
+class TestSharedGrid:
+    # Two profiles on one grid are paired on it directly; the union grid and
+    # the interpolation run only for grids that differ.
+    @staticmethod
+    def union_aligned(aligned):
+        def aligned_on_the_union(a, b):
+            _, _, _, locations, ma, mb = aligned(a, b)
+            grid = np.union1d(a.grid, b.grid)
+            da = np.interp(grid, a.grid, a.density, left=0.0, right=0.0)
+            db = np.interp(grid, b.grid, b.density, left=0.0, right=0.0)
+            return grid, da, db, locations, ma, mb
+
+        return aligned_on_the_union
+
+    @staticmethod
+    def outputs(a, b):
+        result = check_order(a, b)
+        text = [result.relation.value, np.float64(result.max_violation).tobytes()]
+        for combined in (lub(a, b), glb(a, b), profile_sum(a, b)):
+            text += [combined.grid.tobytes(), combined.density.tobytes(), repr(combined.atoms)]
+        return text
+
+    def test_equal_grids_match_the_union_path_byte_for_byte(self, monkeypatch):
+        rng = np.random.default_rng(123)
+        pairs = []
+        for i in range(40):
+            flag = "spectral" if i % 4 == 0 else "noise_K"
+            a = random_profile(rng, flag=flag, grid_points=int(rng.integers(2, 300)))
+            b = random_profile(rng, flag=flag, grid_points=a.grid.size)
+            if i % 3 == 0:
+                b = profile_sum(a, b)
+            pairs.append((a, b))
+        pairs.append((MonotoneProfile(), gaussian(2.0)))
+        fast = [self.outputs(a, b) for a, b in pairs]
+        monkeypatch.setattr(noise, "_aligned", self.union_aligned(noise._aligned))
+        assert [self.outputs(a, b) for a, b in pairs] == fast
+
+    def test_union_grid_only_for_grids_that_differ(self, monkeypatch):
+        calls = []
+        union1d = np.union1d
+        monkeypatch.setattr(np, "union1d", lambda x, y: calls.append(1) or union1d(x, y))
+        rng = np.random.default_rng(7)
+        same = random_profile(rng), random_profile(rng)
+        other = MonotoneProfile(np.linspace(-3.0, 3.0, 61), np.ones(61))
+        zeros = tuple(MonotoneProfile(np.array([zero, 0.5, 1.0])) for zero in (-0.0, 0.0))
+        for a, b, expected in ((*same, 0), (same[0], other, 1), (*zeros, 1)):
+            for operation in (check_order, lub, glb, profile_sum):
+                calls.clear()
+                operation(a, b)
+                assert len(calls) == expected, (operation.__name__, expected)
+        # Grids equal but for the sign of a zero: the union's zero is kept.
+        assert lub(*zeros).grid.tobytes() == np.union1d(zeros[0].grid, zeros[1].grid).tobytes()
+
+
 class TestVariance:
     def test_atom_mass(self):
         assert variance(atom(0.0, 2.5)) == 2.5

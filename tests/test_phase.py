@@ -592,6 +592,90 @@ class TestRankOneRule:
         assert checks(lambda: TorusSpectrum(order, channel.coeffs)) == 1
 
 
+    @staticmethod
+    def edge_factors(rng, order):
+        # Exactly Hermitian factors near each entrywise bound, and factors
+        # that are not finite or not Hermitian.
+        def sequence(origin=1.0, scale=1.0):
+            seq = hermitian_sequence(rng, order, 0.4) * scale
+            seq[order] = origin
+            return seq
+
+        def peak(value):
+            seq = sequence()
+            seq[0] = seq[-1] = value
+            return seq
+
+        v = from_wrapped(WrappedCauchy(float(rng.uniform(-3, 3)), 0.1), order)
+        bad = sequence()
+        bad[-1] = np.nan
+        skew = sequence()
+        skew[order + 1] += 1e-3j
+        return {
+            "magnitude above 1": [(peak(1.5), v), (peak(1.0 + 2e-12), peak(1.0)),
+                                  (peak(1.0 + 6e-13), peak(1.0 + 6e-13))],
+            "magnitude within the tolerance": [(peak(1.0 + 9e-13), peak(1.0)), (peak(1.0), v)],
+            "non-finite": [(bad, v), (peak(np.inf), v), (v, peak(-np.inf)), (peak(np.nan), v)],
+            "origin off": [(sequence(origin=1.0 + 2e-12), v), (v, sequence(origin=0.5)),
+                           (sequence(origin=1.0 - 3e-12), sequence())],
+            "origin within the tolerance": [(sequence(origin=1.0 + 5e-13), v)],
+            "not Hermitian": [(sequence() * np.exp(0.3j * np.arange(-order, order + 1) ** 2), v),
+                              (v, skew)],
+        }
+
+    def test_edge_factors_match_the_constructor(self):
+        rng = np.random.default_rng(2022)
+        seen = {}
+        for order in (1, 2, 3, 5, 8, 16, 64):
+            for kind, pairs in self.edge_factors(rng, order).items():
+                for h, v in pairs:
+                    # inf * 0 in the outer product is NaN; the checks reject it.
+                    with np.errstate(invalid="ignore"):
+                        expected = validation_outcome(lambda: TorusSpectrum(order, np.outer(h, v)))
+                        built = validation_outcome(lambda: product_channel(h, v))
+                    assert built == expected, (order, kind, expected)
+                    seen.setdefault(kind, set()).add(expected.split(":")[0])
+        assert seen == {
+            "magnitude above 1": {"coefficient magnitudes must not exceed 1"},
+            "magnitude within the tolerance": {"accepted"},
+            "non-finite": {"coeffs must be finite"},
+            "origin off": {"the coefficient at the origin must equal 1"},
+            "origin within the tolerance": {"accepted"},
+            "not Hermitian": {"coefficients are not Hermitian"},
+        }, seen
+
+    def test_entrywise_checks_run_off_the_factor_bound_only(self, monkeypatch):
+        calls = []
+        check_entries = phase._check_entries
+        monkeypatch.setattr(
+            phase, "_check_entries", lambda *args: calls.append(args[0]) or check_entries(*args)
+        )
+
+        def checks(build):
+            calls.clear()
+            build()
+            return len(calls)
+
+        order = 4
+        families = [WrappedGaussian(0.3, 0.5), WrappedCauchy(-1.0, 0.2), PointPhase(0.7), UniformPhase()]
+        for a in families:
+            for b in families:
+                assert checks(lambda: product_channel(from_wrapped(a, order), from_wrapped(b, order))) == 0
+                assert checks(lambda: joint_from_marginals(a, b, 2 * order)) == 0
+        h, v = from_wrapped(families[0], order), from_wrapped(families[1], order)
+        channel = product_channel(h, v)
+        joint = joint_from_marginals(families[2], families[1], 2 * order)
+        assert checks(lambda: product_channel(1j * h, -1j * v)) == 1
+        peaked = h.copy()
+        peaked[0] = peaked[-1] = 1.5
+        with pytest.raises(ValueError, match="magnitudes must not exceed 1"):
+            checks(lambda: product_channel(peaked, v))
+        assert len(calls) == 1
+        assert checks(lambda: phase.from_json_dict(phase.to_json_dict(channel))) == 1
+        assert checks(lambda: degradation_coeffs(joint, order)) == 1
+        assert checks(lambda: TorusSpectrum(order, channel.coeffs)) == 1
+
+
 class TestDocumentCodec:
     def test_signed_zeros_round_trip_byte_for_byte(self):
         doc = phase.to_json_dict(worst_channel(2))
@@ -609,14 +693,42 @@ class TestDocumentCodec:
             (lambda coeffs: [[0.0, 0.0, 0.0], *coeffs[1:]], ValueError),
             (lambda coeffs: [pair + [0.0] for pair in coeffs], ValueError),
             (lambda coeffs: coeffs[:-1], ValueError),
+            (lambda coeffs: [[0.5, 0.5], [True, False], *coeffs[2:]], TypeError),
+            (lambda coeffs: [*coeffs[:-1], [0, False]], TypeError),
         ],
-        ids=["string", "null", "bool", "one-three-number-entry", "three-number-entries", "short-list"],
+        ids=["string", "null", "bool", "one-three-number-entry", "three-number-entries", "short-list",
+             "mixed-bool", "int-and-bool"],
     )
     def test_malformed_coefficients_rejected(self, corrupt, error):
         doc = phase.to_json_dict(worst_channel(2))
         doc["coeffs"] = corrupt(doc["coeffs"])
         with pytest.raises(error):
             phase.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda coeffs: [tuple(pair) for pair in coeffs],
+            tuple,
+            np.array,
+            lambda coeffs: [[np.float64(re), np.float64(im)] for re, im in coeffs],
+            lambda coeffs: [[int(re), int(im)] if re.is_integer() and im.is_integer() else [re, im]
+                            for re, im in coeffs],
+        ],
+        ids=["tuple-pairs", "tuple", "ndarray", "numpy-scalars", "ints"],
+    )
+    def test_other_number_containers_still_load(self, convert):
+        channel = product_channel(from_wrapped(PointPhase(0.7), 2), from_wrapped(UniformPhase(), 2))
+        doc = phase.to_json_dict(channel)
+        doc["coeffs"] = convert(doc["coeffs"])
+        assert np.array_equal(phase.from_json_dict(doc).coeffs, channel.coeffs)
+
+    def test_writer_emits_the_coefficients_as_pairs(self):
+        channel = product_channel(
+            from_wrapped(WrappedGaussian(0.3, 0.4), 3), from_wrapped(WrappedCauchy(-1.0, 0.5), 3)
+        )
+        flat = channel.coeffs.ravel()
+        assert phase.to_json_dict(channel)["coeffs"] == np.column_stack([flat.real, flat.imag]).tolist()
 
     @pytest.mark.parametrize("order", [1.5, 1.0, True, "1"], ids=["fraction", "float", "bool", "string"])
     def test_non_integer_order_rejected(self, order):
