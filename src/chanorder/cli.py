@@ -25,39 +25,6 @@ from .numerics import _number_array
 __all__ = ["ChannelDocument", "load_document", "run", "main"]
 
 
-# The family modules are imported only once a command or a document names
-# one, so a process loads just the family it works on.  Conventions are
-# therefore functions of the family module: two of them are its constants.
-def _dmc_conventions(dmc):
-    return [
-        "decisions are deterministic: Wolfe's min-norm-point corral, "
-        "each step priced exactly with ties to the lowest index",
-        "witnesses replay as: sum of weights * (input-degraded, output-degraded channel)",
-    ]
-
-
-def _noise_conventions(noise):
-    return [noise.ORDER_CONVENTION]
-
-
-def _phase_conventions(phase):
-    return [
-        "strict = cannot be undone by any further phase degradation",
-        "a null (worst) channel is excluded from the strictness question",
-    ]
-
-
-def _lgc_conventions(lgc):
-    return [lgc.PADDING_CONVENTION]
-
-
-def _ensemble_conventions(lgc):
-    return [
-        lgc.PADDING_CONVENTION,
-        "ensemble comparisons assume the two ensembles share a common copula",
-    ]
-
-
 # Exceptions that mean the input or the invocation was bad (exit 2); any
 # other exception is an internal failure (exit 3).
 _INVALID_INPUT = (ValueError, KeyError, TypeError, OSError)
@@ -129,18 +96,28 @@ def load_document(path: str) -> ChannelDocument:
     )
 
 
-def _load_typed(path: str, kind: str):
-    document = load_document(path)
-    if document.kind != kind:
-        raise ValueError(f"{path}: expected a {kind!r} document, found {document.kind!r}")
-    return document.payload
-
-
 def _load_matrix(path: str) -> np.ndarray:
     obj = _read_json(path)
     if obj.get("type") not in (None, "matrix"):
         raise ValueError(f"{path}: expected a matrix document")
     return _number_array(obj["matrix"], f"{path}: matrix")
+
+
+# File kinds that are not channel documents.
+_READERS = {
+    "matrix": _load_matrix,
+    "witness": lambda path: _family("dmc").witness_from_json_dict(_read_json(path)),
+}
+
+
+def _load(path: str, kind: str):
+    """What a declared file holds: a _READERS kind, or a document of type ``kind``."""
+    if kind in _READERS:
+        return _READERS[kind](path)
+    document = load_document(path)
+    if document.kind != kind:
+        raise ValueError(f"{path}: expected a {kind!r} document, found {document.kind!r}")
+    return document.payload
 
 
 def _result_doc(command: str, parameters: dict, conventions: list[str], result: dict) -> dict:
@@ -228,15 +205,15 @@ def _cell(value) -> str:
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers.  Each takes its imported family module and the parsed
-# arguments, and returns (parameters, result, exit code, CSV table builder or
-# None); the table is built only for --format csv.  The command table below
-# supplies the command name and the conventions.
+# arguments, whose file arguments ``run`` has already replaced by what they
+# hold, and returns (parameters, result, exit code, CSV table builder or
+# None); the table is built only for --format csv.  The command name comes
+# from the command table and the conventions from the family's CONVENTIONS,
+# unless a handler returns its own as a fifth item.
 
 
 def _cmd_dmc_check(dmc, args):
-    better = _load_typed(args.better, "dmc")
-    worse = _load_typed(args.worse, "dmc")
-    decision = dmc.includes(better, worse, tolerance=args.tolerance, cap=args.cap)
+    decision = dmc.includes(args.better, args.worse, tolerance=args.tolerance, cap=args.cap)
     parameters = {"tolerance": args.tolerance, "cap": args.cap}
     if decision.included:
         result = {
@@ -254,32 +231,26 @@ def _cmd_dmc_check(dmc, args):
 
 
 def _cmd_dmc_equiv(dmc, args):
-    a = _load_typed(args.a, "dmc")
-    b = _load_typed(args.b, "dmc")
-    verdict = dmc.equivalent(a, b, tolerance=args.tolerance, cap=args.cap)
+    verdict = dmc.equivalent(args.a, args.b, tolerance=args.tolerance, cap=args.cap)
     parameters = {"tolerance": args.tolerance, "cap": args.cap}
     return parameters, {"equivalent": verdict}, 0 if verdict else 1, None
 
 
 def _cmd_dmc_degrade(dmc, args):
-    channel = _load_typed(args.channel, "dmc")
-    witness = dmc.witness_from_json_dict(_read_json(args.witness))
-    degraded = dmc.degrade(channel, witness.pairs, witness.weights, n_outputs=args.n_outputs)
+    witness = args.witness
+    degraded = dmc.degrade(args.channel, witness.pairs, witness.weights, n_outputs=args.n_outputs)
     parameters = {"n_outputs": degraded.n_outputs}
     return parameters, dmc.to_json_dict(degraded), 0, degraded.entries.tolist
 
 
 def _cmd_dmc_error_prob(dmc, args):
-    channel = _load_typed(args.channel, "dmc")
-    value = dmc.best_error_probability(channel, args.messages, args.block_length, cap=args.cap)
+    value = dmc.best_error_probability(args.channel, args.messages, args.block_length, cap=args.cap)
     parameters = {"messages": args.messages, "block_length": args.block_length, "cap": args.cap}
     return parameters, {"error_probability": value}, 0, None
 
 
 def _cmd_noise_check(noise, args):
-    better = _load_typed(args.better, "kfunction")
-    worse = _load_typed(args.worse, "kfunction")
-    outcome = noise.check_order(better, worse, tolerance=args.tolerance)
+    outcome = noise.check_order(args.better, args.worse, tolerance=args.tolerance)
     holds = outcome.relation in (noise.Relation.SECOND_WORSE, noise.Relation.EQUAL)
     result = {
         "relation": outcome.relation.value,
@@ -297,26 +268,22 @@ def _profile_table(profile):
 
 
 def _cmd_noise_lattice(noise, args):
-    a = _load_typed(args.first, "kfunction")
-    b = _load_typed(args.second, "kfunction")
     # noise.lub or noise.glb, named by the subcommand; looked up per call so a
     # wrapper installed on the module (a profiler, a test double) sees it.
-    result = getattr(noise, args.command)(a, b)
+    result = getattr(noise, args.command)(args.first, args.second)
     return {}, noise.to_json_dict(result), 0, lambda: _profile_table(result)
 
 
 def _cmd_noise_cf(noise, args):
-    profile = _load_typed(args.profile, "kfunction")
     values = []
     for zeta in args.zeta:
-        value = noise.log_cf(profile, zeta)
+        value = noise.log_cf(args.profile, zeta)
         values.append({"zeta": zeta, "re": value.real, "im": value.imag})
     return {}, {"log_cf": values}, 0, None
 
 
 def _cmd_noise_variance(noise, args):
-    profile = _load_typed(args.profile, "kfunction")
-    return {}, {"variance": noise.variance(profile)}, 0, None
+    return {}, {"variance": noise.variance(args.profile)}, 0, None
 
 
 def _parse_family(phase, spec: str):
@@ -359,15 +326,11 @@ def _cmd_phase_build(phase, args):
 
 
 def _cmd_phase_degrade(phase, args):
-    channel = _load_typed(args.channel, "torus")
-    degradation = _load_typed(args.degradation, "torus")
-    return _phase_result(phase, phase.degrade(channel, degradation), {})
+    return _phase_result(phase, phase.degrade(args.channel, args.degradation), {})
 
 
 def _cmd_phase_strict(phase, args):
-    channel = _load_typed(args.channel, "torus")
-    degradation = _load_typed(args.degradation, "torus")
-    outcome = phase.is_strict(channel, degradation, epsilon=args.epsilon)
+    outcome = phase.is_strict(args.channel, args.degradation, epsilon=args.epsilon)
     result = {"classification": outcome.kind.value}
     if outcome.witness is not None:
         result["witness"] = list(outcome.witness)
@@ -391,14 +354,12 @@ def _cmd_phase_extremal(phase, args):
 
 
 def _cmd_lgc_canon(lgc, args):
-    spectrum = lgc.canonicalize(_load_typed(args.channel, "lgc"))
+    spectrum = lgc.canonicalize(args.channel)
     return {}, {"spectrum": spectrum.values.tolist()}, 0, lambda: [list(spectrum.values)]
 
 
 def _cmd_lgc_check(lgc, args):
-    better = _load_typed(args.better, "lgc")
-    worse = _load_typed(args.worse, "lgc")
-    decision = lgc.includes(better, worse, tolerance=args.tolerance)
+    decision = lgc.includes(args.better, args.worse, tolerance=args.tolerance)
     result = {"included": decision.included}
     if decision.violating_index is not None:
         result["violating_index"] = decision.violating_index
@@ -406,17 +367,15 @@ def _cmd_lgc_check(lgc, args):
 
 
 def _cmd_lgc_lattice(lgc, args):
-    a = lgc.canonicalize(_load_typed(args.first, "lgc"))
-    b = lgc.canonicalize(_load_typed(args.second, "lgc"))
+    a, b = lgc.canonicalize(args.first), lgc.canonicalize(args.second)
     # lgc.lub or lgc.glb, named by the subcommand; looked up per call as above.
     spectrum = getattr(lgc, args.command)(a, b)
     return {}, {"spectrum": spectrum.values.tolist()}, 0, lambda: [list(spectrum.values)]
 
 
 def _cmd_lgc_verify_equiv(lgc, args):
-    channel = _load_typed(args.channel, "lgc")
     report = lgc.verify_equivalence_transform(
-        channel, _load_matrix(args.b_matrix), _load_matrix(args.c_matrix), tolerance=args.tolerance
+        args.channel, args.b_matrix, args.c_matrix, tolerance=args.tolerance
     )
     result = {"equivalent": report.equivalent}
     if report.condition is not None:
@@ -432,9 +391,7 @@ def _cmd_lgc_sample_haar(lgc, args):
 
 
 def _cmd_lgc_ensemble_order(lgc, args):
-    a = _load_typed(args.a, "lgc_ensemble")
-    b = _load_typed(args.b, "lgc_ensemble")
-    decision = lgc.ensemble_order(a, b)
+    decision = lgc.ensemble_order(args.a, args.b)
     result = {
         "ordered": decision.ordered,
         "direction": decision.direction,
@@ -442,13 +399,15 @@ def _cmd_lgc_ensemble_order(lgc, args):
         "max_violation": decision.max_violation,
         "band": decision.band,
     }
-    return {}, result, 0 if decision.ordered else 1, None
+    return {}, result, 0 if decision.ordered else 1, None, lgc.ENSEMBLE_CONVENTIONS
 
 
 # ---------------------------------------------------------------------------
-# Command table: (group, command, handler, arguments, conventions).  Each
-# argument is (name, add_argument keywords); every subcommand also takes the
-# output flags, last.
+# Command table: (group, command, handler, files, arguments).  Each file is
+# (name, kind), loaded by ``run`` in table order before the handler runs; a
+# file kind is a document type tag or a key of _READERS.  Each other
+# argument is (name, add_argument keywords); the files come first, every
+# subcommand also takes the output flags, last.
 
 _GROUP_HELP = {
     "dmc": "discrete memoryless channels",
@@ -458,10 +417,6 @@ _GROUP_HELP = {
 }
 _REQUIRED = {"required": True}
 _REQUIRED_INT = {"type": int, "required": True}
-_CHANNEL = ("--channel", _REQUIRED)
-_BETTER_WORSE = (("--better", _REQUIRED), ("--worse", _REQUIRED))
-_A_B = (("--a", _REQUIRED), ("--b", _REQUIRED))
-_OPERANDS = (("first", {}), ("second", {}))
 _TOLERANCE = ("--tolerance", {"type": float, "default": 1e-9})
 # None stands for the dmc module's ENUMERATION_CAP, read once it is imported.
 _CAP = ("--cap", {"type": int})
@@ -471,42 +426,41 @@ _OUTPUT = (
     ("--format", {"choices": ("json", "csv"), "default": "json"}),
 )
 
+
+def _files(kind: str, *names: str) -> tuple:
+    return tuple((name, kind) for name in names)
+
+
 _COMMANDS = (
-    ("dmc", "check", _cmd_dmc_check, _BETTER_WORSE + (_TOLERANCE, _CAP), _dmc_conventions),
-    ("dmc", "equiv", _cmd_dmc_equiv, _A_B + (_TOLERANCE, _CAP), _dmc_conventions),
-    ("dmc", "degrade", _cmd_dmc_degrade,
-     (_CHANNEL, ("--witness", _REQUIRED), ("--n-outputs", {"type": int})), _dmc_conventions),
-    ("dmc", "error-prob", _cmd_dmc_error_prob,
-     (_CHANNEL, ("--messages", _REQUIRED_INT), ("--block-length", _REQUIRED_INT), _CAP),
-     _dmc_conventions),
-    ("noise", "check", _cmd_noise_check, _BETTER_WORSE + (_TOLERANCE,), _noise_conventions),
-    ("noise", "lub", _cmd_noise_lattice, _OPERANDS, _noise_conventions),
-    ("noise", "glb", _cmd_noise_lattice, _OPERANDS, _noise_conventions),
-    ("noise", "cf", _cmd_noise_cf,
-     (("--profile", _REQUIRED), ("--zeta", {"type": float, "action": "append", "required": True})),
-     _noise_conventions),
-    ("noise", "variance", _cmd_noise_variance, (("--profile", _REQUIRED),), _noise_conventions),
-    ("phase", "build", _cmd_phase_build,
+    ("dmc", "check", _cmd_dmc_check, _files("dmc", "--better", "--worse"), (_TOLERANCE, _CAP)),
+    ("dmc", "equiv", _cmd_dmc_equiv, _files("dmc", "--a", "--b"), (_TOLERANCE, _CAP)),
+    ("dmc", "degrade", _cmd_dmc_degrade, _files("dmc", "--channel") + _files("witness", "--witness"),
+     (("--n-outputs", {"type": int}),)),
+    ("dmc", "error-prob", _cmd_dmc_error_prob, _files("dmc", "--channel"),
+     (("--messages", _REQUIRED_INT), ("--block-length", _REQUIRED_INT), _CAP)),
+    ("noise", "check", _cmd_noise_check, _files("kfunction", "--better", "--worse"), (_TOLERANCE,)),
+    ("noise", "lub", _cmd_noise_lattice, _files("kfunction", "first", "second"), ()),
+    ("noise", "glb", _cmd_noise_lattice, _files("kfunction", "first", "second"), ()),
+    ("noise", "cf", _cmd_noise_cf, _files("kfunction", "--profile"),
+     (("--zeta", {"type": float, "action": "append", "required": True}),)),
+    ("noise", "variance", _cmd_noise_variance, _files("kfunction", "--profile"), ()),
+    ("phase", "build", _cmd_phase_build, (),
      (("--h-phase", {"required": True, "help": "gain phase family, e.g. wgauss:0:1"}),
-      ("--v-phase", {"required": True, "help": "noise phase family, e.g. uniform"}), _ORDER),
-     _phase_conventions),
-    ("phase", "degrade", _cmd_phase_degrade, (_CHANNEL, ("--degradation", _REQUIRED)),
-     _phase_conventions),
-    ("phase", "strict", _cmd_phase_strict,
-     (_CHANNEL, ("--degradation", _REQUIRED), ("--epsilon", {"type": float, "default": 1e-9})),
-     _phase_conventions),
-    ("phase", "extremal", _cmd_phase_extremal,
-     (("--kind", {"choices": tuple(_EXTREMALS), "required": True}), _ORDER), _phase_conventions),
-    ("lgc", "canon", _cmd_lgc_canon, (_CHANNEL,), _lgc_conventions),
-    ("lgc", "check", _cmd_lgc_check, _BETTER_WORSE + (_TOLERANCE,), _lgc_conventions),
-    ("lgc", "lub", _cmd_lgc_lattice, _OPERANDS, _lgc_conventions),
-    ("lgc", "glb", _cmd_lgc_lattice, _OPERANDS, _lgc_conventions),
+      ("--v-phase", {"required": True, "help": "noise phase family, e.g. uniform"}), _ORDER)),
+    ("phase", "degrade", _cmd_phase_degrade, _files("torus", "--channel", "--degradation"), ()),
+    ("phase", "strict", _cmd_phase_strict, _files("torus", "--channel", "--degradation"),
+     (("--epsilon", {"type": float, "default": 1e-9}),)),
+    ("phase", "extremal", _cmd_phase_extremal, (),
+     (("--kind", {"choices": tuple(_EXTREMALS), "required": True}), _ORDER)),
+    ("lgc", "canon", _cmd_lgc_canon, _files("lgc", "--channel"), ()),
+    ("lgc", "check", _cmd_lgc_check, _files("lgc", "--better", "--worse"), (_TOLERANCE,)),
+    ("lgc", "lub", _cmd_lgc_lattice, _files("lgc", "first", "second"), ()),
+    ("lgc", "glb", _cmd_lgc_lattice, _files("lgc", "first", "second"), ()),
     ("lgc", "verify-equiv", _cmd_lgc_verify_equiv,
-     (_CHANNEL, ("--b-matrix", _REQUIRED), ("--c-matrix", _REQUIRED), _TOLERANCE),
-     _lgc_conventions),
-    ("lgc", "sample-haar", _cmd_lgc_sample_haar,
-     (("--n", _REQUIRED_INT), ("--seed", {"type": int, "default": 0})), _lgc_conventions),
-    ("lgc", "ensemble-order", _cmd_lgc_ensemble_order, _A_B, _ensemble_conventions),
+     _files("lgc", "--channel") + _files("matrix", "--b-matrix", "--c-matrix"), (_TOLERANCE,)),
+    ("lgc", "sample-haar", _cmd_lgc_sample_haar, (),
+     (("--n", _REQUIRED_INT), ("--seed", {"type": int, "default": 0}))),
+    ("lgc", "ensemble-order", _cmd_lgc_ensemble_order, _files("lgc_ensemble", "--a", "--b"), ()),
 )
 
 
@@ -526,13 +480,16 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         group_parser = groups.add_parser(group, help=text)
         if named in (None, group):
             commands[group] = group_parser.add_subparsers(dest="command")
-    for group, command, handler, arguments, conventions in _COMMANDS:
+    for group, command, handler, files, arguments in _COMMANDS:
         if group not in commands:
             continue
         sub = commands[group].add_parser(command)
+        # A file option is required; a positional file is required anyway.
+        files = [(sub.add_argument(name, **(_REQUIRED if name.startswith("-") else {})).dest, kind)
+                 for name, kind in files]
         for name, options in arguments + _OUTPUT:
             sub.add_argument(name, **options)
-        sub.set_defaults(handler=handler, conventions=conventions)
+        sub.set_defaults(handler=handler, files=files)
     return parser
 
 
@@ -551,9 +508,11 @@ def run(argv=None) -> int:
         family = _family(args.group)
         if "cap" in vars(args) and args.cap is None:
             args.cap = family.ENUMERATION_CAP
-        parameters, result, code, table = args.handler(family, args)
+        for dest, kind in args.files:
+            setattr(args, dest, _load(getattr(args, dest), kind))
+        parameters, result, code, table, *own = args.handler(family, args)
+        conventions = list(own[0] if own else family.CONVENTIONS)
         command = f"{args.group} {args.command}"
-        conventions = args.conventions(family)
         _emit(args, _result_doc(command, parameters, conventions, result), table)
         return code
     except Exception as exc:

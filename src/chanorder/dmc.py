@@ -40,6 +40,7 @@ import numpy as np
 from .numerics import _number_array, checked_integer
 
 __all__ = [
+    "CONVENTIONS",
     "ENUMERATION_CAP",
     "EnumerationTooLargeError",
     "StochasticMatrix",
@@ -355,6 +356,14 @@ def _best_pair(table: _PricingTable, h: np.ndarray) -> tuple[DeterministicPair, 
     for j, z in enumerate(outputs):
         column[:, z] += rk[:, j]
     return pair, column.ravel()
+
+
+# Printed with every dmc result by the command-line front end.
+CONVENTIONS = (
+    "decisions are deterministic: Wolfe's min-norm-point corral, "
+    "each step priced exactly with ties to the lowest index",
+    "witnesses replay as: sum of weights * (input-degraded, output-degraded channel)",
+)
 
 
 def includes(
@@ -686,11 +695,21 @@ def witness_to_json_dict(witness: InclusionWitness) -> dict:
 
 
 def witness_from_json_dict(obj: dict) -> InclusionWitness:
-    pairs = tuple(
-        DeterministicPair(tuple(p["input_map"]), tuple(p["output_map"]))
-        for p in obj["pairs"]
-    )
-    weights = _number_array(obj["weights"], "witness weights").astype(float)
+    """Witness from its JSON object; ValueError or TypeError names the bad field."""
+    entries = obj.get("pairs")
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError("witness pairs must be a list of objects with input_map and output_map")
+    pairs = []
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"witness pairs[{index}] must be an object with input_map and output_map")
+        for key in ("input_map", "output_map"):
+            if not isinstance(entry.get(key), (list, tuple)):
+                raise ValueError(f"witness pairs[{index}].{key} must be a list of indices")
+        pairs.append(DeterministicPair(tuple(entry["input_map"]), tuple(entry["output_map"])))
+    weights = _number_array(obj.get("weights"), "witness weights").astype(float)
+    if weights.ndim != 1:
+        raise ValueError("witness weights must be a 1-D list of numbers")
     if weights.size != len(pairs):
         raise ValueError("witness weights and pairs disagree in length")
-    return InclusionWitness(pairs=pairs, weights=weights, residual=0.0)
+    return InclusionWitness(pairs=tuple(pairs), weights=weights, residual=0.0)

@@ -22,6 +22,8 @@ from .numerics import (
 )
 
 __all__ = [
+    "CONVENTIONS",
+    "ENSEMBLE_CONVENTIONS",
     "PADDING_CONVENTION",
     "GaussianChannel",
     "SingularSpectrum",
@@ -54,6 +56,10 @@ PADDING_CONVENTION = (
     "a missing stream is a zero-gain stream"
 )
 
+# Printed with every lgc result by the command-line front end; ensemble
+# comparisons print ENSEMBLE_CONVENTIONS instead.
+CONVENTIONS = (PADDING_CONVENTION,)
+
 
 @dataclass(frozen=True, eq=False)
 class GaussianChannel:
@@ -78,7 +84,16 @@ class GaussianChannel:
         sigma.setflags(write=False)
         object.__setattr__(self, "H", h)
         object.__setattr__(self, "Sigma", sigma)
-        object.__setattr__(self, "spectrum", SingularSpectrum(singular_values(whitener @ h)))
+        object.__setattr__(self, "spectrum", _whitened_spectrum(whitener, h))
+
+
+def _whitened_spectrum(whitener: np.ndarray, h: np.ndarray) -> SingularSpectrum:
+    """Singular values of ``whitener @ h``; ValueError if that product overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        whitened = whitener @ h
+    if not np.all(np.isfinite(whitened)):
+        raise ValueError("whitened channel matrix Sigma^(-1/2) H overflows the float range")
+    return SingularSpectrum(singular_values(whitened))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,8 +199,9 @@ def verify_equivalence_transform(
 
     Hypotheses: every singular value of B equals 1 (so B has orthonormal
     rows and operator norm 1) and C is left-invertible.  Violated hypotheses
-    are reported, not raised; only dimension mismatches and a tolerance
-    that is not finite and >= 0 raise.
+    are reported, not raised; only dimension mismatches, a tolerance that is
+    not finite and >= 0, and a transformed channel whose matrices overflow
+    the float range raise.
     """
     tolerance = checked_tolerance(tolerance)
     b = np.asarray(b_matrix, dtype=float)
@@ -206,12 +222,17 @@ def verify_equivalence_transform(
     c_singulars = singular_values(c)
     if c.shape[0] < c.shape[1] or c_singulars[-1] <= 1e-12 * max(1.0, c_singulars[0]):
         return EquivalenceReport(False, condition="C is not left-invertible")
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, sigma = c @ channel.H @ b, c @ channel.Sigma @ c.T
+    for name, product in (("channel matrix C H B", h), ("noise covariance C Sigma C^T", sigma)):
+        if not np.all(np.isfinite(product)):
+            raise ValueError(f"transformed {name} overflows the float range")
     try:
-        transformed = GaussianChannel(c @ channel.H @ b, c @ channel.Sigma @ c.T)
+        whitener = inverse_sqrt_spd(sigma)
     except ValueError:
         return EquivalenceReport(False, condition="transformed noise covariance not positive definite")
 
-    original, moved = _pad_pair(channel.spectrum, transformed.spectrum)
+    original, moved = _pad_pair(channel.spectrum, _whitened_spectrum(whitener, h))
     deviation = float(np.max(np.abs(moved - original)))
     if deviation > tolerance:
         return EquivalenceReport(False, condition="canonical spectra differ", max_deviation=deviation)
@@ -366,6 +387,12 @@ class EnsembleOrderDecision:
     max_violation: float
     band: float
     note: str
+
+
+ENSEMBLE_CONVENTIONS = (
+    PADDING_CONVENTION,
+    "ensemble comparisons assume the two ensembles share a common copula",
+)
 
 
 def ensemble_order(

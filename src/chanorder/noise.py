@@ -30,6 +30,7 @@ import numpy as np
 from .numerics import _number_array, checked_tolerance
 
 __all__ = [
+    "CONVENTIONS",
     "ORDER_CONVENTION",
     "ATOM_LOCATION_TOL",
     "Relation",
@@ -51,6 +52,7 @@ ORDER_CONVENTION = (
     "larger profile = more noise = included (worse) channel; "
     "the including (better) channel has the smaller profile"
 )
+CONVENTIONS = (ORDER_CONVENTION,)
 
 ATOM_LOCATION_TOL = 1e-9
 
@@ -337,6 +339,8 @@ def from_json_dict(obj: dict) -> MonotoneProfile:
         raise ValueError("grid needs at least two finite points")
     grid = np.linspace(low, high, int(points))
     pairs = _number_array(obj.get("atoms", []), "atoms")
+    if pairs.shape != (0,) and (pairs.ndim != 2 or pairs.shape[1] != 2):
+        raise ValueError("atoms must be a list of [location, mass] pairs")
     atoms = tuple((float(loc), float(mass)) for loc, mass in pairs)
     return MonotoneProfile(
         grid=grid,

@@ -43,7 +43,8 @@ def inverse_sqrt_spd(matrix) -> np.ndarray:
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix must be finite")
     scale = max(1.0, float(np.max(np.abs(matrix))))
-    asymmetry = float(np.max(np.abs(matrix - matrix.T)))
+    with np.errstate(over="ignore"):  # entries near the float limit, opposite signs
+        asymmetry = float(np.max(np.abs(matrix - matrix.T)))
     if asymmetry > 1e-12 * scale:
         raise ValueError(f"matrix is not symmetric: max asymmetry {asymmetry:.3e}")
     eigenvalues, vectors = np.linalg.eigh(matrix)

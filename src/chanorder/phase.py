@@ -36,6 +36,7 @@ import numpy as np
 from .numerics import _number_array, checked_integer
 
 __all__ = [
+    "CONVENTIONS",
     "EPS_GIBBS",
     "TorusSpectrum",
     "WrappedGaussian",
@@ -377,6 +378,13 @@ class StrictnessResult:
 
     kind: Strictness
     witness: tuple[int, int] | None = None
+
+
+# Printed with every phase result by the command-line front end.
+CONVENTIONS = (
+    "strict = cannot be undone by any further phase degradation",
+    "a null (worst) channel is excluded from the strictness question",
+)
 
 
 def is_strict(

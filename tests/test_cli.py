@@ -589,6 +589,115 @@ def test_non_string_document_type_exits_two(capsys, tmp_path, kind):
         "type": "ValueError", "message": f"{path}: unknown document type {kind!r}"}
 
 
+# Every command that reads two or more files, each file named @1, @2, ...
+# in the order the command reads them.
+_MULTI_FILE_ARGV = [
+    ["dmc", "check", "--better", "@1", "--worse", "@2"],
+    ["dmc", "equiv", "--a", "@1", "--b", "@2"],
+    ["dmc", "degrade", "--channel", "@1", "--witness", "@2"],
+    ["noise", "check", "--better", "@1", "--worse", "@2"],
+    ["noise", "lub", "@1", "@2"],
+    ["noise", "glb", "@1", "@2"],
+    ["phase", "degrade", "--channel", "@1", "--degradation", "@2"],
+    ["phase", "strict", "--channel", "@1", "--degradation", "@2"],
+    ["lgc", "check", "--better", "@1", "--worse", "@2"],
+    ["lgc", "lub", "@1", "@2"],
+    ["lgc", "glb", "@1", "@2"],
+    ["lgc", "verify-equiv", "--channel", "@1", "--b-matrix", "@2", "--c-matrix", "@3"],
+    ["lgc", "ensemble-order", "--a", "@1", "--b", "@2"],
+]
+
+
+def test_multi_file_commands_are_all_probed():
+    declared = {(group, command) for group, command, _, files, _ in cli._COMMANDS if len(files) > 1}
+    assert {tuple(argv[:2]) for argv in _MULTI_FILE_ARGV} == declared
+
+
+@pytest.mark.parametrize("bad", ["missing", "not-an-object"])
+@pytest.mark.parametrize("argv", _MULTI_FILE_ARGV, ids=lambda argv: " ".join(argv[:2]))
+def test_first_bad_file_is_the_one_reported(capsys, tmp_path, argv, bad):
+    """With every file bad, the error names the file the command reads first."""
+    paths = {a: tmp_path / f"file{a[1:]}.json" for a in argv if a.startswith("@")}
+    if bad == "not-an-object":
+        for path in paths.values():
+            write(path, [])
+    paths = {a: str(path) for a, path in paths.items()}
+    code = run([paths.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    message = json.loads(captured.err)["error"]["message"]
+    assert [path for path in paths.values() if path in message] == [paths["@1"]]
+
+
+_WITNESS_PAIR = {"input_map": [0, 1], "output_map": [0, 1]}
+_BAD_DOCUMENTS = [
+    ("lgc-overflow", ["lgc", "canon", "--channel", "@doc"],
+     {"type": "lgc", "H": [[1e300]], "Sigma": [[1e-300]]},
+     "whitened channel matrix Sigma^(-1/2) H overflows the float range"),
+    ("lgc-overflow-check", ["lgc", "check", "--better", "@doc", "--worse", "@doc"],
+     {"type": "lgc", "H": [[1e300]], "Sigma": [[1e-300]]},
+     "whitened channel matrix Sigma^(-1/2) H overflows the float range"),
+    ("lgc-asymmetry-overflow", ["lgc", "canon", "--channel", "@doc"],
+     {"type": "lgc", "H": [[1.0, 0.0], [0.0, 1.0]], "Sigma": [[1.0, -1e308], [1e308, 1.0]]},
+     "Sigma: matrix is not symmetric: max asymmetry inf"),
+    ("witness-no-pairs", ["dmc", "degrade", "--channel", "@bsc", "--witness", "@doc"],
+     {"weights": [1.0]},
+     "witness pairs must be a list of objects with input_map and output_map"),
+    ("witness-int-map", ["dmc", "degrade", "--channel", "@bsc", "--witness", "@doc"],
+     {"weights": [1.0], "pairs": [{"input_map": 5, "output_map": [0, 1]}]},
+     "witness pairs[0].input_map must be a list of indices"),
+    ("witness-no-output-map", ["dmc", "degrade", "--channel", "@bsc", "--witness", "@doc"],
+     {"weights": [1.0, 1.0], "pairs": [_WITNESS_PAIR, {"input_map": [0, 1]}]},
+     "witness pairs[1].output_map must be a list of indices"),
+    ("witness-string-pair", ["dmc", "degrade", "--channel", "@bsc", "--witness", "@doc"],
+     {"weights": [1.0], "pairs": ["ab"]},
+     "witness pairs[0] must be an object with input_map and output_map"),
+    ("witness-2d-weights", ["dmc", "degrade", "--channel", "@bsc", "--witness", "@doc"],
+     {"weights": [[1.0]], "pairs": [_WITNESS_PAIR]},
+     "witness weights must be a 1-D list of numbers"),
+    ("atoms-flat", ["noise", "variance", "--profile", "@doc"],
+     {**_GAUSSIAN_DOC, "atoms": [1.0, 2.0]}, "atoms must be a list of [location, mass] pairs"),
+    ("atoms-triple", ["noise", "variance", "--profile", "@doc"],
+     {**_GAUSSIAN_DOC, "atoms": [[0, 1, 2]]}, "atoms must be a list of [location, mass] pairs"),
+    ("atoms-empty-pair", ["noise", "variance", "--profile", "@doc"],
+     {**_GAUSSIAN_DOC, "atoms": [[]]}, "atoms must be a list of [location, mass] pairs"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, document, message", [case[1:] for case in _BAD_DOCUMENTS],
+                         ids=[case[0] for case in _BAD_DOCUMENTS])
+def test_bad_document_fields_are_named(capsys, tmp_path, argv, document, message):
+    files = {"@doc": write(tmp_path / "doc.json", document),
+             "@bsc": write(tmp_path / "bsc.json", dmc.to_json_dict(dmc.bsc(0.1)))}
+    code = run([files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("h, c, code, outcome", [
+    ([[1.0, 0.0], [0.0, 1.0]], 1e300, 2, "transformed noise covariance C Sigma C^T overflows the float range"),
+    ([[1e300, 0.0], [0.0, 1.0]], 1e10, 2, "transformed channel matrix C H B overflows the float range"),
+    ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1e-7]], 1, "transformed noise covariance not positive definite"),
+], ids=["covariance-overflow", "matrix-overflow", "not-positive-definite"])
+def test_verify_equiv_overflow_is_named(capsys, tmp_path, h, c, code, outcome):
+    c = np.multiply(c, np.eye(2)) if np.isscalar(c) else np.asarray(c)
+    channel = write(tmp_path / "lgc.json", {"type": "lgc", "H": h, "Sigma": np.eye(2).tolist()})
+    b_matrix = write(tmp_path / "B.json", {"type": "matrix", "matrix": np.eye(2).tolist()})
+    c_matrix = write(tmp_path / "C.json", {"type": "matrix", "matrix": c.tolist()})
+    got, doc, err = run_json(
+        capsys, ["lgc", "verify-equiv", "--channel", channel, "--b-matrix", b_matrix, "--c-matrix", c_matrix])
+    assert got == code
+    if code == 2:
+        assert doc is None and err.count("\n") == 1
+        assert json.loads(err)["error"] == {"type": "ValueError", "message": outcome}
+    else:
+        assert err == "" and doc["result"] == {"equivalent": False, "condition": outcome}
+
+
 class TestErrorsAndFormats:
     def test_unknown_subcommand(self, capsys):
         code = run(["dmc", "frobnicate"])
@@ -792,6 +901,21 @@ def test_subcommand_contract(capsys, contract_files, argv, code, keys, parameter
         assert doc["metadata"] == {
             "command": command, "parameters": parameters, "conventions": conventions}
         assert list(doc["metadata"]) == ["command", "parameters", "conventions"]
+
+
+_FAMILIES = {"dmc": dmc, "noise": noise, "phase": phase, "lgc": lgc}
+
+
+@pytest.mark.parametrize("argv", [case[0] for case in _CONTRACT],
+                         ids=[" ".join(case[0][:2]) for case in _CONTRACT])
+def test_printed_conventions_are_the_family_constants(capsys, contract_files, argv):
+    argv = [contract_files[a[1:]] if a.startswith("@") else a for a in argv]
+    _, doc, err = run_json(capsys, argv)
+    assert err == ""
+    printed = doc["conventions"] if doc["type"] == "result" else doc["metadata"]["conventions"]
+    family = _FAMILIES[argv[0]]
+    expected = family.ENSEMBLE_CONVENTIONS if argv[1] == "ensemble-order" else family.CONVENTIONS
+    assert printed == list(expected)
 
 
 @pytest.mark.parametrize("argv", [case[0] for case in _CONTRACT],
