@@ -20,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .numerics import _number_array
+from .numerics import _number_array, _required
 
 __all__ = ["ChannelDocument", "load_document", "run", "main"]
 
@@ -100,7 +100,7 @@ def _load_matrix(path: str) -> np.ndarray:
     obj = _read_json(path)
     if obj.get("type") not in (None, "matrix"):
         raise ValueError(f"{path}: expected a matrix document")
-    return _number_array(obj["matrix"], f"{path}: matrix")
+    return _number_array(_required(obj, "matrix", f"{path}: matrix document"), f"{path}: matrix")
 
 
 # File kinds that are not channel documents.

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import _number_array, checked_integer
+from .numerics import _number_array, _required, _unchecked, checked_integer
 
 __all__ = [
     "CONVENTIONS",
@@ -195,14 +195,6 @@ class InclusionDecision:
     margin: float | None = None
 
 
-def _pair(input_map: tuple[int, ...], output_map: tuple[int, ...]) -> DeterministicPair:
-    """DeterministicPair from maps that are valid by construction (no validation)."""
-    pair = object.__new__(DeterministicPair)
-    object.__setattr__(pair, "input_map", input_map)
-    object.__setattr__(pair, "output_map", output_map)
-    return pair
-
-
 def _maps(domain: int, codomain: int) -> np.ndarray:
     """Every map from ``range(domain)`` to ``range(codomain)``, one per row, in
     ``itertools.product`` order."""
@@ -291,7 +283,9 @@ class _Pairs(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[r] for r in range(*index.indices(len(self)))]
-        return _pair(self._inputs[self._i[index]], self._outputs[self._t[index]])
+        # Rows of map tables: nonempty tuples of nonnegative Python ints.
+        return _unchecked(DeterministicPair, input_map=self._inputs[self._i[index]],
+                          output_map=self._outputs[self._t[index]])
 
 
 def _byte_keys(rows: np.ndarray) -> np.ndarray:
@@ -333,7 +327,9 @@ def _best_pair(table: _PricingTable, h: np.ndarray) -> tuple[DeterministicPair, 
     input map R each better output j takes ``argmax_z (H^T R K)[z, j]``.
     Ties go to the lowest index.  The score array has the table's size
     times ``n2 / m2`` or ``m2 / n2``; nothing else of that size is made.
-    The column is bit-identical to ``DeterministicPair.apply``'s.
+    The column is bit-identical to ``DeterministicPair.apply``'s.  The
+    pair's maps are tuples of Python ints read off the table and the
+    argmaxes, so it is built without validation.
     """
     hm = h.reshape(table.n2, table.m2)
     products = table.products
@@ -342,13 +338,15 @@ def _best_pair(table: _PricingTable, h: np.ndarray) -> tuple[DeterministicPair, 
         scores = (products.reshape(-1, m2) @ hm.T).reshape(n1, maps, table.n2)
         best = int(np.argmax(scores.max(axis=0).sum(axis=1)))
         inputs = scores[:, best, :].argmax(axis=0)
-        pair = _pair(tuple(inputs.tolist()), tuple(table.maps[best].tolist()))
+        pair = _unchecked(DeterministicPair, input_map=tuple(inputs.tolist()),
+                          output_map=tuple(table.maps[best].tolist()))
         return pair, products[:, best, :][inputs].ravel()
     m1 = table.k.shape[1]
     scores = hm.T @ products
     best = int(np.argmax(scores.max(axis=0).reshape(-1, m1).sum(axis=1)))
     outputs = scores[:, best * m1:(best + 1) * m1].argmax(axis=0).tolist()
-    pair = _pair(tuple(table.maps[best].tolist()), tuple(outputs))
+    pair = _unchecked(DeterministicPair, input_map=tuple(table.maps[best].tolist()),
+                      output_map=tuple(outputs))
     # R K T from the table's R K, adding each better output j in j order, as
     # _collapsed does.
     rk = products[:, best * m1:(best + 1) * m1]
@@ -681,7 +679,7 @@ def to_json_dict(channel: StochasticMatrix) -> dict:
 def from_json_dict(obj: dict) -> StochasticMatrix:
     if obj.get("type") != "dmc":
         raise ValueError("expected a document with type 'dmc'")
-    return StochasticMatrix(_number_array(obj["matrix"], "matrix"))
+    return StochasticMatrix(_number_array(_required(obj, "matrix", "dmc document"), "matrix"))
 
 
 def witness_to_json_dict(witness: InclusionWitness) -> dict:

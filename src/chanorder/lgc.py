@@ -13,12 +13,13 @@ Dvoretzky-Kiefer-Wolfowitz confidence band.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import log, sqrt
+from math import isfinite, log, sqrt
 
 import numpy as np
 
 from .numerics import (
-    _number_array, checked_integer, checked_tolerance, inverse_sqrt_spd, singular_values,
+    _number_array, _required, _unchecked, checked_integer, checked_tolerance, inverse_sqrt_spd,
+    singular_values,
 )
 
 __all__ = [
@@ -88,12 +89,18 @@ class GaussianChannel:
 
 
 def _whitened_spectrum(whitener: np.ndarray, h: np.ndarray) -> SingularSpectrum:
-    """Singular values of ``whitener @ h``; ValueError if that product overflows."""
+    """Singular values of ``whitener @ h``; ValueError if they or that product overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         whitened = whitener @ h
     if not np.all(np.isfinite(whitened)):
         raise ValueError("whitened channel matrix Sigma^(-1/2) H overflows the float range")
-    return SingularSpectrum(singular_values(whitened))
+    values = singular_values(whitened)
+    # The largest singular value comes first: it is the one that overflows.
+    if not isfinite(values[0]):
+        raise ValueError(
+            "singular values of the whitened channel matrix Sigma^(-1/2) H overflow the float range"
+        )
+    return SingularSpectrum(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +124,9 @@ class SingularSpectrum:
     def padded(self, length: int) -> np.ndarray:
         if length < self.values.size:
             raise ValueError("cannot pad to a shorter length")
-        return np.pad(self.values, (0, length - self.values.size))
+        out = np.zeros(length)
+        out[: self.values.size] = self.values
+        return out
 
 
 @dataclass(frozen=True)
@@ -172,20 +181,30 @@ def includes(
 
 
 def _pad_pair(a: SingularSpectrum, b: SingularSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Both spectra's values at their common length, for reading only: a
+    spectrum already that long is its own read-only array."""
     length = max(a.values.size, b.values.size)
-    return a.padded(length), b.padded(length)
+    return tuple(s.values if s.values.size == length else s.padded(length) for s in (a, b))
+
+
+def _combined(a: SingularSpectrum, b: SingularSpectrum, op) -> SingularSpectrum:
+    # The entrywise max or min of two finite, nonnegative, nonincreasing
+    # vectors is all three, and a step rises no more than one of theirs did
+    # (max(a', b') - max(a, b) <= max(a' - a, b' - b)), so the result passes
+    # every check of SingularSpectrum; the inputs hold no -0.0 to clip.
+    values = op(*_pad_pair(a, b))
+    values.setflags(write=False)
+    return _unchecked(SingularSpectrum, values=values)
 
 
 def lub(a: SingularSpectrum, b: SingularSpectrum) -> SingularSpectrum:
     """Element-wise maximum; max of two sorted vectors stays sorted."""
-    va, vb = _pad_pair(a, b)
-    return SingularSpectrum(np.maximum(va, vb))
+    return _combined(a, b, np.maximum)
 
 
 def glb(a: SingularSpectrum, b: SingularSpectrum) -> SingularSpectrum:
     """Element-wise minimum; min of two sorted vectors stays sorted."""
-    va, vb = _pad_pair(a, b)
-    return SingularSpectrum(np.minimum(va, vb))
+    return _combined(a, b, np.minimum)
 
 
 def verify_equivalence_transform(
@@ -487,7 +506,8 @@ def to_json_dict(channel: GaussianChannel) -> dict:
 def from_json_dict(obj: dict) -> GaussianChannel:
     if obj.get("type") != "lgc":
         raise ValueError("expected a document with type 'lgc'")
-    return GaussianChannel(_number_array(obj["H"], "H"), _number_array(obj["Sigma"], "Sigma"))
+    return GaussianChannel(*(_number_array(_required(obj, key, "lgc document"), key)
+                             for key in ("H", "Sigma")))
 
 
 def ensemble_to_json_dict(ensemble: SingularEnsemble) -> dict:
@@ -503,7 +523,7 @@ def ensemble_from_json_dict(obj: dict) -> SingularEnsemble:
     if obj.get("type") != "lgc_ensemble":
         raise ValueError("expected a document with type 'lgc_ensemble'")
     return SingularEnsemble(
-        _number_array(obj["samples"], "samples"),
+        _number_array(_required(obj, "samples", "lgc_ensemble document"), "samples"),
         seed=obj.get("seed", 0),
         copula_note=str(obj.get("copula_note", "")),
     )

@@ -21,13 +21,14 @@ smaller profile.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Integral, Real
 
 import numpy as np
 
-from .numerics import _number_array, checked_tolerance
+from .numerics import _number_array, _required, _unchecked, checked_tolerance
 
 __all__ = [
     "CONVENTIONS",
@@ -216,12 +217,33 @@ def check_order(a: MonotoneProfile, b: MonotoneProfile, tolerance: float = 1e-9)
     return OrderResult(relation, float(min(first, second)))
 
 
-def _combined(a: MonotoneProfile, b: MonotoneProfile, op) -> MonotoneProfile:
-    # ``op`` acts on slopes and paired masses alike; zero masses are dropped.
+def _combined(a: MonotoneProfile, b: MonotoneProfile, op, name: str) -> MonotoneProfile:
+    """``op`` of the slopes and of the paired masses; zero masses are dropped.
+
+    ``_aligned`` returns the parts of a valid profile: a strictly increasing
+    finite grid (``a``'s own, or the union of two such grids), slopes that
+    are >= 0 but for rounding in the interpolation, and sites in increasing
+    order more than the tolerance apart.  A max, min or sum of those keeps
+    all of it while it stays finite, so the result is built from the parts
+    without validating them again; the slopes are clipped at 0, as
+    ``MonotoneProfile`` does.  A result past the float range is refused
+    instead: a sum can overflow, and so can the interpolation of slopes
+    near the float limit on close grid points.
+    """
     grid, da, db, locations, ma, mb = _aligned(a, b)
-    masses = op(ma, mb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        density, masses = op(da, db), op(ma, mb)
+        # Finite totals mean finite entries; a total past the float range
+        # sends finite entries on to the exact check below.
+        finite = math.isfinite(density.sum()) and math.isfinite(masses.sum())
+    if not finite and not (np.all(np.isfinite(density)) and np.all(np.isfinite(masses))):
+        raise ValueError(f"the profile {name} overflows the float range")
+    np.maximum(density, 0.0, out=density)  # np.clip(density, 0.0, None), in place
+    grid.setflags(write=False)
+    density.setflags(write=False)
     keep = masses > 0.0
-    return MonotoneProfile(grid, op(da, db), tuple(zip(locations[keep], masses[keep])), a.flag)
+    atoms = tuple(zip(locations[keep].tolist(), masses[keep].tolist()))
+    return _unchecked(MonotoneProfile, grid=grid, density=density, atoms=atoms, flag=a.flag)
 
 
 def lub(a: MonotoneProfile, b: MonotoneProfile) -> MonotoneProfile:
@@ -230,17 +252,21 @@ def lub(a: MonotoneProfile, b: MonotoneProfile) -> MonotoneProfile:
     Unpaired jumps are kept in full; a pair of jumps within
     ``ATOM_LOCATION_TOL`` takes the larger of the two masses.
     """
-    return _combined(a, b, np.maximum)
+    return _combined(a, b, np.maximum, "lub")
 
 
 def glb(a: MonotoneProfile, b: MonotoneProfile) -> MonotoneProfile:
     """Greatest lower bound: pointwise minimum of slopes, paired jumps only."""
-    return _combined(a, b, np.minimum)
+    return _combined(a, b, np.minimum, "glb")
 
 
 def profile_sum(a: MonotoneProfile, b: MonotoneProfile) -> MonotoneProfile:
-    """Profile of the sum of two independent noises: slopes and jumps add."""
-    return _combined(a, b, np.add)
+    """Profile of the sum of two independent noises: slopes and jumps add.
+
+    Raises ValueError when a sum of slopes or of masses overflows the float
+    range.
+    """
+    return _combined(a, b, np.add, "sum")
 
 
 def variance(profile: MonotoneProfile) -> float:
@@ -317,17 +343,17 @@ def to_json_dict(profile: MonotoneProfile) -> dict:
 def from_json_dict(obj: dict) -> MonotoneProfile:
     if obj.get("type") != "kfunction":
         raise ValueError("expected a document with type 'kfunction'")
-    spec = obj["grid"]
+    spec = _required(obj, "grid", "kfunction document")
     if not isinstance(spec, dict):
         raise ValueError(f"grid must be an object with min, max and points, got {spec!r}")
-    density = _number_array(obj["density"], "density")
-    points = spec["points"]
+    density = _number_array(_required(obj, "density", "kfunction document"), "density")
+    points = _required(spec, "points", "kfunction grid")
     if isinstance(points, bool) or not isinstance(points, Integral) or points != density.size:
         raise ValueError(
             f"grid.points must be an integer equal to the {density.size} density values, "
             f"got {points!r}"
         )
-    bounds = spec["min"], spec["max"]
+    bounds = _required(spec, "min", "kfunction grid"), _required(spec, "max", "kfunction grid")
     if any(isinstance(v, bool) or not isinstance(v, Real) for v in bounds):
         raise ValueError(f"grid.min and grid.max must be numbers, got {bounds!r}")
     try:

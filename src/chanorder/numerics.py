@@ -1,9 +1,9 @@
 """Shared numerical kernels.
 
 Singular values, symmetric inverse square roots, tolerance and integer
-validation, and the number-only rule for arrays read from documents.
-Every function here is a pure function of its inputs, so all of it is safe
-to call concurrently.
+validation, the rules for fields read from documents, and the one way to
+build a value that is valid by construction.  Every function here is a pure
+function of its inputs, so all of it is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -56,13 +56,38 @@ def inverse_sqrt_spd(matrix) -> np.ndarray:
     return (vectors / np.sqrt(eigenvalues)) @ vectors.T
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen value type ``cls`` holding ``fields``, without
+    running its ``__post_init__``.
+
+    Only for values that are valid by construction: each caller says why
+    its fields already meet every check the constructor would run, in the
+    form the constructor would store them.
+    """
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
+def _required(document: dict, key: str, what: str):
+    """``document[key]``; ValueError naming ``what`` and the key when it is missing."""
+    try:
+        return document[key]
+    except KeyError:
+        raise ValueError(f"{what} is missing the required key {key!r}") from None
+
+
 def _number_array(value, what: str) -> np.ndarray:
     """``value`` as ``np.asarray`` parses it; TypeError unless its entries are numbers.
 
     Every document parser reads its arrays through this, so that JSON
-    strings and booleans are rejected instead of converted to floats.
+    strings and booleans are rejected instead of converted to floats, and
+    nested lists of unequal lengths are refused under the field's name.
     """
-    array = np.asarray(value)
+    try:
+        array = np.asarray(value)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ValueError(f"{what} must be a rectangular array: nested lists differ in shape") from None
     if array.dtype.kind not in "iuf":
         raise TypeError(f"{what} must hold only numbers")
     return array

@@ -33,7 +33,7 @@ from itertools import chain
 
 import numpy as np
 
-from .numerics import _number_array, checked_integer
+from .numerics import _number_array, _required, _unchecked, checked_integer
 
 __all__ = [
     "CONVENTIONS",
@@ -175,10 +175,7 @@ def _product_spectrum(h: np.ndarray, v: np.ndarray) -> TorusSpectrum:
     """Channel spectrum of the rank-one grid ``np.outer(h, v)``."""
     order, coeffs = _checked_grid((h.size - 1) // 2, np.outer(h, v), "channel", factors=(h, v))
     # Every check has run: fill the frozen fields without a second one.
-    spectrum = object.__new__(TorusSpectrum)
-    for name, value in (("order", order), ("coeffs", coeffs), ("role", "channel")):
-        object.__setattr__(spectrum, name, value)
-    return spectrum
+    return _unchecked(TorusSpectrum, order=order, coeffs=coeffs, role="channel")
 
 
 def _product_min(order: int, h: np.ndarray, v: np.ndarray) -> float:
@@ -482,9 +479,9 @@ def to_json_dict(spectrum: TorusSpectrum) -> dict:
 def from_json_dict(obj: dict) -> TorusSpectrum:
     if obj.get("type") != "torus":
         raise ValueError("expected a document with type 'torus'")
-    order = _check_order(obj["order"])
+    order = _check_order(_required(obj, "order", "torus document"))
     side = 2 * order + 1
-    pairs = _coefficient_pairs(obj["coeffs"])
+    pairs = _coefficient_pairs(_required(obj, "coeffs", "torus document"))
     if pairs.shape != (side * side, 2):
         raise ValueError(f"coeffs must hold {side * side} [re, im] pairs for order {order}")
     # The complex view of the pairs keeps -0.0.

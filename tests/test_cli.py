@@ -661,6 +661,18 @@ _BAD_DOCUMENTS = [
      {**_GAUSSIAN_DOC, "atoms": [[0, 1, 2]]}, "atoms must be a list of [location, mass] pairs"),
     ("atoms-empty-pair", ["noise", "variance", "--profile", "@doc"],
      {**_GAUSSIAN_DOC, "atoms": [[]]}, "atoms must be a list of [location, mass] pairs"),
+    ("kfunction-grid-points", ["noise", "variance", "--profile", "@doc"],
+     {**_GAUSSIAN_DOC, "grid": {"min": -1.0, "max": 1.0}, "density": [0.0, 0.0]},
+     "kfunction grid is missing the required key 'points'"),
+    ("ragged-atoms", ["noise", "variance", "--profile", "@doc"],
+     {**_GAUSSIAN_DOC, "atoms": [[0, 1], [2]]},
+     "atoms must be a rectangular array: nested lists differ in shape"),
+    ("ragged-matrix", ["dmc", "check", "--better", "@doc", "--worse", "@bsc"],
+     {"type": "dmc", "matrix": [[0.5, 0.5], [1.0]]},
+     "matrix must be a rectangular array: nested lists differ in shape"),
+    ("lgc-singular-values-overflow", ["lgc", "canon", "--channel", "@doc"],
+     {"type": "lgc", "H": [[1e308, 1e308], [1e308, 1e308]], "Sigma": [[1.0, 0.0], [0.0, 1.0]]},
+     "singular values of the whitened channel matrix Sigma^(-1/2) H overflow the float range"),
 ]
 
 
@@ -675,6 +687,41 @@ def test_bad_document_fields_are_named(capsys, tmp_path, argv, document, message
     assert (code, captured.out) == (2, "")
     assert captured.err.count("\n") == 1
     assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
+
+
+_LGC_DOC = lgc.to_json_dict(lgc.GaussianChannel(np.eye(2), np.eye(2)))
+# Per document type: a command that reads it, and a complete document.
+_WITHOUT = {
+    "dmc": (["dmc", "check", "--better", "@doc", "--worse", "@bsc"], dmc.to_json_dict(dmc.bsc(0.1))),
+    "kfunction": (["noise", "variance", "--profile", "@doc"], _GAUSSIAN_DOC),
+    "torus": (["phase", "strict", "--channel", "@doc", "--degradation", "@doc"],
+              phase.to_json_dict(phase.product_channel(np.ones(3), np.ones(3)))),
+    "lgc": (["lgc", "canon", "--channel", "@doc"], _LGC_DOC),
+    "lgc_ensemble": (["lgc", "ensemble-order", "--a", "@doc", "--b", "@doc"],
+                     {"type": "lgc_ensemble", "samples": [[1.0, 0.5]], "seed": 0}),
+    "matrix": (["lgc", "verify-equiv", "--channel", "@lgc", "--b-matrix", "@doc", "--c-matrix", "@doc"],
+               {"type": "matrix", "matrix": [[1.0, 0.0], [0.0, 1.0]]}),
+}
+_MISSING_KEYS = [("dmc", "matrix"), ("kfunction", "grid"), ("kfunction", "density"),
+                 ("torus", "order"), ("torus", "coeffs"), ("lgc", "H"), ("lgc", "Sigma"),
+                 ("lgc_ensemble", "samples"), ("matrix", "matrix")]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, key", _MISSING_KEYS, ids=[f"{kind}-{key}" for kind, key in _MISSING_KEYS])
+def test_missing_required_key_is_named(capsys, tmp_path, kind, key):
+    argv, document = _WITHOUT[kind]
+    document = {name: value for name, value in document.items() if name != key}
+    files = {"@doc": write(tmp_path / "doc.json", document),
+             "@bsc": write(tmp_path / "bsc.json", dmc.to_json_dict(dmc.bsc(0.1))),
+             "@lgc": write(tmp_path / "lgc.json", _LGC_DOC)}
+    code = run([files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err.count("\n")) == (2, "", 1)
+    # Errors from a matrix file start with its path.
+    where = f"{files['@doc']}: " if kind == "matrix" else ""
+    assert json.loads(captured.err)["error"] == {
+        "type": "ValueError", "message": f"{where}{kind} document is missing the required key {key!r}"}
 
 
 @pytest.mark.filterwarnings("error")

@@ -81,6 +81,19 @@ class TestCanonicalize:
         assert len(calls) == 3
 
 
+@pytest.mark.filterwarnings("error")
+def test_singular_values_past_the_float_range_are_named():
+    # Every entry of Sigma^(-1/2) H is finite; its largest singular value,
+    # 2e308, is not.  GaussianChannel and verify_equivalence_transform both
+    # take the spectrum through _whitened_spectrum.
+    h = np.full((2, 2), 1e308)
+    message = "^singular values of the whitened channel matrix Sigma\\^\\(-1/2\\) H overflow the float range$"
+    with pytest.raises(ValueError, match=message):
+        GaussianChannel(h, np.eye(2))
+    with pytest.raises(ValueError, match=message):
+        lgc._whitened_spectrum(np.eye(2), h)
+
+
 class TestIncludes:
     def test_dominating_pair(self):
         assert spectrum_includes(SingularSpectrum([2.0, 1.0]), SingularSpectrum([1.0, 0.5])).included
@@ -167,6 +180,83 @@ class TestLattice:
                 assert spectrum_includes(side, bottom).included
             assert np.all(np.diff(top.values) <= 0.0)
             assert np.all(np.diff(bottom.values) <= 0.0)
+
+
+def _reference_pad(spectrum, length):
+    return np.pad(spectrum.values, (0, length - spectrum.values.size))
+
+
+class TestBuiltFromParts:
+    """lub and glb build their spectrum from the padded values, with no
+    second validation, and padding fills zeros by slice."""
+
+    @staticmethod
+    def spectra():
+        rng = np.random.default_rng(2025)
+        spectra = [SingularSpectrum([]), SingularSpectrum([0.0]), SingularSpectrum([3.0, 3.0, 0.0])]
+        for _ in range(40):
+            values = rng.random(int(rng.integers(1, 7))) * 4.0
+            values[rng.random(values.size) < 0.2] = 0.0
+            values = np.sort(values)[::-1]
+            spectra.append(SingularSpectrum(values))
+            # Steps that rise by nearly the 1e-12 the check allows.
+            spectra.append(SingularSpectrum(values + rng.uniform(0.0, 0.9e-12, size=values.size)))
+        return spectra
+
+    @pytest.mark.filterwarnings("error")
+    def test_results_match_the_validating_constructor_byte_for_byte(self):
+        spectra = self.spectra()
+        for a in spectra:
+            for b in spectra[::3]:
+                length = max(a.values.size, b.values.size)
+                pa, pb = _reference_pad(a, length), _reference_pad(b, length)
+                for operation, op in ((lub, np.maximum), (glb, np.minimum)):
+                    built, expected = operation(a, b), SingularSpectrum(op(pa, pb))
+                    assert built.values.tobytes() == expected.values.tobytes()
+                    assert not built.values.flags.writeable
+                for tolerance in (0.0, 1e-9, 0.5):
+                    bad = np.nonzero(pb - pa > tolerance)[0]
+                    index = int(bad[0]) if bad.size else None
+                    expected = lgc.SpectrumOrderDecision(index is None, violating_index=index)
+                    assert spectrum_includes(a, b, tolerance) == expected
+
+    def test_padded_is_a_fresh_zero_filled_copy(self):
+        for spectrum in self.spectra()[:12]:
+            for extra in (0, 1, 4):
+                length = spectrum.values.size + extra
+                padded = spectrum.padded(length)
+                assert padded.tobytes() == _reference_pad(spectrum, length).tobytes()
+                assert padded.flags.writeable and not np.shares_memory(padded, spectrum.values)
+        with pytest.raises(ValueError, match="shorter"):
+            SingularSpectrum([1.0, 0.5]).padded(1)
+
+    def test_verify_equivalence_matches_the_padded_reference(self):
+        rng = np.random.default_rng(11)
+        for trial in range(20):
+            outputs, inputs = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            channel = GaussianChannel(rng.standard_normal((outputs, inputs)), random_spd(rng, outputs))
+            extra = int(rng.integers(0, 3))
+            b = sample_haar_orthogonal(inputs + extra, [4, trial, 0])[:inputs, :]
+            c = sample_haar_orthogonal(outputs, [4, trial, 1]) @ np.diag(rng.uniform(0.5, 2.0, outputs))
+            moved = SingularSpectrum(singular_values(inverse_sqrt_spd(c @ channel.Sigma @ c.T)
+                                                     @ (c @ channel.H @ b)))
+            length = max(moved.values.size, channel.spectrum.values.size)
+            deviation = float(np.max(np.abs(_reference_pad(moved, length)
+                                            - _reference_pad(channel.spectrum, length))))
+            report = verify_equivalence_transform(channel, b, c, tolerance=1e-8)
+            assert report.max_deviation == deviation
+            assert report.equivalent == (deviation <= 1e-8)
+
+    def test_no_second_validation(self, monkeypatch):
+        spectra = self.spectra()
+        calls = []
+        post_init = SingularSpectrum.__post_init__
+        monkeypatch.setattr(SingularSpectrum, "__post_init__",
+                            lambda self: calls.append(1) or post_init(self))
+        for a in spectra:
+            for b in spectra[::3]:
+                lub(a, b), glb(a, b), spectrum_includes(a, b)
+        assert calls == []
 
 
 class TestVerifyEquivalence:

@@ -192,6 +192,122 @@ class TestSharedGrid:
         assert lub(*zeros).grid.tobytes() == np.union1d(zeros[0].grid, zeros[1].grid).tobytes()
 
 
+def _validated(a, b, op):
+    """The lattice result as the validating constructor builds it."""
+    grid, da, db, locations, ma, mb = noise._aligned(a, b)
+    masses = op(ma, mb)
+    keep = masses > 0.0
+    return MonotoneProfile(grid, op(da, db), tuple(zip(locations[keep], masses[keep])), a.flag)
+
+
+def _profile_bytes(p):
+    return (p.grid.tobytes(), p.density.tobytes(), p.atoms, [type(v) for atom in p.atoms for v in atom],
+            p.flag, p.grid.flags.writeable, p.density.flags.writeable)
+
+
+def _edge_location(x, side, beyond):
+    """The farthest location on ``side`` of ``x`` that pairs with it (within
+    ``ATOM_LOCATION_TOL`` as floats subtract), or the nearest that does not."""
+    tol, away = noise.ATOM_LOCATION_TOL, side * np.inf
+    y = x + side * tol
+    while abs(y - x) > tol:
+        y = np.nextafter(y, x)
+    while abs(np.nextafter(y, away) - x) <= tol:
+        y = np.nextafter(y, away)
+    return float(np.nextafter(y, away) if beyond else y)
+
+
+def _edge_atom_pair(rng):
+    """Two atom lists whose sites meet exactly at, just past and well inside
+    the matching tolerance, with some atoms left unpaired."""
+    tol = noise.ATOM_LOCATION_TOL
+    # At a site 0.0 the edge is exactly the tolerance.
+    sites = np.cumsum([0.0, *rng.uniform(3.5 * tol, 10 * tol, size=5)])
+    sites += rng.choice([0.0, rng.uniform(-1.0, 1.0)])
+    a = [(float(x), float(rng.uniform(0.1, 2.0))) for x in sites if rng.random() < 0.8]
+    b = []
+    for x in sites:
+        kind = int(rng.integers(0, 6))
+        if kind < 4:
+            location = _edge_location(x, 1 if kind % 2 else -1, beyond=kind >= 2)
+        else:
+            location = float(x + (kind - 4) * 0.6 * tol)
+        if rng.random() < 0.8:
+            b.append((location, float(rng.uniform(0.1, 2.0))))
+    return a, b
+
+
+class TestBuiltFromParts:
+    """lub, glb and profile_sum build their result from validated parts."""
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(2024)
+        pairs = []
+        for i in range(60):
+            flag = "spectral" if i % 5 == 0 else "noise_K"
+            a = random_profile(rng, flag=flag, grid_points=int(rng.integers(2, 200)))
+            if i % 3 == 0:  # the union path
+                grid = np.sort(rng.uniform(-6.0, 6.0, size=int(rng.integers(2, 150))))
+            else:
+                grid = a.grid
+            atoms_a, atoms_b = _edge_atom_pair(rng)
+            b = MonotoneProfile(grid, rng.random(grid.size) * (rng.random(grid.size) < 0.6), atoms_b, flag)
+            pairs.append((a, b))
+            pairs.append((MonotoneProfile(a.grid, a.density, atoms_a, flag), b))
+        pairs.append((MonotoneProfile(), gaussian(2.0)))
+        pairs.append((MonotoneProfile(), MonotoneProfile(np.linspace(-1.0, 1.0, 3))))
+        return pairs
+
+    @pytest.mark.filterwarnings("error")
+    def test_results_match_the_validating_constructor_byte_for_byte(self):
+        for a, b in self.pairs():
+            for x, y in ((a, b), (b, a)):
+                for operation, op in ((lub, np.maximum), (glb, np.minimum), (profile_sum, np.add)):
+                    assert _profile_bytes(operation(x, y)) == _profile_bytes(_validated(x, y, op))
+
+    def test_no_second_validation(self, monkeypatch):
+        pairs = self.pairs()
+        calls = []
+        post_init = MonotoneProfile.__post_init__
+        monkeypatch.setattr(MonotoneProfile, "__post_init__",
+                            lambda self: calls.append(1) or post_init(self))
+        for a, b in pairs:
+            for operation in (lub, glb, profile_sum):
+                operation(a, b)
+        assert calls == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, b", [
+        (MonotoneProfile(np.linspace(0.0, 1.0, 3), np.full(3, 1e308)),
+         MonotoneProfile(np.linspace(0.0, 1.0, 3), np.full(3, 1e308))),
+        (MonotoneProfile(atoms=[(0.0, 1e308)]), MonotoneProfile(atoms=[(5e-10, 1e308)])),
+    ], ids=["density", "atom-mass"])
+    def test_sum_past_the_float_range_is_refused(self, a, b):
+        with pytest.raises(ValueError, match="^the profile sum overflows the float range$"):
+            profile_sum(a, b)
+        assert lub(a, b).density.tobytes() == a.density.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_entries_with_a_total_past_the_float_range_are_kept(self):
+        grid = np.linspace(0.0, 1.0, 2049)
+        a = MonotoneProfile(grid, np.full(2049, 1e306), [(0.0, 1e308), (1.0, 1e308)])
+        b = MonotoneProfile(grid, np.full(2049, 1e306), [(0.0, 1e307), (1.0, 1e307)])
+        for operation, op in ((lub, np.maximum), (glb, np.minimum), (profile_sum, np.add)):
+            assert _profile_bytes(operation(a, b)) == _profile_bytes(_validated(a, b, op))
+
+    @pytest.mark.filterwarnings("error")
+    def test_slopes_interpolated_past_the_float_range_are_refused(self):
+        # Between grid points 1e-300 apart a slope falling from 1e308 to 0
+        # interpolates to -inf; the meet and the sum keep it and are refused.
+        a = MonotoneProfile(np.array([0.0, 1e-300]), np.array([1e308, 0.0]))
+        b = MonotoneProfile(np.array([0.0, 0.5e-300, 1e-300]), np.ones(3))
+        assert _profile_bytes(lub(a, b)) == _profile_bytes(_validated(a, b, np.maximum))
+        for operation, name in ((glb, "glb"), (profile_sum, "sum")):
+            with pytest.raises(ValueError, match=f"^the profile {name} overflows the float range$"):
+                operation(a, b)
+
+
 class TestVariance:
     def test_atom_mass(self):
         assert variance(atom(0.0, 2.5)) == 2.5

@@ -1,7 +1,10 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
-from chanorder.numerics import checked_integer, singular_values, inverse_sqrt_spd
+from chanorder import dmc
+from chanorder.numerics import _number_array, _unchecked, checked_integer, inverse_sqrt_spd, singular_values
 
 
 class TestSingularValues:
@@ -61,3 +64,23 @@ class TestCheckedInteger:
     def test_other_values_rejected(self, value):
         with pytest.raises(ValueError, match=r"^k must be an integer, got "):
             checked_integer(value, "k")
+
+
+class TestNumberArray:
+    @pytest.mark.parametrize("value", [[[0, 1], [2]], [[0, 1], 2], [[[0.0]], [[1.0], [2.0]]]],
+                             ids=["short-row", "number-row", "deep"])
+    def test_ragged_array_is_named(self, value):
+        message = r"^atoms must be a rectangular array: nested lists differ in shape$"
+        with pytest.raises(ValueError, match=message):
+            _number_array(value, "atoms")
+
+
+class TestUnchecked:
+    def test_fields_are_set_without_validation(self):
+        pair = _unchecked(dmc.DeterministicPair, input_map=(0, 1), output_map=(1, 0))
+        assert pair == dmc.DeterministicPair((0, 1), (1, 0))
+        assert hash(pair) == hash(dmc.DeterministicPair((0, 1), (1, 0)))
+        with pytest.raises(FrozenInstanceError):
+            pair.input_map = (1, 1)
+        # No __post_init__ runs: a value its constructor refuses goes through.
+        assert _unchecked(dmc.DeterministicPair, input_map=(), output_map=(-1,)).output_map == (-1,)
