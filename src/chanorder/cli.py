@@ -26,8 +26,9 @@ __all__ = ["ChannelDocument", "load_document", "run", "main"]
 
 
 # Exceptions that mean the input or the invocation was bad (exit 2); any
-# other exception is an internal failure (exit 3).
-_INVALID_INPUT = (ValueError, KeyError, TypeError, OSError)
+# other exception is an internal failure (exit 3).  Parsers read required
+# keys through numerics._required, so a KeyError is a bug.
+_INVALID_INPUT = (ValueError, TypeError, OSError)
 
 
 class UsageError(ValueError):

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import _number_array, _required, _unchecked, checked_integer
+from .numerics import _frozen, _number_array, _owned_array, _required, _unchecked, checked_integer
 
 __all__ = [
     "CONVENTIONS",
@@ -95,11 +95,7 @@ class StochasticMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.size == 0:
-            raise ValueError("entries must form a nonempty 2-D matrix")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("entries must be finite")
+        entries = _owned_array(self.entries, "entries", 2)
         if float(entries.min()) < -_ENTRY_TOL or float(entries.max()) > 1.0 + _ENTRY_TOL:
             raise ValueError("entries must lie in [0, 1]")
         sums = entries.sum(axis=1)
@@ -107,9 +103,7 @@ class StochasticMatrix:
         if float(off.max()) > _ROW_SUM_TOL:
             row = int(np.argmax(off))
             raise ValueError(f"row {row} sums to {sums[row]!r}, expected 1")
-        entries = np.clip(entries, 0.0, 1.0)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        _frozen(self, entries=np.clip(entries, 0.0, 1.0, out=entries))
 
     @property
     def n_inputs(self) -> int:
@@ -151,8 +145,7 @@ class DeterministicPair:
             raise ValueError("maps must be total on nonempty domains")
         if min(input_map) < 0 or min(output_map) < 0:
             raise ValueError("map values must be nonnegative indices")
-        object.__setattr__(self, "input_map", input_map)
-        object.__setattr__(self, "output_map", output_map)
+        _frozen(self, input_map=input_map, output_map=output_map)
 
     def apply(self, channel: StochasticMatrix, n_outputs: int | None = None) -> np.ndarray:
         """Raw matrix of the degraded channel R @ K @ T for this pair."""
@@ -595,7 +588,7 @@ def degrade(
 ) -> StochasticMatrix:
     """Convex mixture of deterministic degradations of ``channel``.
 
-    Weights must be nonnegative and sum to 1 within 1e-9; they are
+    Weights must be finite, nonnegative and sum to 1 within 1e-9; they are
     renormalized to unit total so the result is exactly row-stochastic.
     The result is always included in ``channel`` by construction.
     """
@@ -603,6 +596,8 @@ def degrade(
     weights = np.asarray(weights, dtype=float).ravel()
     if not pairs or weights.size != len(pairs):
         raise ValueError("need one weight per deterministic pair")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
     if float(weights.min()) < -1e-12:
         raise ValueError("weights must be nonnegative")
     total = float(weights.sum())

@@ -18,8 +18,8 @@ from math import isfinite, log, sqrt
 import numpy as np
 
 from .numerics import (
-    _number_array, _required, _unchecked, checked_integer, checked_tolerance, inverse_sqrt_spd,
-    singular_values,
+    _frozen, _number_array, _owned_array, _required, _unchecked, checked_integer,
+    checked_tolerance, inverse_sqrt_spd, singular_values,
 )
 
 __all__ = [
@@ -71,21 +71,15 @@ class GaussianChannel:
     spectrum: SingularSpectrum = field(init=False, repr=False)
 
     def __post_init__(self):
-        h = np.asarray(self.H, dtype=float)
-        sigma = np.asarray(self.Sigma, dtype=float)
-        if h.ndim != 2 or h.size == 0 or not np.all(np.isfinite(h)):
-            raise ValueError("H must be a nonempty finite 2-D matrix")
+        h = _owned_array(self.H, "H", 2)
+        sigma = _owned_array(self.Sigma)
         if sigma.ndim != 2 or sigma.shape != (h.shape[0], h.shape[0]):
             raise ValueError("Sigma must be square with one row per channel output")
         try:
             whitener = inverse_sqrt_spd(sigma)
         except ValueError as exc:
             raise ValueError(f"Sigma: {exc}") from None
-        h.setflags(write=False)
-        sigma.setflags(write=False)
-        object.__setattr__(self, "H", h)
-        object.__setattr__(self, "Sigma", sigma)
-        object.__setattr__(self, "spectrum", _whitened_spectrum(whitener, h))
+        _frozen(self, H=h, Sigma=sigma, spectrum=_whitened_spectrum(whitener, h))
 
 
 def _whitened_spectrum(whitener: np.ndarray, h: np.ndarray) -> SingularSpectrum:
@@ -110,16 +104,14 @@ class SingularSpectrum:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).ravel()
+        values = _owned_array(self.values).ravel()
         if not np.all(np.isfinite(values)):
             raise ValueError("singular values must be finite")
         if values.size and float(values.min()) < -1e-12:
             raise ValueError("singular values must be nonnegative")
         if values.size > 1 and np.any(np.diff(values) > 1e-12):
             raise ValueError("singular values must be sorted nonincreasing")
-        values = np.clip(values, 0.0, None)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        _frozen(self, values=np.clip(values, 0.0, None, out=values))
 
     def padded(self, length: int) -> np.ndarray:
         if length < self.values.size:
@@ -192,9 +184,7 @@ def _combined(a: SingularSpectrum, b: SingularSpectrum, op) -> SingularSpectrum:
     # vectors is all three, and a step rises no more than one of theirs did
     # (max(a', b') - max(a, b) <= max(a' - a, b' - b)), so the result passes
     # every check of SingularSpectrum; the inputs hold no -0.0 to clip.
-    values = op(*_pad_pair(a, b))
-    values.setflags(write=False)
-    return _unchecked(SingularSpectrum, values=values)
+    return _frozen(_unchecked(SingularSpectrum), values=op(*_pad_pair(a, b)))
 
 
 def lub(a: SingularSpectrum, b: SingularSpectrum) -> SingularSpectrum:
@@ -291,7 +281,7 @@ class GaussianEntries:
                 raise ValueError(f"rows and cols must be positive integers: {err}") from None
             if value < 1:
                 raise ValueError(f"rows and cols must be positive integers, got {name}={value}")
-            object.__setattr__(self, name, value)
+            _frozen(self, **{name: value})
         if not np.isfinite(self.scale):
             raise ValueError("scale must be finite")
 
@@ -303,10 +293,7 @@ class HaarRotated:
     base: np.ndarray
 
     def __post_init__(self):
-        base = np.asarray(self.base, dtype=float)
-        if base.ndim != 2 or base.size == 0 or not np.all(np.isfinite(base)):
-            raise ValueError("base must be a nonempty finite 2-D matrix")
-        object.__setattr__(self, "base", base)
+        _frozen(self, base=_owned_array(self.base, "base", 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,10 +303,10 @@ class ExplicitMatrices:
     matrices: tuple
 
     def __post_init__(self):
-        mats = tuple(np.asarray(m, dtype=float) for m in self.matrices)
-        if not mats or any(m.ndim != 2 or m.size == 0 or not np.all(np.isfinite(m)) for m in mats):
+        mats = tuple(_owned_array(m, f"matrices[{i}]", 2) for i, m in enumerate(self.matrices))
+        if not mats:
             raise ValueError("need a nonempty list of nonempty finite 2-D matrices")
-        object.__setattr__(self, "matrices", mats)
+        _frozen(self, matrices=mats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,15 +318,11 @@ class SingularEnsemble:
     copula_note: str = ""
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 2 or samples.size == 0 or not np.all(np.isfinite(samples)):
-            raise ValueError("samples must form a nonempty finite 2-D array")
+        samples = _owned_array(self.samples, "samples", 2)
         if samples.shape[1] > 1 and np.any(np.diff(samples, axis=1) > 1e-12):
             raise ValueError("each sample must be sorted nonincreasing")
-        samples = np.clip(samples, 0.0, None)
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", checked_integer(self.seed, "seed"))
+        np.clip(samples, 0.0, None, out=samples)
+        _frozen(self, samples=samples, seed=checked_integer(self.seed, "seed"))
 
     @property
     def n_samples(self) -> int:

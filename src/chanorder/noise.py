@@ -28,7 +28,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .numerics import _number_array, _required, _unchecked, checked_tolerance
+from .numerics import _frozen, _number_array, _owned_array, _required, _unchecked, checked_tolerance
 
 __all__ = [
     "CONVENTIONS",
@@ -111,7 +111,7 @@ class MonotoneProfile:
     flag: str = "noise_K"
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float).ravel()
+        grid = _owned_array(self.grid).ravel()
         if grid.size < 2 or not np.all(np.isfinite(grid)):
             raise ValueError("grid needs at least two finite points")
         if not np.all(np.diff(grid) > 0.0):
@@ -119,12 +119,12 @@ class MonotoneProfile:
         if self.density is None:
             density = np.zeros(grid.size)
         else:
-            density = np.asarray(self.density, dtype=float).ravel()
+            density = _owned_array(self.density).ravel()
         if density.size != grid.size or not np.all(np.isfinite(density)):
             raise ValueError("density must be finite and match the grid length")
         if float(density.min()) < -1e-12:
             raise ValueError("density must be nonnegative")
-        density = np.clip(density, 0.0, None)
+        np.clip(density, 0.0, None, out=density)
 
         atoms = tuple((float(loc), float(mass)) for loc, mass in self.atoms)
         atoms = tuple(sorted(atoms))
@@ -138,12 +138,7 @@ class MonotoneProfile:
             raise ValueError("atom locations must be separated by more than the matching tolerance")
         if self.flag not in _FLAGS:
             raise ValueError(f"flag must be one of {_FLAGS}")
-
-        grid.setflags(write=False)
-        density.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "density", density)
-        object.__setattr__(self, "atoms", atoms)
+        _frozen(self, grid=grid, density=density, atoms=atoms)
 
 
 def gaussian(sigma2: float) -> MonotoneProfile:
@@ -239,11 +234,9 @@ def _combined(a: MonotoneProfile, b: MonotoneProfile, op, name: str) -> Monotone
     if not finite and not (np.all(np.isfinite(density)) and np.all(np.isfinite(masses))):
         raise ValueError(f"the profile {name} overflows the float range")
     np.maximum(density, 0.0, out=density)  # np.clip(density, 0.0, None), in place
-    grid.setflags(write=False)
-    density.setflags(write=False)
     keep = masses > 0.0
     atoms = tuple(zip(locations[keep].tolist(), masses[keep].tolist()))
-    return _unchecked(MonotoneProfile, grid=grid, density=density, atoms=atoms, flag=a.flag)
+    return _frozen(_unchecked(MonotoneProfile), grid=grid, density=density, atoms=atoms, flag=a.flag)
 
 
 def lub(a: MonotoneProfile, b: MonotoneProfile) -> MonotoneProfile:

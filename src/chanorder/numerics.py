@@ -1,8 +1,10 @@
 """Shared numerical kernels.
 
 Singular values, symmetric inverse square roots, tolerance and integer
-validation, the rules for fields read from documents, and the one way to
-build a value that is valid by construction.  Every function here is a pure
+validation, the rules for fields read from documents, and the one way a
+frozen value type holds its fields: each array is read-only and its own,
+copied in ``__post_init__`` or made fresh for a value built ``_unchecked``.
+Every function but ``_frozen``, which fills a value being built, is a pure
 function of its inputs, so all of it is safe to call concurrently.
 """
 
@@ -54,6 +56,26 @@ def inverse_sqrt_spd(matrix) -> np.ndarray:
             f"matrix is not positive definite: offending eigenvalue {smallest:.6e}"
         )
     return (vectors / np.sqrt(eigenvalues)) @ vectors.T
+
+
+def _owned_array(value, what: str = "", ndim: int = 0, dtype=float) -> np.ndarray:
+    """A new ``dtype`` copy of ``value`` for a value type to own; given ``ndim``,
+    ValueError unless it is a nonempty finite ``ndim``-D array."""
+    array = np.array(value, dtype=dtype)
+    if ndim and (array.ndim != ndim or array.size == 0 or not np.all(np.isfinite(array))):
+        raise ValueError(f"{what} must be a nonempty finite {ndim}-D array")
+    return array
+
+
+def _frozen(value, **fields):
+    """``value``, of a frozen value type, with ``fields`` set and each array
+    among them (a field, or in a tuple field) read-only."""
+    for field in fields.values():
+        for item in field if type(field) is tuple else (field,):
+            if isinstance(item, np.ndarray):
+                item.setflags(write=False)
+    value.__dict__.update(fields)  # as _unchecked fills it: a frozen dataclass has no slots
+    return value
 
 
 def _unchecked(cls, **fields):

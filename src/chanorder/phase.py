@@ -12,11 +12,12 @@ evaluated at ``4 * order`` points per axis by one inverse FFT down the
 the rows, which suffices because the density is real.
 
 Independent phases give the rank-one grid ``outer(h, v)``.
-``product_channel`` and ``joint_from_marginals`` reach the same verdicts on
-it from its two factors when both are exactly Hermitian.  The smoothed
-density is then ``f_h[k] * f_v[l]`` for the factors' real 1-D Fejer series
-on the same points, so its minimum is the least of the four products of
-their extremes: two length-``4 * order`` transforms instead of the 2-D one.
+``product_channel``, ``joint_from_marginals`` and the three extremal
+constructors reach the same verdicts on it from its two factors when both
+are exactly Hermitian.  The smoothed density is then ``f_h[k] * f_v[l]``
+for the factors' real 1-D Fejer series on the same points, so its minimum
+is the least of the four products of their extremes: two
+length-``4 * order`` transforms instead of the 2-D one.
 If also ``max|h| * max|v|``, widened by a few rounding errors, is within the
 magnitude bound, the grid's entries are finite and within that bound and
 the grid is Hermitian to rounding, so of the entrywise checks only the
@@ -33,7 +34,7 @@ from itertools import chain
 
 import numpy as np
 
-from .numerics import _number_array, _required, _unchecked, checked_integer
+from .numerics import _frozen, _number_array, _owned_array, _required, _unchecked, checked_integer
 
 __all__ = [
     "CONVENTIONS",
@@ -87,11 +88,11 @@ class TorusSpectrum:
     distributions, so the check convolves with the nonnegative triangular
     (Fejer) kernel, which is nonnegative for every genuine distribution and
     still rejects grids that are not characteristic coefficients at all.
-    Spectra that ``product_channel`` and ``joint_from_marginals`` build from
-    two exactly Hermitian factors take that minimum, and when the factors'
-    magnitudes bound the grid's also the entrywise checks, from the factors
-    (see the module docstring); every other grid, including one passed here
-    directly, is checked entry by entry and in 2-D.
+    Spectra built from two exactly Hermitian factors (see the module
+    docstring for which) take that minimum, and when the factors'
+    magnitudes bound the grid's also the entrywise checks, from the
+    factors; every other grid, including one passed here directly, is
+    checked entry by entry and in 2-D.
     """
 
     order: int
@@ -99,9 +100,8 @@ class TorusSpectrum:
     role: str = "channel"
 
     def __post_init__(self):
-        order, coeffs = _checked_grid(self.order, self.coeffs, self.role)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        order, coeffs = _checked_grid(self.order, _owned_array(self.coeffs, dtype=complex), self.role)
+        _frozen(self, order=order, coeffs=coeffs)
 
     def coefficient(self, m: int, n: int) -> complex:
         """Coefficient at frequency ``(m, n)``."""
@@ -111,7 +111,7 @@ class TorusSpectrum:
 
 
 def _checked_grid(order, coeffs, role: str, factors=None) -> tuple[int, np.ndarray]:
-    """Every spectrum invariant; returns the order and a read-only grid.
+    """Every spectrum invariant of the complex grid ``coeffs``; returns the order and the grid.
 
     ``factors`` is ``(h, v)`` when the grid is ``np.outer(h, v)``.  If both
     are exactly Hermitian, the density minimum comes from their 1-D series,
@@ -119,7 +119,6 @@ def _checked_grid(order, coeffs, role: str, factors=None) -> tuple[int, np.ndarr
     grid, which would pass, are skipped: only the origin is read.
     """
     order = _check_order(order)
-    coeffs = np.asarray(coeffs, dtype=complex)
     side = 2 * order + 1
     if coeffs.shape != (side, side):
         raise ValueError(f"coeffs must have shape {(side, side)}")
@@ -131,7 +130,6 @@ def _checked_grid(order, coeffs, role: str, factors=None) -> tuple[int, np.ndarr
     low = _product_min(order, *factors) if rank_one else _smoothed_min(order, coeffs)
     if low < -EPS_GIBBS:
         raise ValueError(f"reconstructed density dips to {low:.3e}; not a distribution")
-    coeffs.setflags(write=False)
     return order, coeffs
 
 
@@ -171,11 +169,11 @@ def _bounded_product(h: np.ndarray, v: np.ndarray) -> bool:
     return bound * _PRODUCT_ROUNDING <= 1.0 + _MAGNITUDE_TOL
 
 
-def _product_spectrum(h: np.ndarray, v: np.ndarray) -> TorusSpectrum:
-    """Channel spectrum of the rank-one grid ``np.outer(h, v)``."""
-    order, coeffs = _checked_grid((h.size - 1) // 2, np.outer(h, v), "channel", factors=(h, v))
-    # Every check has run: fill the frozen fields without a second one.
-    return _unchecked(TorusSpectrum, order=order, coeffs=coeffs, role="channel")
+def _product_spectrum(h: np.ndarray, v: np.ndarray, role: str = "channel") -> TorusSpectrum:
+    """Spectrum of the rank-one grid ``np.outer(h, v)`` in ``role``."""
+    order, coeffs = _checked_grid((h.size - 1) // 2, np.outer(h, v), role, factors=(h, v))
+    # Every check has run on a fresh grid: fill the frozen fields without a second one.
+    return _frozen(_unchecked(TorusSpectrum), order=order, coeffs=coeffs, role=role)
 
 
 def _product_min(order: int, h: np.ndarray, v: np.ndarray) -> float:
@@ -414,12 +412,13 @@ def is_strict(
     return StrictnessResult(Strictness.UNDOABLE, witness=(int(rows[0] - order), int(cols[0] - order)))
 
 
+# The extremal grids are rank one: outer(delta, delta), outer(1, delta) and
+# outer(delta, 1), for the sequences of a uniform angle (the Kronecker delta)
+# and of the angle 0 (all ones).
 def worst_channel(order: int) -> TorusSpectrum:
     """Channel with both phases uniform and independent: the absorbing bottom."""
-    order = _check_order(order)
-    coeffs = np.zeros((2 * order + 1, 2 * order + 1), dtype=complex)
-    coeffs[order, order] = 1.0
-    return TorusSpectrum(order, coeffs, role="channel")
+    delta = from_wrapped(UniformPhase(), order)
+    return _product_spectrum(delta, delta)
 
 
 def output_uniformizing_degradation(order: int) -> TorusSpectrum:
@@ -429,18 +428,14 @@ def output_uniformizing_degradation(order: int) -> TorusSpectrum:
     its negation; the grid keeps only the ``n = 0`` column, so a degraded
     channel keeps exactly its gain-phase marginal.
     """
-    order = _check_order(order)
-    coeffs = np.zeros((2 * order + 1, 2 * order + 1), dtype=complex)
-    coeffs[:, order] = 1.0
-    return TorusSpectrum(order, coeffs, role="degradation")
+    ones = from_wrapped(PointPhase(), order)
+    return _product_spectrum(ones, from_wrapped(UniformPhase(), order), "degradation")
 
 
 def input_uniformizing_degradation(order: int) -> TorusSpectrum:
     """Degradation by a uniform input phase: keeps only the noise-phase marginal."""
-    order = _check_order(order)
-    coeffs = np.zeros((2 * order + 1, 2 * order + 1), dtype=complex)
-    coeffs[order, :] = 1.0
-    return TorusSpectrum(order, coeffs, role="degradation")
+    ones = from_wrapped(PointPhase(), order)
+    return _product_spectrum(from_wrapped(UniformPhase(), order), ones, "degradation")
 
 
 _SCALES = {WrappedGaussian: "sigma2", WrappedCauchy: "gamma"}

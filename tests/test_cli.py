@@ -86,6 +86,18 @@ class TestDmcCommands:
         error = json.loads(captured.err)["error"]
         assert error["type"] == "ValueError" and "integer indices" in error["message"]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weights", [[float("nan")], [float("nan"), 1.0]], ids=["nan", "nan-one"])
+    def test_non_finite_witness_weight_exits_two(self, capsys, tmp_path, bsc_files, weights):
+        better, _ = bsc_files
+        pair = {"input_map": [0, 1], "output_map": [0, 1]}
+        witness = write(tmp_path / "witness.json", {"weights": weights, "pairs": [pair] * len(weights)})
+        code = run(["dmc", "degrade", "--channel", better, "--witness", witness])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": "weights must be finite"}
+
     @pytest.mark.parametrize("command", ["check", "equiv"])
     @pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
     def test_bad_tolerance_exits_two(self, capsys, tmp_path, command, tolerance):
@@ -1052,8 +1064,9 @@ def test_emitter_matches_json_dumps_on_random_values():
 
 @pytest.mark.parametrize(
     "failure",
-    [ArithmeticError("phase-1 simplex did not converge"), np.linalg.LinAlgError("Singular matrix")],
-    ids=["ArithmeticError", "LinAlgError"],
+    [ArithmeticError("phase-1 simplex did not converge"), np.linalg.LinAlgError("Singular matrix"),
+     KeyError("matrix")],
+    ids=["ArithmeticError", "LinAlgError", "KeyError"],
 )
 def test_internal_failure_exits_three(capsys, monkeypatch, bsc_files, failure):
     def fail(*args, **kwargs):

@@ -20,7 +20,7 @@ from chanorder.dmc import (
 )
 from conftest import random_degradation, random_stochastic
 
-KNOWN_DEFECTS = Path(__file__).resolve().parents[1] / "perfbench" / "known_defects.json"
+KNOWN_DEFECTS = Path(__file__).resolve().parent / "known_simplex_defects.json"
 
 
 def bsc_rule(p, q):
@@ -608,6 +608,12 @@ class TestDegrade:
             degrade(k, [pair], [0.4])
         with pytest.raises(ValueError, match="nonnegative"):
             degrade(k, [pair, pair], [1.5, -0.5])
+
+    @pytest.mark.parametrize("weights", [[np.nan], [np.nan, 1.0], [np.inf, 0.0]], ids=["nan", "nan-one", "inf"])
+    def test_non_finite_weights_rejected(self, weights):
+        pairs = [DeterministicPair((0, 1), (0, 1))] * len(weights)
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            degrade(bsc(0.2), pairs, weights)
 
     def test_witness_json_round_trip(self):
         decision = includes(bsc(0.1), bsc(0.3))

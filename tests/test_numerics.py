@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from chanorder import dmc
-from chanorder.numerics import _number_array, _unchecked, checked_integer, inverse_sqrt_spd, singular_values
+from chanorder.numerics import (
+    _number_array, _owned_array, _unchecked, checked_integer, inverse_sqrt_spd, singular_values,
+)
 
 
 class TestSingularValues:
@@ -84,3 +86,18 @@ class TestUnchecked:
             pair.input_map = (1, 1)
         # No __post_init__ runs: a value its constructor refuses goes through.
         assert _unchecked(dmc.DeterministicPair, input_map=(), output_map=(-1,)).output_map == (-1,)
+
+
+class TestOwnedArray:
+    def test_an_array_of_the_dtype_is_copied(self):
+        given = np.eye(2)
+        owned = _owned_array(given, "H", 2)
+        assert owned.tobytes() == given.tobytes()
+        assert owned.flags.writeable and not np.shares_memory(owned, given)
+
+    @pytest.mark.parametrize("value", [np.zeros((0, 2)), np.zeros(3), [[1.0, np.inf]], [[np.nan]]],
+                             ids=["empty", "1-D", "inf", "nan"])
+    def test_shape_and_finiteness_are_named(self, value):
+        with pytest.raises(ValueError, match=r"^H must be a nonempty finite 2-D array$"):
+            _owned_array(value, "H", 2)
+

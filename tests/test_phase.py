@@ -562,6 +562,30 @@ class TestRankOneRule:
             with pytest.raises(AttributeError):
                 built.role = "degradation"
 
+    @pytest.mark.parametrize("order", [1, 2, 5, 32, 64])
+    def test_extremals_are_the_grids_built_by_hand(self, monkeypatch, order):
+        # outer(delta, delta), outer(1, delta) and outer(delta, 1): byte for
+        # byte the zero grids with ones at the origin, the n = 0 column and
+        # the m = 0 row, decided from their factors alone.
+        side = 2 * order + 1
+        worst, column, row = (np.zeros((side, side), dtype=complex) for _ in range(3))
+        worst[order, order] = column[:, order] = row[order, :] = 1.0
+        expected = {worst_channel: (worst, "channel"),
+                    output_uniformizing_degradation: (column, "degradation"),
+                    input_uniformizing_degradation: (row, "degradation")}
+        calls = []
+        for name in ("_check_entries", "_smoothed_min"):
+            monkeypatch.setattr(phase, name, lambda *args, name=name: calls.append(name))
+        built = {build: build(order) for build in expected}
+        assert calls == []
+        monkeypatch.undo()
+        for build, (coeffs, role) in expected.items():
+            spectrum = built[build]
+            assert (spectrum.order, spectrum.role) == (order, role)
+            assert spectrum.coeffs.tobytes() == coeffs.tobytes()
+            assert spectrum.coeffs.tobytes() == TorusSpectrum(order, coeffs, role=role).coeffs.tobytes()
+            assert not spectrum.coeffs.flags.writeable
+
     def test_two_dimensional_check_runs_off_the_rule_only(self, monkeypatch):
         calls = []
         smoothed_min = phase._smoothed_min
