@@ -2,9 +2,13 @@
 
 A channel is included in another when it can be written as a convex mixture
 of deterministic input/output degradations of the better channel (Shannon's
-inclusion order).  ``includes`` decides this with Wolfe's min-norm-point
-algorithm over that hull: a corral of a few degradation pairs with convex
-weights moves towards the worse channel, and each residual ``h`` is priced
+inclusion order).  ``includes`` first looks for a 0/1 codebook separator:
+inclusion implies that the better channel's best M-codebook decodes at
+least as well as the worse one's (Shannon 1958), so a worse codebook that
+decodes better proves "not included" without pricing any pair.  Otherwise
+it decides with Wolfe's min-norm-point algorithm over that hull: a corral
+of a few degradation pairs with convex weights moves towards the worse
+channel, and each residual ``h`` is priced
 exactly against every pair by enumerating the smaller side of the pair
 (input maps or output maps) and choosing the other side greedily.  The
 smaller side's products with the better channel are stacked once per
@@ -22,12 +26,13 @@ with a witness once the residual's 1-norm is within the tolerance, and with
 ``h`` as a separating functional once no pair can bring the corral closer.
 The answer is a certificate either way, checked before it is returned.
 ``degradation_products`` enumerates every pair; it is kept as the reference
-oracle the tests decide against.  A brute-force best-codebook oracle is
-provided to exercise the error-probability monotonicity of the order.
+oracle the tests decide against.  ``best_error_probability`` wraps the
+same best-codebook kernel for block codes on the memoryless extension.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -310,9 +315,10 @@ def _pricing_table(k: np.ndarray, n2: int, m2: int) -> _PricingTable:
     return _PricingTable(k, n2, m2, False, maps, k[maps.T].reshape(n2, -1))
 
 
-def _best_pair(table: _PricingTable, h: np.ndarray) -> tuple[DeterministicPair, np.ndarray]:
+def _best_pair(table: _PricingTable, h: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """The pair maximizing ``<h, vec(R K T)>`` over all deterministic pairs,
-    and that ``vec(R K T)``.
+    as the index of its map in ``table.maps``, the other side's map (the
+    greedy argmaxes), and its ``vec(R K T)``.
 
     One flat GEMM of the table with ``H = h.reshape(n2, m2)``, then maxima
     over the scores' leading axis.  For a fixed output map T each degraded
@@ -320,39 +326,134 @@ def _best_pair(table: _PricingTable, h: np.ndarray) -> tuple[DeterministicPair, 
     input map R each better output j takes ``argmax_z (H^T R K)[z, j]``.
     Ties go to the lowest index.  The score array has the table's size
     times ``n2 / m2`` or ``m2 / n2``; nothing else of that size is made.
-    The column is bit-identical to ``DeterministicPair.apply``'s.  The
-    pair's maps are tuples of Python ints read off the table and the
-    argmaxes, so it is built without validation.
+    The column is bit-identical to ``DeterministicPair.apply``'s; no pair
+    is built (``_table_pair`` builds one).
     """
     hm = h.reshape(table.n2, table.m2)
     products = table.products
     if table.output_side:
         n1, maps, m2 = products.shape
         scores = (products.reshape(-1, m2) @ hm.T).reshape(n1, maps, table.n2)
-        best = int(np.argmax(scores.max(axis=0).sum(axis=1)))
+        best = int(scores.max(axis=0).sum(axis=1).argmax())
         inputs = scores[:, best, :].argmax(axis=0)
-        pair = _unchecked(DeterministicPair, input_map=tuple(inputs.tolist()),
-                          output_map=tuple(table.maps[best].tolist()))
-        return pair, products[:, best, :][inputs].ravel()
+        return best, inputs, products[inputs, best].ravel()
     m1 = table.k.shape[1]
     scores = hm.T @ products
-    best = int(np.argmax(scores.max(axis=0).reshape(-1, m1).sum(axis=1)))
-    outputs = scores[:, best * m1:(best + 1) * m1].argmax(axis=0).tolist()
-    pair = _unchecked(DeterministicPair, input_map=tuple(table.maps[best].tolist()),
-                      output_map=tuple(outputs))
+    best = int(scores.max(axis=0).reshape(-1, m1).sum(axis=1).argmax())
+    outputs = scores[:, best * m1:(best + 1) * m1].argmax(axis=0)
     # R K T from the table's R K, adding each better output j in j order, as
     # _collapsed does.
     rk = products[:, best * m1:(best + 1) * m1]
     column = np.zeros((table.n2, table.m2))
-    for j, z in enumerate(outputs):
+    for j, z in enumerate(outputs.tolist()):
         column[:, z] += rk[:, j]
-    return pair, column.ravel()
+    return best, outputs, column.ravel()
+
+
+def _table_pair(table: _PricingTable, best: int, argmaxes: np.ndarray) -> DeterministicPair:
+    """The pair ``_best_pair`` names by ``best`` and ``argmaxes``.
+
+    Its maps are tuples of Python ints read off the table and the argmaxes,
+    in range by construction, so it is built without validation.
+    """
+    chosen, other = tuple(table.maps[best].tolist()), tuple(argmaxes.tolist())
+    if table.output_side:
+        return _unchecked(DeterministicPair, input_map=other, output_map=chosen)
+    return _unchecked(DeterministicPair, input_map=chosen, output_map=other)
+
+
+# Codebooks are scored this many at a time, so memory stays bounded.
+_CODEBOOK_CHUNK = 4096
+# Index tables of one chunk and at most this many entries are kept.
+_CACHED_ENTRIES = 2**15
+
+
+@functools.lru_cache(maxsize=32)
+def _codebook_table(rows: int, size: int) -> np.ndarray:
+    """Every multiset of ``size`` indices below ``rows``, one per row, in
+    ``itertools.combinations_with_replacement`` order.  Read-only, since the
+    cache hands the same array to every caller."""
+    table = np.array(list(itertools.combinations_with_replacement(range(rows), size)), dtype=np.intp)
+    table.setflags(write=False)
+    return table
+
+
+def _codebook_chunks(rows: int, size: int):
+    """``_codebook_table(rows, size)`` in chunks of ``_CODEBOOK_CHUNK`` rows;
+    from the cache when it is one small chunk."""
+    count = math.comb(rows + size - 1, size)
+    if count <= _CODEBOOK_CHUNK and count * size <= _CACHED_ENTRIES:
+        yield _codebook_table(rows, size)
+        return
+    codebooks = itertools.combinations_with_replacement(range(rows), size)
+    while chunk := list(itertools.islice(codebooks, _CODEBOOK_CHUNK)):
+        yield np.array(chunk, dtype=np.intp)
+
+
+def _best_codebook(entries: np.ndarray, size: int) -> tuple[float, np.ndarray]:
+    """The best value ``sum_y max_c entries[c, y]`` over multisets ``c`` of
+    ``size`` rows, and that codebook as nondecreasing row indices.
+
+    For a channel this is ``size`` times the best probability of correct
+    maximum-likelihood decoding with ``size`` uniform messages.  Ties go to
+    the first codebook in ``combinations_with_replacement`` order.
+    """
+    best_value, best = -math.inf, None
+    for chunk in _codebook_chunks(len(entries), size):
+        # Codewords along the leading axis: a max over it is elementwise.
+        correct = entries[chunk.T].max(axis=0).sum(axis=1)
+        index = int(correct.argmax())
+        if correct[index] > best_value:
+            best_value, best = float(correct[index]), chunk[index]
+    return best_value, best
+
+
+def _codebook_separator(k: np.ndarray, w: np.ndarray, tolerance: float, cap: int):
+    """A 0/1 separator ``G`` proving ``K`` does not include ``W``, with the
+    pair that scores best under it; ``(None, None)`` if none is found.
+
+    For M = 2, ..., n2 in order: ``G`` holds one 1 per worse output ``y``, at
+    the codeword of ``W``'s best M-codebook that decodes ``y`` (ties to the
+    lowest index), so ``<G, W>`` is that codebook's value.  If ``G`` uses M'
+    rows, a pair scores ``<G, vec(R K T)> = sum_j K[R(row decoding T(j)), j]``,
+    at most ``K``'s best M'-codebook value, with equality for R sending
+    ``G``'s rows to that codebook and T sending each better output to a
+    column of the row whose codeword ``K`` decodes there; that is the pair
+    returned.  ``G`` is accepted when ``<G, W>`` beats it by more than
+    ``max(tolerance, _ROUNDING * n2 * m2)``, Wolfe's own floor: for every
+    hull point x, ``<G, W - x> <= ||W - x||_1``, so Wolfe's search would
+    answer "not included" too.  It stops before any M whose count of
+    codebooks (multisets), on either side, passes ``cap``.
+    """
+    n2, m2 = w.shape
+    floor = max(tolerance, _ROUNDING * n2 * m2)
+    for size in range(2, n2 + 1):
+        if math.comb(max(len(k), n2) + size - 1, size) > cap:
+            break
+        value, codebook = _best_codebook(w, size)
+        decoders = codebook[w[codebook].argmax(axis=0)]
+        k_value, k_codebook = _best_codebook(k, len(set(decoders.tolist())))
+        if value - k_value > floor:
+            rows, columns = np.unique(decoders, return_index=True)
+            separator = np.zeros((n2, m2))
+            separator[decoders, np.arange(m2)] = 1.0
+            input_map = np.zeros(n2, dtype=np.intp)
+            input_map[rows] = k_codebook
+            output_map = columns[k[k_codebook].argmax(axis=0)]
+            # Maps of Python ints in range by construction.
+            pair = _unchecked(DeterministicPair, input_map=tuple(input_map.tolist()),
+                              output_map=tuple(output_map.tolist()))
+            return separator.ravel(), pair
+    return None, None
 
 
 # Printed with every dmc result by the command-line front end.
 CONVENTIONS = (
     "decisions are deterministic: Wolfe's min-norm-point corral, "
     "each step priced exactly with ties to the lowest index",
+    "a not-included certificate is a 0/1 codebook separator when the worse channel's "
+    "best M-codebook decoder (M = 2, 3, ...) beats every pair by more than the tolerance, "
+    "otherwise the corral's residual",
     "witnesses replay as: sum of weights * (input-degraded, output-degraded channel)",
 )
 
@@ -371,23 +472,31 @@ def includes(
     replays the worse channel within the tolerance, with weights summing to
     1.  NotIncluded results carry a separating functional whose margin
     against the exactly priced best pair, and so against every
-    deterministic pair, is strictly positive.  A certificate that fails its
+    deterministic pair, is strictly positive.  Before any pricing table,
+    ``_codebook_separator`` tries to prove "not included" with a 0/1
+    separator from the worse channel's best codebooks; its separator and
+    best pair pass the same margin check.  A certificate that fails its
     check raises ArithmeticError.  The decision is Euclidean: a worse
     channel within ``tolerance`` of the hull in the 1-norm, but whose
     Euclidean-nearest hull point is not, is reported as not included, with
     a valid separator.  ``tolerance`` must be finite and positive, or
-    ValueError is raised.  ``cap`` bounds the size
-    ``n1**n2 * m2**m1`` of the pair space, as for ``degradation_products``.
+    ValueError is raised.  ``cap`` bounds the codebooks the separator
+    search scores per size, and, separately, the size ``n1**n2 * m2**m1``
+    of the pair space that Wolfe's search prices, as for
+    ``degradation_products``; EnumerationTooLargeError is raised only when
+    that search is needed.
     """
     tolerance = float(tolerance)
     if not 0.0 < tolerance < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     n2, m2 = worse.n_inputs, worse.n_outputs
-    _check_cap(better, n2, m2, cap)
     target = worse.entries.ravel()
-    pairs, weights, separator, best = _nearest_point(better, target, n2, m2, tolerance)
+    separator, best = _codebook_separator(better.entries, worse.entries, tolerance, cap)
     if separator is None:
-        return _checked_witness(better, worse, pairs, weights, tolerance)
+        _check_cap(better, n2, m2, cap)
+        pairs, weights, separator, best = _nearest_point(better, target, n2, m2, tolerance)
+        if separator is None:
+            return _checked_witness(better, worse, pairs, weights, tolerance)
     margin = float(separator @ target - separator @ best.apply(better, n_outputs=m2).ravel())
     if not margin > 0.0:
         raise ArithmeticError(f"separator margin {margin:.3e} is not positive")
@@ -401,9 +510,10 @@ def _nearest_point(better: StochasticMatrix, target: np.ndarray, n2: int, m2: in
     positive convex weights whose point ``x`` is the one nearest ``target``
     on their affine hull.  Each major step prices ``h = target - x`` with
     ``_best_pair`` against the pricing table built once here, and adds the
-    best pair with its column from the table; minor steps then move to the
-    nearest point of the new corral's affine hull, line-searching back and
-    dropping a pair whenever a weight would turn negative (Wolfe 1976).
+    best pair, as its table indices, with its column from the table; minor
+    steps then move to the nearest point of the new corral's affine hull,
+    line-searching back and dropping a pair whenever a weight would turn
+    negative (Wolfe 1976).
     The corral keeps a factor of its differences ``columns[1:] -
     columns[0]``: an orthonormal basis ``Q`` of their span, grown on an add
     by one Gram-Schmidt step done twice, and the combinations ``B`` of the
@@ -416,8 +526,9 @@ def _nearest_point(better: StochasticMatrix, target: np.ndarray, n2: int, m2: in
     hull to rounding however short it gets.
 
     Returns ``(pairs, weights, None, None)`` once
-    ``||target - x||_1 <= tolerance``, or within rounding.
-    Otherwise returns ``(pairs, weights, h, best)``, ``best`` being the
+    ``||target - x||_1 <= tolerance``, or within rounding; every weight is
+    then positive, so the pairs built are the witness's support.
+    Otherwise returns ``(None, None, h, best)``, ``best`` being the
     exact best pair under ``h``, when the worse channel beats it by more
     than ``tolerance * ||h||_1``, or when it cannot move ``x`` because it is
     in the corral or on its affine hull to rounding.  ``x`` is then the
@@ -425,19 +536,20 @@ def _nearest_point(better: StochasticMatrix, target: np.ndarray, n2: int, m2: in
     the global one however small.
     """
     table = _pricing_table(better.entries, n2, m2)
-    pair, column = _best_pair(table, target)
-    corral = _Corral(pair, column)
+    best, argmaxes, column = _best_pair(table, target)
+    corral = _Corral((best, argmaxes), column)
     h = target - column
     for _ in range(_MAX_STEPS):
         length = float(np.abs(h).sum())
         if length <= max(tolerance, _ROUNDING * target.size):
-            return corral.pairs, corral.weights[:corral.size].copy(), None, None
-        pair, column = _best_pair(table, h)
+            pairs = [_table_pair(table, *indices) for indices in corral.pairs]
+            return pairs, corral.weights[:corral.size].copy(), None, None
+        best, argmaxes, column = _best_pair(table, h)
         step = column - corral.columns[0]
         if (float(h @ step) <= _ON_HULL * math.sqrt(h @ h) * math.sqrt(step @ step)
                 or float(h @ target - h @ column) > tolerance * length):
-            return corral.pairs, corral.weights[:corral.size].copy(), h, pair
-        corral.add(pair, column, step)
+            return None, None, h, _table_pair(table, best, argmaxes)
+        corral.add((best, argmaxes), column, step)
         while True:
             move, residual = corral.affine_step(h)
             weights = corral.weights[:corral.size]
@@ -459,7 +571,8 @@ def _nearest_point(better: StochasticMatrix, target: np.ndarray, n2: int, m2: in
 
 
 class _Corral:
-    """Wolfe's corral: its pairs, their columns ``C`` (one per row) and
+    """Wolfe's corral: its pairs (any keys; ``_nearest_point`` keeps each as
+    ``_best_pair``'s indices), their columns ``C`` (one per row) and
     convex weights, and a kept factor of the differences
     ``D = columns[1:] - columns[0]``.
 
@@ -473,7 +586,7 @@ class _Corral:
     every buffer is allocated at that bound once.
     """
 
-    def __init__(self, pair: DeterministicPair, column: np.ndarray):
+    def __init__(self, pair, column: np.ndarray):
         dim = column.size
         self.pairs = [pair]
         self.columns = np.empty((dim + 1, dim))
@@ -483,7 +596,7 @@ class _Corral:
         self.columns[0], self.weights[0] = column, 1.0
         self.size = 1
 
-    def add(self, pair: DeterministicPair, column: np.ndarray, step: np.ndarray) -> None:
+    def add(self, pair, column: np.ndarray, step: np.ndarray) -> None:
         """Join ``pair`` with weight 0; ``step`` is ``column - columns[0]``.
 
         ``Q`` grows by one Gram-Schmidt step done twice ("twice is
@@ -613,15 +726,16 @@ def degrade(
         n_outputs = 1 + max(max(p.output_map) for p in pairs)
     else:
         n_outputs = checked_integer(n_outputs, "n_outputs")
-    used = [(pair, w) for pair, w in zip(pairs, weights) if w > 0.0]
-    for pair, _ in used:
+    carrying = weights > 0.0
+    used = [pairs[i] for i in np.flatnonzero(carrying).tolist()]
+    for pair in used:
         pair._check(channel, n_outputs)
-    # One kernel call for every pair that carries weight.
-    products = _collapsed(channel.entries, np.array([pair.output_map for pair, _ in used]), n_outputs)
-    mixed = np.zeros((n2, n_outputs))
-    for (pair, w), product in zip(used, products):
-        mixed += w * product[list(pair.input_map)]
-    return StochasticMatrix(mixed)
+    # One kernel call and one gather for every pair that carries weight.
+    # The weighted products are summed in pair order: accumulate adds them
+    # one after another, where sum may pair them up.
+    products = _collapsed(channel.entries, np.array([pair.output_map for pair in used]), n_outputs)
+    gathered = products[np.arange(len(used))[:, None], np.array([pair.input_map for pair in used])]
+    return StochasticMatrix(np.add.accumulate(weights[carrying, None, None] * gathered)[-1])
 
 
 def best_error_probability(
@@ -653,15 +767,7 @@ def best_error_probability(
     for _ in range(block_length - 1):
         extension = np.kron(extension, channel.entries)
 
-    best_correct = 0.0
-    codebooks = itertools.combinations_with_replacement(range(n_seq), n_messages)
-    while True:
-        chunk = list(itertools.islice(codebooks, 4096))
-        if not chunk:
-            break
-        probs = extension[np.asarray(chunk)]
-        correct = probs.max(axis=1).sum(axis=1)
-        best_correct = max(best_correct, float(correct.max()))
+    best_correct, _ = _best_codebook(extension, n_messages)
     error = 1.0 - best_correct / n_messages
     return float(min(1.0, max(0.0, error)))
 

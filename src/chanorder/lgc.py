@@ -208,9 +208,9 @@ def verify_equivalence_transform(
 
     Hypotheses: every singular value of B equals 1 (so B has orthonormal
     rows and operator norm 1) and C is left-invertible.  Violated hypotheses
-    are reported, not raised; only dimension mismatches, a tolerance that is
-    not finite and >= 0, and a transformed channel whose matrices overflow
-    the float range raise.
+    are reported, not raised; only dimension mismatches, a non-finite B or
+    C, a tolerance that is not finite and >= 0, and a transformed channel
+    whose matrices overflow the float range raise.
     """
     tolerance = checked_tolerance(tolerance)
     b = np.asarray(b_matrix, dtype=float)
@@ -222,6 +222,9 @@ def verify_equivalence_transform(
         raise ValueError("B must accept the channel's input dimension")
     if c.shape[1] != outputs:
         raise ValueError("C must accept the channel's output dimension")
+    for name, matrix in (("B", b), ("C", c)):
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError(f"{name} must be finite")
 
     if b.shape[0] > b.shape[1]:
         return EquivalenceReport(False, condition="B is not right-invertible")

@@ -757,6 +757,20 @@ def test_verify_equiv_overflow_is_named(capsys, tmp_path, h, c, code, outcome):
         assert err == "" and doc["result"] == {"equivalent": False, "condition": outcome}
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["B", "C"])
+def test_verify_equiv_non_finite_matrix_is_named(capsys, tmp_path, name):
+    # json reads NaN, which strict JSON has no token for.
+    channel = write(tmp_path / "lgc.json", _LGC_DOC)
+    good = write(tmp_path / "good.json", {"type": "matrix", "matrix": np.eye(2).tolist()})
+    bad = write(tmp_path / "bad.json", {"type": "matrix", "matrix": [[1.0, float("nan")], [0.0, 1.0]]})
+    files = {"B": good, "C": good, name: bad}
+    code = run(["lgc", "verify-equiv", "--channel", channel, "--b-matrix", files["B"], "--c-matrix", files["C"]])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err.count("\n")) == (2, "", 1)
+    assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": f"{name} must be finite"}
+
+
 class TestErrorsAndFormats:
     def test_unknown_subcommand(self, capsys):
         code = run(["dmc", "frobnicate"])
@@ -808,6 +822,17 @@ class TestErrorsAndFormats:
         assert code == 2
         assert "enumeration too large" in json.loads(err)["error"]["message"]
 
+    def test_codebook_separator_past_the_cap_exits_one(self, capsys, tmp_path):
+        # bsc(0.2) does not include bsc(0.05): their best 2-codebooks decode
+        # 1.6 against 1.9, which decides it though the 16 pairs pass the cap.
+        better = write(tmp_path / "b.json", dmc.to_json_dict(dmc.bsc(0.2)))
+        worse = write(tmp_path / "w.json", dmc.to_json_dict(dmc.bsc(0.05)))
+        code, doc, err = run_json(capsys, ["dmc", "check", "--better", better, "--worse", worse,
+                                           "--cap", "15"])
+        assert (code, err) == (1, "")
+        assert doc["result"]["separator"] == [1.0, 0.0, 0.0, 1.0]
+        assert doc["result"]["margin"] == pytest.approx(0.3, abs=1e-12)
+
     def test_csv_for_table_results(self, capsys, tmp_path):
         channel = write(
             tmp_path / "ch.json", lgc.to_json_dict(lgc.GaussianChannel(np.diag([2.0, 0.5]), np.eye(2)))
@@ -852,6 +877,9 @@ class TestErrorsAndFormats:
 _DMC_CONVENTIONS = [
     "decisions are deterministic: Wolfe's min-norm-point corral, "
     "each step priced exactly with ties to the lowest index",
+    "a not-included certificate is a 0/1 codebook separator when the worse channel's "
+    "best M-codebook decoder (M = 2, 3, ...) beats every pair by more than the tolerance, "
+    "otherwise the corral's residual",
     "witnesses replay as: sum of weights * (input-degraded, output-degraded channel)",
 ]
 _NOISE_CONVENTIONS = [noise.ORDER_CONVENTION]

@@ -110,9 +110,19 @@ class TestIncludes:
         assert a.witness.pairs == b.witness.pairs
 
     def test_cap_exceeded(self):
+        # 4**4 * 4**4 = 65,536 pairs, past the cap: the codebook separator
+        # still decides this random pair, and an included pair still raises.
         k = random_stochastic(np.random.default_rng(1), 4, 4)
+        worse = random_stochastic(np.random.default_rng(2), 4, 4)
+        decision = includes(k, worse, cap=1000)
+        assert not decision.included and decision.margin > 0.0
+        assert set(decision.separator.tolist()) == {0.0, 1.0}
+        candidates, _ = degradation_products(k, (4, 4))
+        h = decision.separator
+        assert float(h @ worse.entries.ravel() - np.max(candidates @ h)) > 0.0
+        pairs, weights = random_degradation(np.random.default_rng(3), k, 4, 4)
         with pytest.raises(EnumerationTooLargeError, match="enumeration too large"):
-            includes(k, random_stochastic(np.random.default_rng(2), 4, 4), cap=1000)
+            includes(k, degrade(k, pairs, weights, n_outputs=4), cap=1000)
 
     def test_transitivity_on_random_triples(self):
         rng = np.random.default_rng(42)
@@ -306,20 +316,84 @@ def _negated_separator(pairs, weights, separator, best):
     return pairs, weights, -separator, best
 
 
+def _negated_codebook_separator(separator, best):
+    return -separator, best
+
+
+def _no_codebook_separator(*args):
+    return None, None
+
+
 @pytest.mark.parametrize(
-    "corrupt, better, worse",
+    "stage, corrupt, better, worse",
     [
-        (_doubled_weights, bsc(0.1), bsc(0.3)),
-        (_first_column_only, bsc(0.1), bsc(0.3)),
-        (_negated_separator, bsc(0.2), bsc(0.05)),
+        ("_nearest_point", _doubled_weights, bsc(0.1), bsc(0.3)),
+        ("_nearest_point", _first_column_only, bsc(0.1), bsc(0.3)),
+        ("_nearest_point", _negated_separator, bsc(0.2), bsc(0.05)),
+        ("_codebook_separator", _negated_codebook_separator, bsc(0.2), bsc(0.05)),
     ],
-    ids=["weights-sum", "replay", "separator"],
+    ids=["weights-sum", "replay", "separator", "codebook-separator"],
 )
-def test_corrupted_certificate_raises(monkeypatch, corrupt, better, worse):
-    search = dmc._nearest_point
-    monkeypatch.setattr(dmc, "_nearest_point", lambda *args: corrupt(*search(*args)))
+def test_corrupted_certificate_raises(monkeypatch, stage, corrupt, better, worse):
+    if stage == "_nearest_point":
+        # A codebook separator would decide bsc(0.2) against bsc(0.05); the
+        # screen declines here so that Wolfe's separator is the one checked.
+        monkeypatch.setattr(dmc, "_codebook_separator", _no_codebook_separator)
+    search = getattr(dmc, stage)
+    monkeypatch.setattr(dmc, stage, lambda *args: corrupt(*search(*args)))
     with pytest.raises(ArithmeticError):
         includes(better, worse)
+
+
+def _recording(screen, screened):
+    """``screen`` that appends to ``screened`` whether it found a separator."""
+
+    def record(*args):
+        separator, best = screen(*args)
+        screened.append(separator is not None)
+        return separator, best
+
+    return record
+
+
+def test_codebook_separators_decide_like_wolfe(monkeypatch):
+    """The codebook screen changes no decision, and every separator it emits
+    beats the full enumeration of pairs by the margin it reports."""
+    instances = _oracle_instances(count=300, max_pairs=4**8, seed=2718)
+    instances += [(StochasticMatrix(np.vstack([b.entries[:-1], b.entries[:1]])), w)
+                  for b, w in instances]
+    screened = []
+    with monkeypatch.context() as patch:
+        patch.setattr(dmc, "_codebook_separator", _recording(dmc._codebook_separator, screened))
+        decisions = [includes(better, worse, cap=4**8) for better, worse in instances]
+    monkeypatch.setattr(dmc, "_codebook_separator", _no_codebook_separator)
+    for index, ((better, worse), decision) in enumerate(zip(instances, decisions)):
+        assert decision.included == includes(better, worse, cap=4**8).included, index
+        if screened[index]:
+            candidates, _ = degradation_products(better, worse.entries.shape, cap=4**8)
+            h = decision.separator
+            margin = float(h @ worse.entries.ravel() - np.max(candidates @ h))
+            assert margin > 0.0, index
+            assert decision.margin == pytest.approx(margin, abs=1e-12), index
+    not_included = sum(not decision.included for decision in decisions)
+    assert 100 <= sum(screened) < not_included, (sum(screened), not_included)
+
+
+@pytest.mark.parametrize("delta", [5e-15, 7e-15, 7.5e-15, 1e-14])
+def test_codebook_separator_at_the_rounding_floor(monkeypatch, delta):
+    # The best 2-codebooks differ by 2 * delta, against a floor of
+    # _ROUNDING * 4 = 1.42e-14 with the tolerance far below it: the screen
+    # declines the first two pairs and certifies the last two, and Wolfe's
+    # search answers the same.
+    better, worse = bsc(0.2), bsc(0.2 - delta)
+    screened = []
+    with monkeypatch.context() as patch:
+        patch.setattr(dmc, "_codebook_separator", _recording(dmc._codebook_separator, screened))
+        decision = includes(better, worse, tolerance=1e-16)
+    monkeypatch.setattr(dmc, "_codebook_separator", _no_codebook_separator)
+    assert screened == [delta > 7e-15]
+    assert not decision.included and decision.margin > 0.0
+    assert not includes(better, worse, tolerance=1e-16).included
 
 
 def _rebuilt_best_pair(k, h, n2, m2):
@@ -368,7 +442,8 @@ def test_best_pair_matches_rebuilt_pricing(n1, m1, n2, m2, output_side):
         residuals += [rng.integers(-2, 3, size=n2 * m2).astype(float) for _ in range(4)]
         residuals.append(np.zeros(n2 * m2))
         for h in residuals:
-            pair, column = dmc._best_pair(table, h)
+            best, argmaxes, column = dmc._best_pair(table, h)
+            pair = dmc._table_pair(table, best, argmaxes)
             want = _rebuilt_best_pair(better.entries, h, n2, m2)
             assert pair == want, h
             assert column.tobytes() == want.apply(better, n_outputs=m2).ravel().tobytes(), h
@@ -398,7 +473,10 @@ def test_certificates_match_table_free_pricing(monkeypatch):
 
     def rebuilt(table, h):
         pair = _rebuilt_best_pair(table.k, h, table.n2, table.m2)
-        return pair, pair.apply(StochasticMatrix(table.k), n_outputs=table.m2).ravel()
+        chosen, other = ((pair.output_map, pair.input_map) if table.output_side
+                         else (pair.input_map, pair.output_map))
+        best = int(np.flatnonzero((table.maps == chosen).all(axis=1))[0])
+        return best, np.array(other), pair.apply(StochasticMatrix(table.k), n_outputs=table.m2).ravel()
 
     monkeypatch.setattr(dmc, "_best_pair", rebuilt)
     for index, (better, worse, cap) in enumerate(instances):
@@ -419,7 +497,8 @@ def test_input_side_column_is_the_bytes_of_apply():
             assert not table.output_side
             for _ in range(250):
                 h = rng.standard_normal(n2 * m2) * rng.integers(1, 4, size=n2 * m2)
-                pair, column = dmc._best_pair(table, h)
+                best, argmaxes, column = dmc._best_pair(table, h)
+                pair = dmc._table_pair(table, best, argmaxes)
                 assert column.tobytes() == pair.apply(better, n_outputs=m2).ravel().tobytes(), h
                 seen.add((n1, m1, n2, m2, pair))
     assert len(seen) > 500
@@ -697,6 +776,29 @@ class TestBestErrorProbability:
         assert best_error_probability(bsc(0.1), 3, 2, cap=64) >= 0.0
         with pytest.raises(EnumerationTooLargeError, match="64 codebooks"):
             best_error_probability(bsc(0.1), 3, 2, cap=63)
+
+    def test_matches_the_chunked_enumeration_bit_for_bit(self):
+        def chunked(channel, n_messages, block_length):
+            # The enumeration the shared codebook kernel replaced.
+            extension = channel.entries
+            for _ in range(block_length - 1):
+                extension = np.kron(extension, channel.entries)
+            best = 0.0
+            codebooks = itertools.combinations_with_replacement(range(len(extension)), n_messages)
+            while chunk := list(itertools.islice(codebooks, 4096)):
+                best = max(best, float(extension[np.asarray(chunk)].max(axis=1).sum(axis=1).max()))
+            return float(min(1.0, max(0.0, 1.0 - best / n_messages)))
+
+        rng = np.random.default_rng(4096)
+        # 25 sequences and 4 messages make 20,475 codebooks, past one chunk.
+        cases = [(random_stochastic(rng, 5, 3), 4, 2)]
+        for _ in range(24):
+            channel = random_stochastic(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+            cases += [(channel, n_messages, block_length)
+                      for n_messages in range(1, 5) for block_length in (1, 2)]
+        for channel, n_messages, block_length in cases:
+            want = chunked(channel, n_messages, block_length)
+            assert best_error_probability(channel, n_messages, block_length) == want
 
     def test_matches_every_ordered_codebook(self):
         def reference(channel, n_messages, block_length):

@@ -296,6 +296,16 @@ class TestVerifyEquivalence:
         with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
             verify_equivalence_transform(channel, 0.5 * np.eye(2), np.eye(2), tolerance=tolerance)
 
+    @pytest.mark.parametrize("name", ["B", "C"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_matrix_named(self, name, value):
+        channel = GaussianChannel(np.eye(2), np.eye(2))
+        bad = np.eye(2)
+        bad[0, 1] = value
+        matrices = {"B": np.eye(2), "C": np.eye(2), name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            verify_equivalence_transform(channel, matrices["B"], matrices["C"])
+
     def test_dimension_mismatch_raises(self):
         channel = GaussianChannel(np.eye(2), np.eye(2))
         with pytest.raises(ValueError, match="dimension"):
