@@ -32,7 +32,6 @@ same best-codebook kernel for block codes on the memoryless extension.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -364,42 +363,28 @@ def _table_pair(table: _PricingTable, best: int, argmaxes: np.ndarray) -> Determ
 
 # Codebooks are scored this many at a time, so memory stays bounded.
 _CODEBOOK_CHUNK = 4096
-# Index tables of one chunk and at most this many entries are kept.
-_CACHED_ENTRIES = 2**15
-
-
-@functools.lru_cache(maxsize=32)
-def _codebook_table(rows: int, size: int) -> np.ndarray:
-    """Every multiset of ``size`` indices below ``rows``, one per row, in
-    ``itertools.combinations_with_replacement`` order.  Read-only, since the
-    cache hands the same array to every caller."""
-    table = np.array(list(itertools.combinations_with_replacement(range(rows), size)), dtype=np.intp)
-    table.setflags(write=False)
-    return table
-
-
-def _codebook_chunks(rows: int, size: int):
-    """``_codebook_table(rows, size)`` in chunks of ``_CODEBOOK_CHUNK`` rows;
-    from the cache when it is one small chunk."""
-    count = math.comb(rows + size - 1, size)
-    if count <= _CODEBOOK_CHUNK and count * size <= _CACHED_ENTRIES:
-        yield _codebook_table(rows, size)
-        return
-    codebooks = itertools.combinations_with_replacement(range(rows), size)
-    while chunk := list(itertools.islice(codebooks, _CODEBOOK_CHUNK)):
-        yield np.array(chunk, dtype=np.intp)
 
 
 def _best_codebook(entries: np.ndarray, size: int) -> tuple[float, np.ndarray]:
-    """The best value ``sum_y max_c entries[c, y]`` over multisets ``c`` of
-    ``size`` rows, and that codebook as nondecreasing row indices.
+    """The best value ``sum_y max_c entries[c, y]`` over codebooks ``c`` of
+    ``size`` rows, and one such codebook as increasing row indices.
 
     For a channel this is ``size`` times the best probability of correct
-    maximum-likelihood decoding with ``size`` uniform messages.  Ties go to
-    the first codebook in ``combinations_with_replacement`` order.
+    maximum-likelihood decoding with ``size`` uniform messages.  When
+    ``size`` rows can hold every output's best row (ties to the lowest),
+    those rows are the codebook: no codebook does better.  Otherwise only
+    sets of ``size`` distinct rows are scored, ties to the first in
+    ``itertools.combinations`` order: a repeated row adds nothing, a
+    further row lowers no ``max_c`` and float sums are monotone, so the
+    value is the best over every multiset of ``size`` rows, bit for bit.
     """
+    peaks = np.flatnonzero(np.bincount(entries.argmax(axis=0), minlength=len(entries)))
+    if size >= len(peaks):
+        return float(entries.max(axis=0).sum()), peaks
+    indices = itertools.chain.from_iterable(itertools.combinations(range(len(entries)), size))
     best_value, best = -math.inf, None
-    for chunk in _codebook_chunks(len(entries), size):
+    while (chunk := np.fromiter(itertools.islice(indices, _CODEBOOK_CHUNK * size), dtype=np.intp)).size:
+        chunk = chunk.reshape(-1, size)
         # Codewords along the leading axis: a max over it is elementwise.
         correct = entries[chunk.T].max(axis=0).sum(axis=1)
         index = int(correct.argmax())
@@ -412,33 +397,43 @@ def _codebook_separator(k: np.ndarray, w: np.ndarray, tolerance: float, cap: int
     """A 0/1 separator ``G`` proving ``K`` does not include ``W``, with the
     pair that scores best under it; ``(None, None)`` if none is found.
 
-    For M = 2, ..., n2 in order: ``G`` holds one 1 per worse output ``y``, at
+    For M = 2, 3, ... in order: ``G`` holds one 1 per worse output ``y``, at
     the codeword of ``W``'s best M-codebook that decodes ``y`` (ties to the
     lowest index), so ``<G, W>`` is that codebook's value.  If ``G`` uses M'
     rows, a pair scores ``<G, vec(R K T)> = sum_j K[R(row decoding T(j)), j]``,
     at most ``K``'s best M'-codebook value, with equality for R sending
-    ``G``'s rows to that codebook and T sending each better output to a
+    ``G``'s rows to that codebook (its codewords repeat, in turn, when it
+    has fewer than M' rows) and T sending each better output to a
     column of the row whose codeword ``K`` decodes there; that is the pair
     returned.  ``G`` is accepted when ``<G, W>`` beats it by more than
     ``max(tolerance, _ROUNDING * n2 * m2)``, Wolfe's own floor: for every
     hull point x, ``<G, W - x> <= ||W - x||_1``, so Wolfe's search would
-    answer "not included" too.  It stops before any M whose count of
-    codebooks (multisets), on either side, passes ``cap``.
+    answer "not included" too.  ``cap`` bounds the codebooks scored in all,
+    over every M and both channels: the search ends before a codebook search
+    whose sets, ``C(n2, M)`` or ``C(n1, M')``, would take that count past it.
     """
     n2, m2 = w.shape
     floor = max(tolerance, _ROUNDING * n2 * m2)
-    for size in range(2, n2 + 1):
-        if math.comb(max(len(k), n2) + size - 1, size) > cap:
+    budget = cap
+    # Past the number of rows at which W's outputs peak, every size gives
+    # the separator that number gives.
+    for size in range(2, np.count_nonzero(np.bincount(w.argmax(axis=0), minlength=n2)) + 1):
+        budget -= math.comb(n2, size)
+        if budget < 0:
             break
         value, codebook = _best_codebook(w, size)
         decoders = codebook[w[codebook].argmax(axis=0)]
-        k_value, k_codebook = _best_codebook(k, len(set(decoders.tolist())))
+        used = len(set(decoders.tolist()))
+        budget -= math.comb(len(k), min(used, len(k)))
+        if budget < 0:
+            break
+        k_value, k_codebook = _best_codebook(k, used)
         if value - k_value > floor:
             rows, columns = np.unique(decoders, return_index=True)
             separator = np.zeros((n2, m2))
             separator[decoders, np.arange(m2)] = 1.0
             input_map = np.zeros(n2, dtype=np.intp)
-            input_map[rows] = k_codebook
+            input_map[rows] = np.resize(k_codebook, used)
             output_map = columns[k[k_codebook].argmax(axis=0)]
             # Maps of Python ints in range by construction.
             pair = _unchecked(DeterministicPair, input_map=tuple(input_map.tolist()),
@@ -452,7 +447,8 @@ CONVENTIONS = (
     "decisions are deterministic: Wolfe's min-norm-point corral, "
     "each step priced exactly with ties to the lowest index",
     "a not-included certificate is a 0/1 codebook separator when the worse channel's "
-    "best M-codebook decoder (M = 2, 3, ...) beats every pair by more than the tolerance, "
+    "best M-codebook decoder (M = 2, 3, ...) beats every pair by more than "
+    "max(tolerance, the rounding floor), "
     "otherwise the corral's residual",
     "witnesses replay as: sum of weights * (input-degraded, output-degraded channel)",
 )
@@ -481,10 +477,10 @@ def includes(
     Euclidean-nearest hull point is not, is reported as not included, with
     a valid separator.  ``tolerance`` must be finite and positive, or
     ValueError is raised.  ``cap`` bounds the codebooks the separator
-    search scores per size, and, separately, the size ``n1**n2 * m2**m1``
-    of the pair space that Wolfe's search prices, as for
+    search scores in all, and, separately, the size ``n1**n2 * m2**m1`` of
+    the pair space that Wolfe's search prices, as for
     ``degradation_products``; EnumerationTooLargeError is raised only when
-    that search is needed.
+    that search is needed, so after at most ``cap`` codebooks.
     """
     tolerance = float(tolerance)
     if not 0.0 < tolerance < np.inf:
@@ -732,7 +728,8 @@ def degrade(
         pair._check(channel, n_outputs)
     # One kernel call and one gather for every pair that carries weight.
     # The weighted products are summed in pair order: accumulate adds them
-    # one after another, where sum may pair them up.
+    # one after another, where sum may pair them up.  Its prefix array is
+    # the gather's size.
     products = _collapsed(channel.entries, np.array([pair.output_map for pair in used]), n_outputs)
     gathered = products[np.arange(len(used))[:, None], np.array([pair.input_map for pair in used])]
     return StochasticMatrix(np.add.accumulate(weights[carrying, None, None] * gathered)[-1])
@@ -750,9 +747,10 @@ def best_error_probability(
     given block length on the memoryless extension of the channel, decoding by
     maximum likelihood with uniform messages (ties resolved toward the
     lowest message index, which does not change the achieved minimum).
-    Relabelling the messages leaves the correct-decoding mass unchanged, so
-    only one codebook per multiset of sequences is evaluated.  ``cap`` still
-    bounds the count of ordered codebooks, ``n_seq**n_messages``.
+    Relabelling the messages leaves the correct-decoding mass unchanged and
+    a repeated sequence adds none, so at most one codebook per set of
+    ``min(n_messages, n_seq)`` distinct sequences is evaluated.  ``cap``
+    still bounds the count of ordered codebooks, ``n_seq**n_messages``.
     """
     n_messages = checked_integer(n_messages, "n_messages")
     block_length = checked_integer(block_length, "block_length")

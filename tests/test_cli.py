@@ -878,7 +878,8 @@ _DMC_CONVENTIONS = [
     "decisions are deterministic: Wolfe's min-norm-point corral, "
     "each step priced exactly with ties to the lowest index",
     "a not-included certificate is a 0/1 codebook separator when the worse channel's "
-    "best M-codebook decoder (M = 2, 3, ...) beats every pair by more than the tolerance, "
+    "best M-codebook decoder (M = 2, 3, ...) beats every pair by more than "
+    "max(tolerance, the rounding floor), "
     "otherwise the corral's residual",
     "witnesses replay as: sum of weights * (input-degraded, output-degraded channel)",
 ]

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,25 @@ class TestIncludes:
         pairs, weights = random_degradation(np.random.default_rng(3), k, 4, 4)
         with pytest.raises(EnumerationTooLargeError, match="enumeration too large"):
             includes(k, degrade(k, pairs, weights, n_outputs=4), cap=1000)
+
+    def test_cap_bounds_the_screens_codebooks_in_all(self, monkeypatch):
+        # A 16x16 channel includes itself, so no codebook separator exists
+        # and the pair count (16**32) is past any cap.  The screen scores at
+        # most cap codebooks over every size and both channels before the
+        # cap raises; bounded per size, it would score all 131,038 (sets of
+        # M of 16 rows, M = 2, ..., 16, on both channels).
+        k = random_stochastic(np.random.default_rng(16), 16, 16)
+        scored = []
+        kernel = dmc._best_codebook
+
+        def counting(entries, size):
+            scored.append(math.comb(len(entries), min(size, len(entries))))
+            return kernel(entries, size)
+
+        monkeypatch.setattr(dmc, "_best_codebook", counting)
+        with pytest.raises(EnumerationTooLargeError, match="deterministic input/output pairs"):
+            includes(k, k, cap=10**5)
+        assert 0 < sum(scored) <= 10**5
 
     def test_transitivity_on_random_triples(self):
         rng = np.random.default_rng(42)
