@@ -25,16 +25,15 @@ step refactors the corral.  It stops
 with a witness once the residual's 1-norm is within the tolerance, and with
 ``h`` as a separating functional once no pair can bring the corral closer.
 The answer is a certificate either way, checked before it is returned.
-``degradation_products`` enumerates every pair; it is kept as the reference
-oracle the tests decide against.  ``best_error_probability`` wraps the
-same best-codebook kernel for block codes on the memoryless extension.
+``degradation_products`` returns every pair's product and the map tables,
+the reference that separators are checked against.  ``best_error_probability``
+wraps the same best-codebook kernel for block codes on the memoryless extension.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Integral
 from typing import NamedTuple
@@ -64,6 +63,7 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 1_000_000
+_PRINTED_BITS = 4096  # a longer count (past 1,233 digits) is named by its powers
 
 # Hard bound on the major steps of one inclusion decision.
 _MAX_STEPS = 10_000
@@ -81,7 +81,7 @@ _ENTRY_TOL = 1e-12
 class EnumerationTooLargeError(ValueError):
     """Raised when an exhaustive search would exceed the configured cap."""
 
-    def __init__(self, count: int, cap: int, what: str = "candidates"):
+    def __init__(self, count: int | str, cap: int, what: str = "candidates"):
         super().__init__(f"enumeration too large: {count} {what} exceeds the cap of {cap}")
         self.count = count
         self.cap = cap
@@ -216,78 +216,49 @@ def _collapsed(k: np.ndarray, output_maps: np.ndarray, m2: int, maps_axis: int =
     return out
 
 
+def _check_count(factors: tuple[tuple[int, int], ...], cap: int, what: str) -> None:
+    """EnumerationTooLargeError unless the product of ``base**exponent`` over
+    ``factors`` is at most ``cap``.  Its ``log2`` decides first, so a count
+    of millions of digits is never built: one too long to print is named by
+    its powers, such as ``3**3000000``, and every other count exactly."""
+    # Clamped exponents keep the float sum finite; the sum only falls.
+    bits = sum(math.log2(base) * min(exponent, 1 << 1000) for base, exponent in factors)
+    if bits <= max(_PRINTED_BITS, math.log2(max(cap, 1)) + 1):
+        count = math.prod(base**exponent for base, exponent in factors)
+        if count <= cap:
+            return
+    if bits > _PRINTED_BITS:
+        count = " * ".join(f"{base}**{exponent}" for base, exponent in factors)
+    raise EnumerationTooLargeError(count, cap, what)
+
+
 def _check_cap(better: StochasticMatrix, n2: int, m2: int, cap: int) -> None:
-    count = better.n_inputs**n2 * m2**better.n_outputs
-    if count > cap:
-        raise EnumerationTooLargeError(count, cap, what="deterministic input/output pairs")
+    _check_count(((better.n_inputs, n2), (m2, better.n_outputs)), cap, "deterministic input/output pairs")
 
 
 def degradation_products(
     better: StochasticMatrix,
     worse_shape: tuple[int, int],
     cap: int = ENUMERATION_CAP,
-) -> tuple[np.ndarray, Sequence[DeterministicPair]]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Vectorized products R @ K @ T over all deterministic pairs.
 
-    The exhaustive reference that ``includes`` no longer needs: tests decide
-    against it.  Rows run over output maps, then input maps, each in
-    ``itertools.product`` order; duplicate products are dropped, keeping the
-    first pair that produced them.  Returns the candidate matrix with one
-    vectorized product per row, together with the matching pairs as a
-    read-only sequence that builds each pair when it is read.  Raises
-    EnumerationTooLargeError when ``n1**n2 * m2**m1`` exceeds the cap.
+    The exhaustive reference that ``includes`` no longer needs: separators
+    are checked against it.  Returns the products, one ``vec(R K T)`` per
+    row, and the map tables ``(input_maps, output_maps)``, one map per row,
+    each in ``itertools.product`` order.  Row ``t * len(input_maps) + i`` is
+    the product for ``input_maps[i]`` and ``output_maps[t]``, so there are
+    ``n1**n2 * m2**m1`` rows and equal products are all kept.  Raises
+    EnumerationTooLargeError when that count exceeds the cap.
     """
     n2, m2 = int(worse_shape[0]), int(worse_shape[1])
     if n2 < 1 or m2 < 1:
         raise ValueError("worse_shape must be positive")
     _check_cap(better, n2, m2, cap)
-    n1, m1 = better.n_inputs, better.n_outputs
-    input_maps = _maps(n2, n1)
-    output_maps = _maps(m1, m2)
-    collapsed = np.ascontiguousarray(_collapsed(better.entries, output_maps, m2).reshape(-1, m2))
-    # A product is equal to another exactly when its rows, rows of some K T,
-    # are; so deduplicate on the ids of the distinct K T rows it picks.
-    _, row_ids = np.unique(_byte_keys(collapsed), return_inverse=True)
-    ids = row_ids.reshape(len(output_maps), n1)[:, input_maps].reshape(-1, n2)
-    radix = int(row_ids.max()) + 1
-    if radix**n2 < 2**63:
-        keys = ids @ radix ** np.arange(n2, dtype=np.int64)
-    else:
-        keys = _byte_keys(np.ascontiguousarray(ids, dtype=np.int64))
-    _, first = np.unique(keys, return_index=True)
-    first.sort()
-    t, i = np.divmod(first, len(input_maps))
-    rows = collapsed.reshape(len(output_maps), n1, m2)[t[:, None], input_maps[i]]
-    return rows.reshape(-1, n2 * m2), _Pairs(input_maps, output_maps, i, t)
-
-
-class _Pairs(Sequence):
-    """Pairs ``(input_maps[i[r]], output_maps[t[r]])`` for each row ``r``.
-
-    Built only when read: constructing tens of thousands of pairs costs
-    several times the products themselves, and callers that check a
-    separator against every product never read them.
-    """
-
-    def __init__(self, input_maps, output_maps, i, t):
-        self._inputs = [tuple(m) for m in input_maps.tolist()]
-        self._outputs = [tuple(m) for m in output_maps.tolist()]
-        self._i, self._t = i.tolist(), t.tolist()
-
-    def __len__(self) -> int:
-        return len(self._i)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[r] for r in range(*index.indices(len(self)))]
-        # Rows of map tables: nonempty tuples of nonnegative Python ints.
-        return _unchecked(DeterministicPair, input_map=self._inputs[self._i[index]],
-                          output_map=self._outputs[self._t[index]])
-
-
-def _byte_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row of a C-contiguous 2-D array, equal exactly when the bytes are."""
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    input_maps, output_maps = _maps(n2, better.n_inputs), _maps(better.n_outputs, m2)
+    # np.take writes a new C-contiguous array, so the reshape copies nothing.
+    rows = np.take(_collapsed(better.entries, output_maps, m2), input_maps, axis=1)
+    return rows.reshape(-1, n2 * m2), (input_maps, output_maps)
 
 
 class _PricingTable(NamedTuple):
@@ -756,10 +727,7 @@ def best_error_probability(
     block_length = checked_integer(block_length, "block_length")
     if n_messages < 1 or block_length < 1:
         raise ValueError("n_messages and block_length must be positive")
-    n_seq = channel.n_inputs**block_length
-    count = n_seq**n_messages
-    if count > cap:
-        raise EnumerationTooLargeError(count, cap, what="codebooks")
+    _check_count(((channel.n_inputs, block_length * n_messages),), cap, "codebooks")
 
     extension = channel.entries
     for _ in range(block_length - 1):

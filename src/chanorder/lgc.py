@@ -184,7 +184,7 @@ def _combined(a: SingularSpectrum, b: SingularSpectrum, op) -> SingularSpectrum:
     # vectors is all three, and a step rises no more than one of theirs did
     # (max(a', b') - max(a, b) <= max(a' - a, b' - b)), so the result passes
     # every check of SingularSpectrum; the inputs hold no -0.0 to clip.
-    return _frozen(_unchecked(SingularSpectrum), values=op(*_pad_pair(a, b)))
+    return _unchecked(SingularSpectrum, values=op(*_pad_pair(a, b)))
 
 
 def lub(a: SingularSpectrum, b: SingularSpectrum) -> SingularSpectrum:

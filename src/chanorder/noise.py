@@ -236,7 +236,7 @@ def _combined(a: MonotoneProfile, b: MonotoneProfile, op, name: str) -> Monotone
     np.maximum(density, 0.0, out=density)  # np.clip(density, 0.0, None), in place
     keep = masses > 0.0
     atoms = tuple(zip(locations[keep].tolist(), masses[keep].tolist()))
-    return _frozen(_unchecked(MonotoneProfile), grid=grid, density=density, atoms=atoms, flag=a.flag)
+    return _unchecked(MonotoneProfile, grid=grid, density=density, atoms=atoms, flag=a.flag)
 
 
 def lub(a: MonotoneProfile, b: MonotoneProfile) -> MonotoneProfile:

@@ -4,8 +4,9 @@ Singular values, symmetric inverse square roots, tolerance and integer
 validation, the rules for fields read from documents, and the one way a
 frozen value type holds its fields: each array is read-only and its own,
 copied in ``__post_init__`` or made fresh for a value built ``_unchecked``.
-Every function but ``_frozen``, which fills a value being built, is a pure
-function of its inputs, so all of it is safe to call concurrently.
+Every function but ``_frozen`` and ``_unchecked``, which fill a value being
+built, is a pure function of its inputs, so all of it is safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -74,21 +75,20 @@ def _frozen(value, **fields):
         for item in field if type(field) is tuple else (field,):
             if isinstance(item, np.ndarray):
                 item.setflags(write=False)
-    value.__dict__.update(fields)  # as _unchecked fills it: a frozen dataclass has no slots
+    value.__dict__.update(fields)  # a frozen dataclass has no slots
     return value
 
 
 def _unchecked(cls, **fields):
     """An instance of the frozen value type ``cls`` holding ``fields``, without
-    running its ``__post_init__``.
+    running its ``__post_init__``; its arrays are made read-only, as
+    ``_frozen`` makes them.
 
     Only for values that are valid by construction: each caller says why
     its fields already meet every check the constructor would run, in the
     form the constructor would store them.
     """
-    value = object.__new__(cls)
-    value.__dict__.update(fields)
-    return value
+    return _frozen(object.__new__(cls), **fields)
 
 
 def _required(document: dict, key: str, what: str):

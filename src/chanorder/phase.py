@@ -173,7 +173,7 @@ def _product_spectrum(h: np.ndarray, v: np.ndarray, role: str = "channel") -> To
     """Spectrum of the rank-one grid ``np.outer(h, v)`` in ``role``."""
     order, coeffs = _checked_grid((h.size - 1) // 2, np.outer(h, v), role, factors=(h, v))
     # Every check has run on a fresh grid: fill the frozen fields without a second one.
-    return _frozen(_unchecked(TorusSpectrum), order=order, coeffs=coeffs, role=role)
+    return _unchecked(TorusSpectrum, order=order, coeffs=coeffs, role=role)
 
 
 def _product_min(order: int, h: np.ndarray, v: np.ndarray) -> float:

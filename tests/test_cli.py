@@ -119,6 +119,18 @@ class TestDmcCommands:
         assert code == 0
         assert doc["result"]["error_probability"] == pytest.approx(0.028, abs=1e-12)
 
+    def test_error_prob_past_the_cap_by_millions_of_digits_exits_two(self, capsys, bsc_files):
+        # 2**3000000 codebooks: decided and named without building the count.
+        better, _ = bsc_files
+        code = run(["dmc", "error-prob", "--channel", better, "--messages", "3000000", "--block-length", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == {
+            "type": "EnumerationTooLargeError",
+            "message": "enumeration too large: 2**3000000 codebooks exceeds the cap of 1000000",
+        }
+
 
 class TestNoiseCommands:
     @pytest.fixture

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -647,20 +648,52 @@ def test_kept_factor_decides_like_a_fresh_qr(monkeypatch):
 
 
 def test_degradation_products_structure():
-    # Repeated rows make distinct pairs give equal products.
-    k = StochasticMatrix([[0.6, 0.3, 0.1], [0.6, 0.3, 0.1], [0.2, 0.2, 0.6]])
-    rows, pairs = degradation_products(k, (2, 2))
-    assert len(rows) == len(pairs)
-    for row, pair in zip(rows, pairs):
-        assert np.array_equal(pair.apply(k, n_outputs=2).ravel(), row)
-    assert pairs[1:3] == [pairs[1], pairs[2]] and pairs[-1] == pairs[len(pairs) - 1]
-    assert len({row.tobytes() for row in rows}) == len(rows)
-    naive = {
-        DeterministicPair(r, t).apply(k, n_outputs=2).tobytes()
-        for t in itertools.product(range(2), repeat=3)
-        for r in itertools.product(range(3), repeat=2)
-    }
-    assert len(rows) == len(naive) < 3**2 * 2**3
+    # Repeated rows make distinct pairs give equal products; all are kept.
+    repeated = StochasticMatrix([[0.6, 0.3, 0.1], [0.6, 0.3, 0.1], [0.2, 0.2, 0.6]])
+    rng = np.random.default_rng(649)
+    # Then one input or one output on either side.
+    cases = [(repeated, (2, 2))] + [
+        (random_stochastic(rng, *shape), worse_shape)
+        for shape, worse_shape in [((1, 3), (2, 2)), ((3, 1), (2, 2)), ((2, 3), (1, 2)), ((2, 3), (3, 1))]
+    ]
+    for better, (n2, m2) in cases:
+        n1, m1 = better.entries.shape
+        rows, (input_maps, output_maps) = degradation_products(better, (n2, m2))
+        assert rows.flags.c_contiguous and rows.shape == (n1**n2 * m2**m1, n2 * m2)
+        assert input_maps.tolist() == [list(m) for m in itertools.product(range(n1), repeat=n2)]
+        assert output_maps.tolist() == [list(m) for m in itertools.product(range(m2), repeat=m1)]
+        for r, row in enumerate(rows):
+            t, i = divmod(r, len(input_maps))
+            pair = DeterministicPair(tuple(input_maps[i].tolist()), tuple(output_maps[t].tolist()))
+            assert np.array_equal(row, pair.apply(better, n_outputs=m2).ravel())
+    rows, _ = degradation_products(repeated, (2, 2))
+    assert len({row.tobytes() for row in rows}) < len(rows)
+
+
+class TestHugeCounts:
+    # A count longer than 4,096 bits is decided on its log2, and built only
+    # when the cap is as long; the error names it by its powers.
+    @pytest.mark.parametrize(("n_messages", "block_length", "name"),
+                             [(10**6, 1, "2**1000000"), (2, 10**6, "2**2000000")])
+    def test_codebooks(self, n_messages, block_length, name):
+        message = rf"^enumeration too large: {re.escape(name)} codebooks"
+        with pytest.raises(EnumerationTooLargeError, match=message) as raised:
+            best_error_probability(bsc(0.1), n_messages, block_length)
+        assert raised.value.count == name
+
+    def test_pairs(self):
+        # A 5000x2 channel of the 10x2 one's rows: no codebook separator,
+        # and 10**5000 * 2**2 pairs.
+        better = random_stochastic(np.random.default_rng(10), 10, 2)
+        worse = StochasticMatrix(better.entries[np.arange(5000) % 10])
+        with pytest.raises(EnumerationTooLargeError, match=r"^enumeration too large: 10\*\*5000 \* 2\*\*2 "):
+            includes(better, worse)
+
+    def test_a_cap_past_the_printed_length_is_compared_exactly(self):
+        # A count of 5001 bits is built only because the cap is as long.
+        dmc._check_count(((2, 5000),), 2**5000, "codebooks")
+        with pytest.raises(EnumerationTooLargeError, match=r"^enumeration too large: 2\*\*5000 codebooks"):
+            dmc._check_count(((2, 5000),), 2**5000 - 1, "codebooks")
 
 
 class TestEquivalent:

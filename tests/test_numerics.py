@@ -88,6 +88,12 @@ class TestUnchecked:
         assert _unchecked(dmc.DeterministicPair, input_map=(), output_map=(-1,)).output_map == (-1,)
 
 
+def test_unchecked_arrays_are_read_only():
+    entries = np.eye(2)
+    channel = _unchecked(dmc.StochasticMatrix, entries=entries)
+    assert channel.entries is entries and not entries.flags.writeable
+
+
 class TestOwnedArray:
     def test_an_array_of_the_dtype_is_copied(self):
         given = np.eye(2)
