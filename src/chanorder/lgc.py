@@ -322,6 +322,8 @@ class SingularEnsemble:
 
     def __post_init__(self):
         samples = _owned_array(self.samples, "samples", 2)
+        if float(samples.min()) < -1e-12:
+            raise ValueError("singular values must be nonnegative")
         if samples.shape[1] > 1 and np.any(np.diff(samples, axis=1) > 1e-12):
             raise ValueError("each sample must be sorted nonincreasing")
         np.clip(samples, 0.0, None, out=samples)

@@ -11,6 +11,7 @@ concurrently.
 
 from __future__ import annotations
 
+from itertools import chain
 from numbers import Integral
 
 import numpy as np
@@ -103,9 +104,28 @@ def _number_array(value, what: str) -> np.ndarray:
     """``value`` as ``np.asarray`` parses it; TypeError unless its entries are numbers.
 
     Every document parser reads its arrays through this, so that JSON
-    strings and booleans are rejected instead of converted to floats, and
-    nested lists of unequal lengths are refused under the field's name.
+    strings and booleans, also among numbers, are rejected instead of
+    converted to floats, and nested lists of unequal lengths are refused
+    under the field's name.  A list of numbers, or of equally long lists (no
+    document array has more dimensions), takes one flat pass that also
+    builds an all-float array; anything else goes to ``np.asarray``.
     """
+    flat = None
+    if type(value) in (list, tuple) and value:
+        flat, shape = value, (len(value),)
+        if type(value[0]) in (list, tuple):
+            try:
+                widths = set(map(len, value))
+            except TypeError:  # a number among the rows
+                widths = ()
+            flat = list(chain.from_iterable(value)) if len(widths) == 1 else None  # else ragged
+            shape = (len(value), len(value[0]))
+    if flat is not None:
+        kinds = set(map(type, flat))
+        if bool in kinds:
+            raise TypeError(f"{what} must hold only numbers")
+        if kinds == {float}:
+            return np.fromiter(flat, float, len(flat)).reshape(shape)
     try:
         array = np.asarray(value)
     except ValueError:  # numpy's "inhomogeneous shape"

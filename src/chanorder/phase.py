@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 
@@ -476,33 +475,10 @@ def from_json_dict(obj: dict) -> TorusSpectrum:
         raise ValueError("expected a document with type 'torus'")
     order = _check_order(_required(obj, "order", "torus document"))
     side = 2 * order + 1
-    pairs = _coefficient_pairs(_required(obj, "coeffs", "torus document"))
+    pairs = _number_array(_required(obj, "coeffs", "torus document"), "coefficients")
     if pairs.shape != (side * side, 2):
         raise ValueError(f"coeffs must hold {side * side} [re, im] pairs for order {order}")
     # The complex view of the pairs keeps -0.0.
     coeffs = np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(side, side)
     return TorusSpectrum(order, coeffs, role=obj.get("role", "channel"))
 
-
-def _coefficient_pairs(rows) -> np.ndarray:
-    """The document's ``coeffs`` as numpy parses them; TypeError unless all are numbers.
-
-    A list of ``[re, im]`` float pairs, as ``to_json_dict`` writes and
-    ``json`` reads, takes one flat pass.  A list of pairs holding a boolean
-    is refused, also among numbers, where numpy would read it as 0 or 1.
-    Anything else (int entries, numpy arrays and scalars, ragged or nested
-    lists) is read by ``_number_array``, as every document parser reads its
-    arrays.
-    """
-    try:
-        pairs = type(rows) in (list, tuple) and set(map(len, rows)) == {2}
-    except TypeError:  # a row without a length, such as a number
-        pairs = False
-    if pairs:
-        flat = list(chain.from_iterable(rows))
-        kinds = set(map(type, flat))
-        if kinds <= {float}:
-            return np.array(flat, dtype=float).reshape(-1, 2)
-        if bool in kinds:
-            raise TypeError("coefficients must hold only numbers")
-    return _number_array(rows, "coefficients")

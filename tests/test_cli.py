@@ -526,6 +526,16 @@ class TestLgcCommands:
         assert json.loads(captured.err)["error"] == {
             "type": "ValueError", "message": f"seed must be an integer, got {seed!r}"}
 
+    def test_negative_ensemble_sample_exits_two(self, capsys, tmp_path):
+        # Sorted, so only the nonnegativity check catches the -5.0.
+        good = write(tmp_path / "good.json", {"type": "lgc_ensemble", "samples": [[3.0, 1.0]], "seed": 0})
+        bad = write(tmp_path / "bad.json", {"type": "lgc_ensemble", "samples": [[3.0, -5.0], [2.0, 1.0]]})
+        code = run(["lgc", "ensemble-order", "--a", good, "--b", bad])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err.count("\n")) == (2, "", 1)
+        assert json.loads(captured.err)["error"] == {
+            "type": "ValueError", "message": "singular values must be nonnegative"}
+
     def test_ensemble_order_has_no_grid_flag(self, capsys, tmp_path):
         ensemble = lgc.ensemble_from_sampler(lgc.GaussianEntries(2, 2), 20, seed=3)
         path = write(tmp_path / "e.json", lgc.ensemble_to_json_dict(ensemble))
@@ -714,7 +724,7 @@ def test_bad_document_fields_are_named(capsys, tmp_path, argv, document, message
 
 
 _LGC_DOC = lgc.to_json_dict(lgc.GaussianChannel(np.eye(2), np.eye(2)))
-# Per document type: a command that reads it, and a complete document.
+# Per file kind: a command that reads it, and a complete document.
 _WITHOUT = {
     "dmc": (["dmc", "check", "--better", "@doc", "--worse", "@bsc"], dmc.to_json_dict(dmc.bsc(0.1))),
     "kfunction": (["noise", "variance", "--profile", "@doc"], _GAUSSIAN_DOC),
@@ -725,6 +735,9 @@ _WITHOUT = {
                      {"type": "lgc_ensemble", "samples": [[1.0, 0.5]], "seed": 0}),
     "matrix": (["lgc", "verify-equiv", "--channel", "@lgc", "--b-matrix", "@doc", "--c-matrix", "@doc"],
                {"type": "matrix", "matrix": [[1.0, 0.0], [0.0, 1.0]]}),
+    "witness": (["dmc", "degrade", "--channel", "@bsc", "--witness", "@doc"],
+                {"weights": [0.75, 0.25], "pairs": [{"input_map": [0, 1], "output_map": [0, 1]},
+                                                    {"input_map": [1, 0], "output_map": [0, 1]}]}),
 }
 _MISSING_KEYS = [("dmc", "matrix"), ("kfunction", "grid"), ("kfunction", "density"),
                  ("torus", "order"), ("torus", "coeffs"), ("lgc", "H"), ("lgc", "Sigma"),
@@ -746,6 +759,31 @@ def test_missing_required_key_is_named(capsys, tmp_path, kind, key):
     where = f"{files['@doc']}: " if kind == "matrix" else ""
     assert json.loads(captured.err)["error"] == {
         "type": "ValueError", "message": f"{where}{kind} document is missing the required key {key!r}"}
+
+
+# Per file kind: the array that gets a boolean among its numbers, and its
+# name in the message.
+_BOOLEAN_ARRAYS = [("dmc", "matrix", "matrix"), ("kfunction", "density", "density"),
+                   ("torus", "coeffs", "coefficients"), ("lgc", "H", "H"),
+                   ("lgc_ensemble", "samples", "samples"), ("witness", "weights", "witness weights"),
+                   ("matrix", "matrix", "matrix")]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, key, what", _BOOLEAN_ARRAYS, ids=[kind for kind, *_ in _BOOLEAN_ARRAYS])
+def test_boolean_among_numbers_exits_two(capsys, tmp_path, kind, key, what):
+    argv, document = _WITHOUT[kind]
+    values = np.asarray(document[key], dtype=float).tolist()
+    row = values[-1] if isinstance(values[-1], list) else values
+    row[-1] = True
+    files = {"@doc": write(tmp_path / "doc.json", {**document, key: values}),
+             "@bsc": write(tmp_path / "bsc.json", dmc.to_json_dict(dmc.bsc(0.1))),
+             "@lgc": write(tmp_path / "lgc.json", _LGC_DOC)}
+    code = run([files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err.count("\n")) == (2, "", 1)
+    where = f"{files['@doc']}: " if kind == "matrix" else ""
+    assert json.loads(captured.err)["error"] == {"type": "TypeError", "message": f"{where}{what} must hold only numbers"}
 
 
 @pytest.mark.filterwarnings("error")

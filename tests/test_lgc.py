@@ -513,6 +513,13 @@ class TestEnsembles:
         with pytest.raises(TypeError, match=f"{what} must hold only numbers"):
             parse(doc)
 
+    def test_negative_samples_rejected(self):
+        # SingularSpectrum's rule: clipping would load [[3, 0], [2, 1]].
+        doc = {"type": "lgc_ensemble", "samples": [[3.0, -5.0], [2.0, 1.0]], "seed": 0}
+        with pytest.raises(ValueError, match="^singular values must be nonnegative$"):
+            lgc.ensemble_from_json_dict(doc)
+        assert lgc.SingularEnsemble([[3.0, -1e-13]], seed=0).samples.tolist() == [[3.0, 0.0]]
+
 
 class TestEnsembleOrder:
     def test_self_comparison_equal(self):

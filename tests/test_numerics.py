@@ -1,9 +1,10 @@
+import json
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
-from chanorder import dmc
+from chanorder import dmc, lgc, noise, phase
 from chanorder.numerics import (
     _number_array, _owned_array, _unchecked, checked_integer, inverse_sqrt_spd, singular_values,
 )
@@ -68,7 +69,52 @@ class TestCheckedInteger:
             checked_integer(value, "k")
 
 
+_RNG = np.random.default_rng(29)
+_PROFILE = noise.to_json_dict(noise.MonotoneProfile(
+    np.linspace(-1.0, 1.0, 9), _RNG.random(9), atoms=((_RNG.random(), _RNG.random()),)))
+_LGC = lgc.to_json_dict(lgc.GaussianChannel(_RNG.standard_normal((2, 3)), [[2.0, 0.5], [0.5, 1.0]]))
+# Every array a document carries: its parser, a seeded valid document as a
+# file holds it, the array's key, and its name in messages.
+_DOCUMENT_ARRAYS = [
+    (dmc.from_json_dict, dmc.to_json_dict(dmc.StochasticMatrix(_RNG.dirichlet(np.ones(3), size=4))),
+     "matrix", "matrix"),
+    (dmc.witness_from_json_dict,
+     dmc.witness_to_json_dict(dmc.includes(dmc.bsc(0.1), dmc.bsc(0.2)).witness), "weights", "witness weights"),
+    (noise.from_json_dict, _PROFILE, "density", "density"),
+    (noise.from_json_dict, _PROFILE, "atoms", "atoms"),
+    (phase.from_json_dict, phase.to_json_dict(phase.joint_from_marginals(
+        phase.WrappedCauchy(_RNG.random(), 0.3), phase.WrappedGaussian(-_RNG.random(), 0.5), 2)),
+     "coeffs", "coefficients"),
+    (lgc.from_json_dict, _LGC, "H", "H"),
+    (lgc.from_json_dict, _LGC, "Sigma", "Sigma"),
+    (lgc.ensemble_from_json_dict, lgc.ensemble_to_json_dict(
+        lgc.ensemble_from_sampler(lgc.GaussianEntries(2, 3), 5, seed=29)), "samples", "samples"),
+]
+_DOCUMENT_ARRAYS = [(parse, json.loads(json.dumps(document)), key, what)
+                    for parse, document, key, what in _DOCUMENT_ARRAYS]
+_ARRAY_IDS = [f"{document.get('type', 'witness')}-{key}" for _, document, key, _ in _DOCUMENT_ARRAYS]
+
+
 class TestNumberArray:
+    @pytest.mark.parametrize("parse, document, key, what", _DOCUMENT_ARRAYS, ids=_ARRAY_IDS)
+    @pytest.mark.parametrize("kind", [float, int])
+    def test_boolean_among_numbers_is_refused(self, parse, document, key, what, kind):
+        values = np.asarray(document[key], dtype=float).astype(kind).tolist()
+        row = values[-1] if isinstance(values[-1], list) else values
+        row[-1] = True
+        with pytest.raises(TypeError, match=f"^{what} must hold only numbers$"):
+            parse({**document, key: values})
+
+    @pytest.mark.parametrize("parse, document, key, what", _DOCUMENT_ARRAYS, ids=_ARRAY_IDS)
+    def test_valid_document_arrays_read_as_numpy_reads_them(self, parse, document, key, what):
+        parse(document)
+        floats = document[key]
+        ints = np.asarray(floats, dtype=float).astype(int).tolist()
+        for value in (floats, ints, tuple(floats)):
+            array, expected = _number_array(value, what), np.asarray(value)
+            assert (array.dtype, array.shape) == (expected.dtype, expected.shape)
+            assert array.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("value", [[[0, 1], [2]], [[0, 1], 2], [[[0.0]], [[1.0], [2.0]]]],
                              ids=["short-row", "number-row", "deep"])
     def test_ragged_array_is_named(self, value):
