@@ -40,7 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import _frozen, _number_array, _owned_array, _required, _unchecked, checked_integer
+from .numerics import (_checked_count, _clipped, _frozen, _number_array, _owned_array, _required,
+                       _unchecked, checked_integer)
 
 __all__ = [
     "CONVENTIONS",
@@ -75,7 +76,6 @@ _ON_HULL = 1e-12
 _ROUNDING = 16 * np.finfo(float).eps
 
 _ROW_SUM_TOL = 1e-12
-_ENTRY_TOL = 1e-12
 
 
 class EnumerationTooLargeError(ValueError):
@@ -100,14 +100,13 @@ class StochasticMatrix:
 
     def __post_init__(self):
         entries = _owned_array(self.entries, "entries", 2)
-        if float(entries.min()) < -_ENTRY_TOL or float(entries.max()) > 1.0 + _ENTRY_TOL:
-            raise ValueError("entries must lie in [0, 1]")
-        sums = entries.sum(axis=1)
+        sums = entries.sum(axis=1)  # of the entries as given, before clipping
+        _clipped(entries, "entries must lie in [0, 1]", 1.0)
         off = np.abs(sums - 1.0)
         if float(off.max()) > _ROW_SUM_TOL:
             row = int(np.argmax(off))
             raise ValueError(f"row {row} sums to {sums[row]!r}, expected 1")
-        _frozen(self, entries=np.clip(entries, 0.0, 1.0, out=entries))
+        _frozen(self, entries=entries)
 
     @property
     def n_inputs(self) -> int:
@@ -153,21 +152,7 @@ class DeterministicPair:
 
     def apply(self, channel: StochasticMatrix, n_outputs: int | None = None) -> np.ndarray:
         """Raw matrix of the degraded channel R @ K @ T for this pair."""
-        if n_outputs is None:
-            n_outputs = 1 + max(self.output_map)
-        else:
-            n_outputs = checked_integer(n_outputs, "n_outputs")
-        self._check(channel, n_outputs)
-        collapsed = _collapsed(channel.entries, np.array([self.output_map]), n_outputs)[0]
-        return collapsed[list(self.input_map)]
-
-    def _check(self, channel: StochasticMatrix, n_outputs: int) -> None:
-        if max(self.input_map) >= channel.n_inputs:
-            raise ValueError("input_map addresses a missing channel input")
-        if len(self.output_map) != channel.n_outputs:
-            raise ValueError("output_map must be total on the channel outputs")
-        if max(self.output_map) >= n_outputs:
-            raise ValueError("output_map addresses a missing degraded output")
+        return _products(channel, (self,), n_outputs)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,8 +187,8 @@ def _collapsed(k: np.ndarray, output_maps: np.ndarray, m2: int, maps_axis: int =
     """``K @ T`` for every output map, stacked along ``maps_axis``: shape
     (maps, n1, m2), or (n1, maps, m2) when ``maps_axis`` is 1.
 
-    The one K T kernel: the output-side pricing table,
-    ``DeterministicPair.apply`` and ``degrade`` all call it, so a product is
+    The one K T kernel: the output-side pricing table and ``_products``
+    (so ``DeterministicPair.apply`` and ``degrade``) call it, so a product is
     bit-identical wherever it is computed, in either layout.  The
     input-side pricing column repeats its additions in its order.
     """
@@ -214,6 +199,30 @@ def _collapsed(k: np.ndarray, output_maps: np.ndarray, m2: int, maps_axis: int =
     for j in range(k.shape[1]):
         stacked[index, :, output_maps[:, j]] += k[:, j]
     return out
+
+
+def _products(channel: StochasticMatrix, pairs: tuple, n_outputs) -> np.ndarray:
+    """``R K T`` of each of ``pairs``, stacked as ``(pairs, n2, n_outputs)``
+    (None: one past the largest output label).  The maps must fit ``channel``
+    and ``n_outputs``, and the ``pairs * n1 * n_outputs`` block must be within
+    ``ENUMERATION_CAP`` (else EnumerationTooLargeError), both checked before allocating."""
+    n1, m1 = channel.entries.shape
+    n2 = len(pairs[0].input_map)
+    for pair in pairs:
+        if len(pair.input_map) != n2:
+            raise ValueError("all input maps must share one domain size")
+        if len(pair.output_map) != m1:
+            raise ValueError("output_map must be total on the channel outputs")
+        if max(pair.input_map) >= n1:
+            raise ValueError("input_map addresses a missing channel input")
+    top = max(max(pair.output_map) for pair in pairs)
+    n_outputs = top + 1 if n_outputs is None else checked_integer(n_outputs, "n_outputs")
+    if top >= n_outputs:
+        raise ValueError("output_map addresses a missing degraded output")
+    if len(pairs) * n1 * n_outputs > ENUMERATION_CAP:
+        raise EnumerationTooLargeError(len(pairs) * n1 * n_outputs, ENUMERATION_CAP, "product entries")
+    products = _collapsed(channel.entries, np.array([pair.output_map for pair in pairs]), n_outputs)
+    return products[np.arange(len(pairs))[:, None], np.array([pair.input_map for pair in pairs])]
 
 
 def _check_count(factors: tuple[tuple[int, int], ...], cap: int, what: str) -> None:
@@ -251,9 +260,8 @@ def degradation_products(
     ``n1**n2 * m2**m1`` rows and equal products are all kept.  Raises
     EnumerationTooLargeError when that count exceeds the cap.
     """
-    n2, m2 = int(worse_shape[0]), int(worse_shape[1])
-    if n2 < 1 or m2 < 1:
-        raise ValueError("worse_shape must be positive")
+    n2 = _checked_count(worse_shape[0], "worse_shape[0]")
+    m2 = _checked_count(worse_shape[1], "worse_shape[1]")
     _check_cap(better, n2, m2, cap)
     input_maps, output_maps = _maps(n2, better.n_inputs), _maps(better.n_outputs, m2)
     # np.take writes a new C-contiguous array, so the reshape copies nothing.
@@ -668,42 +676,25 @@ def degrade(
 ) -> StochasticMatrix:
     """Convex mixture of deterministic degradations of ``channel``.
 
-    Weights must be finite, nonnegative and sum to 1 within 1e-9; they are
-    renormalized to unit total so the result is exactly row-stochastic.
+    Weights must be finite, at least -1e-12 and sum to 1 within 1e-9; they
+    are clipped at 0 and renormalized: the result is exactly row-stochastic.
     The result is always included in ``channel`` by construction.
     """
     pairs = tuple(pairs)
-    weights = np.asarray(weights, dtype=float).ravel()
+    weights = np.array(weights, dtype=float).ravel()
     if not pairs or weights.size != len(pairs):
         raise ValueError("need one weight per deterministic pair")
     if not np.all(np.isfinite(weights)):
         raise ValueError("weights must be finite")
-    if float(weights.min()) < -1e-12:
-        raise ValueError("weights must be nonnegative")
     total = float(weights.sum())
+    _clipped(weights, "weights must be nonnegative")
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"weights sum to {total!r}, expected 1")
-    weights = np.clip(weights, 0.0, None) / total
-    n2 = len(pairs[0].input_map)
-    if any(len(p.input_map) != n2 for p in pairs):
-        raise ValueError("all input maps must share one domain size")
-    if any(len(p.output_map) != channel.n_outputs for p in pairs):
-        raise ValueError("all output maps must be total on the channel outputs")
-    if n_outputs is None:
-        n_outputs = 1 + max(max(p.output_map) for p in pairs)
-    else:
-        n_outputs = checked_integer(n_outputs, "n_outputs")
-    carrying = weights > 0.0
-    used = [pairs[i] for i in np.flatnonzero(carrying).tolist()]
-    for pair in used:
-        pair._check(channel, n_outputs)
-    # One kernel call and one gather for every pair that carries weight.
-    # The weighted products are summed in pair order: accumulate adds them
-    # one after another, where sum may pair them up.  Its prefix array is
-    # the gather's size.
-    products = _collapsed(channel.entries, np.array([pair.output_map for pair in used]), n_outputs)
-    gathered = products[np.arange(len(used))[:, None], np.array([pair.input_map for pair in used])]
-    return StochasticMatrix(np.add.accumulate(weights[carrying, None, None] * gathered)[-1])
+    weights /= weights.sum()  # the total of the clipped weights
+    # Summed in pair order: accumulate adds the products one after another,
+    # where sum may pair them up.  A zero-weight pair adds +0.0, no change.
+    products = _products(channel, pairs, n_outputs)
+    return StochasticMatrix(np.add.accumulate(weights[:, None, None] * products)[-1])
 
 
 def best_error_probability(
@@ -723,10 +714,8 @@ def best_error_probability(
     ``min(n_messages, n_seq)`` distinct sequences is evaluated.  ``cap``
     still bounds the count of ordered codebooks, ``n_seq**n_messages``.
     """
-    n_messages = checked_integer(n_messages, "n_messages")
-    block_length = checked_integer(block_length, "block_length")
-    if n_messages < 1 or block_length < 1:
-        raise ValueError("n_messages and block_length must be positive")
+    n_messages = _checked_count(n_messages, "n_messages")
+    block_length = _checked_count(block_length, "block_length")
     _check_count(((channel.n_inputs, block_length * n_messages),), cap, "codebooks")
 
     extension = channel.entries

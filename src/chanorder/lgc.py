@@ -18,8 +18,8 @@ from math import isfinite, log, sqrt
 import numpy as np
 
 from .numerics import (
-    _frozen, _number_array, _owned_array, _required, _unchecked, checked_integer,
-    checked_tolerance, inverse_sqrt_spd, singular_values,
+    _checked_count, _clipped, _frozen, _number_array, _owned_array, _required, _unchecked,
+    checked_integer, checked_tolerance, inverse_sqrt_spd, singular_values,
 )
 
 __all__ = [
@@ -97,6 +97,16 @@ def _whitened_spectrum(whitener: np.ndarray, h: np.ndarray) -> SingularSpectrum:
     return SingularSpectrum(values)
 
 
+def _checked_singular(values: np.ndarray, unsorted: str) -> np.ndarray:
+    """``values`` (along the last axis) clipped at 0; ValueError unless they are
+    nonnegative and, before clipping, nonincreasing, each within 1e-12."""
+    rising = values.shape[-1] > 1 and bool(np.any(np.diff(values) > 1e-12))
+    _clipped(values, "singular values must be nonnegative")
+    if rising:
+        raise ValueError(unsorted)
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class SingularSpectrum:
     """Sorted nonincreasing singular values of a whitened channel."""
@@ -107,11 +117,7 @@ class SingularSpectrum:
         values = _owned_array(self.values).ravel()
         if not np.all(np.isfinite(values)):
             raise ValueError("singular values must be finite")
-        if values.size and float(values.min()) < -1e-12:
-            raise ValueError("singular values must be nonnegative")
-        if values.size > 1 and np.any(np.diff(values) > 1e-12):
-            raise ValueError("singular values must be sorted nonincreasing")
-        _frozen(self, values=np.clip(values, 0.0, None, out=values))
+        _frozen(self, values=_checked_singular(values, "singular values must be sorted nonincreasing"))
 
     def padded(self, length: int) -> np.ndarray:
         if length < self.values.size:
@@ -259,9 +265,7 @@ def sample_haar_orthogonal(n: int, seed) -> np.ndarray:
     positive -- without that correction the factor is not invariant
     (Mezzadri 2007).
     """
-    n = checked_integer(n, "n")
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _checked_count(n, "n")
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
     signs = np.sign(np.diagonal(r))
     signs[signs == 0.0] = 1.0
@@ -279,11 +283,9 @@ class GaussianEntries:
     def __post_init__(self):
         for name in ("rows", "cols"):
             try:
-                value = checked_integer(getattr(self, name), name)
+                value = _checked_count(getattr(self, name), name)
             except ValueError as err:
                 raise ValueError(f"rows and cols must be positive integers: {err}") from None
-            if value < 1:
-                raise ValueError(f"rows and cols must be positive integers, got {name}={value}")
             _frozen(self, **{name: value})
         if not np.isfinite(self.scale):
             raise ValueError("scale must be finite")
@@ -321,12 +323,8 @@ class SingularEnsemble:
     copula_note: str = ""
 
     def __post_init__(self):
-        samples = _owned_array(self.samples, "samples", 2)
-        if float(samples.min()) < -1e-12:
-            raise ValueError("singular values must be nonnegative")
-        if samples.shape[1] > 1 and np.any(np.diff(samples, axis=1) > 1e-12):
-            raise ValueError("each sample must be sorted nonincreasing")
-        np.clip(samples, 0.0, None, out=samples)
+        samples = _checked_singular(_owned_array(self.samples, "samples", 2),
+                                    "each sample must be sorted nonincreasing")
         _frozen(self, samples=samples, seed=checked_integer(self.seed, "seed"))
 
     @property
@@ -368,9 +366,7 @@ def ensemble_from_sampler(sampler, n_samples: int, seed: int) -> SingularEnsembl
     and the seed is recorded but never read.
     ``ExplicitMatrices`` uses its first ``n_samples`` matrices in order.
     """
-    n_samples = checked_integer(n_samples, "n_samples")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    n_samples = _checked_count(n_samples, "n_samples")
     seed = checked_integer(seed, "seed")
     note = f"{type(sampler).__name__} sampler, seed={seed}"
     return SingularEnsemble(_spectra(sampler, n_samples, seed), seed=seed, copula_note=note)

@@ -28,7 +28,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .numerics import _frozen, _number_array, _owned_array, _required, _unchecked, checked_tolerance
+from .numerics import _clipped, _frozen, _number_array, _owned_array, _required, _unchecked, checked_tolerance
 
 __all__ = [
     "CONVENTIONS",
@@ -116,15 +116,10 @@ class MonotoneProfile:
             raise ValueError("grid needs at least two finite points")
         if not np.all(np.diff(grid) > 0.0):
             raise ValueError("grid must be strictly increasing")
-        if self.density is None:
-            density = np.zeros(grid.size)
-        else:
-            density = _owned_array(self.density).ravel()
+        density = np.zeros(grid.size) if self.density is None else _owned_array(self.density).ravel()
         if density.size != grid.size or not np.all(np.isfinite(density)):
             raise ValueError("density must be finite and match the grid length")
-        if float(density.min()) < -1e-12:
-            raise ValueError("density must be nonnegative")
-        np.clip(density, 0.0, None, out=density)
+        _clipped(density, "density must be nonnegative")
 
         atoms = tuple((float(loc), float(mass)) for loc, mass in self.atoms)
         atoms = tuple(sorted(atoms))

@@ -4,9 +4,9 @@ Singular values, symmetric inverse square roots, tolerance and integer
 validation, the rules for fields read from documents, and the one way a
 frozen value type holds its fields: each array is read-only and its own,
 copied in ``__post_init__`` or made fresh for a value built ``_unchecked``.
-Every function but ``_frozen`` and ``_unchecked``, which fill a value being
-built, is a pure function of its inputs, so all of it is safe to call
-concurrently.
+It owns the count rule and the clipped-range rule.  Every function but
+``_frozen``, ``_unchecked`` and ``_clipped``, which fill or clip a value
+being built, is pure, so all of it is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -151,3 +151,19 @@ def checked_integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _checked_count(value, name: str) -> int:
+    """``checked_integer(value, name)``; ValueError unless it is at least 1."""
+    value = checked_integer(value, name)
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return value
+
+
+def _clipped(array: np.ndarray, message: str, high: float | None = None) -> None:
+    """Clip ``array`` in place to ``[0, high]`` (``high`` None: no upper end);
+    ValueError with ``message`` unless every entry is within 1e-12 of it."""
+    if array.size and (float(array.min()) < -1e-12 or high is not None and float(array.max()) > high + 1e-12):
+        raise ValueError(message)
+    np.clip(array, 0.0, high, out=array)

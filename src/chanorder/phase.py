@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import _frozen, _number_array, _owned_array, _required, _unchecked, checked_integer
+from .numerics import _checked_count, _frozen, _number_array, _owned_array, _required, _unchecked
 
 __all__ = [
     "CONVENTIONS",
@@ -66,13 +66,6 @@ EPS_GIBBS = 1e-6
 _ROLES = ("channel", "degradation")
 _HERMITIAN_TOL = 1e-12
 _MAGNITUDE_TOL = 1e-12
-
-
-def _check_order(order) -> int:
-    order = checked_integer(order, "order")
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    return order
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +110,7 @@ def _checked_grid(order, coeffs, role: str, factors=None) -> tuple[int, np.ndarr
     and if also ``_bounded_product(h, v)`` holds, the entrywise checks of the
     grid, which would pass, are skipped: only the origin is read.
     """
-    order = _check_order(order)
+    order = _checked_count(order, "order")
     side = 2 * order + 1
     if coeffs.shape != (side, side):
         raise ValueError(f"coeffs must have shape {(side, side)}")
@@ -240,7 +233,7 @@ def from_wrapped(family, order: int) -> np.ndarray:
     of the unwrapped law.  Every parameter must be finite, and so must the
     mean or angle times ``order``; a ``ValueError`` names the one that is not.
     """
-    order = _check_order(order)
+    order = _checked_count(order, "order")
     m = np.arange(-order, order + 1)
     # A scale whose product with m or m**2 passes the float range gives the
     # coefficient's limit exp(-inf) = 0.
@@ -298,7 +291,7 @@ def from_grid(pdf_samples, order: int, role: str = "channel") -> TorusSpectrum:
     The samples are renormalized to a probability measure on the grid nodes
     and the coefficients are the exact transform of that discrete measure.
     """
-    order = _check_order(order)
+    order = _checked_count(order, "order")
     pdf = np.asarray(pdf_samples, dtype=float)
     if pdf.ndim != 2 or pdf.size == 0:
         raise ValueError("pdf_samples must form a nonempty 2-D grid")
@@ -330,7 +323,7 @@ def degradation_coeffs(joint: TorusSpectrum, order: int | None = None) -> TorusS
     """
     if order is None:
         order = joint.order // 2
-    order = _check_order(order)
+    order = _checked_count(order, "order")
     if joint.order < 2 * order:
         raise ValueError(
             f"joint order {joint.order} too small: need at least {2 * order} for order {order}"
@@ -473,7 +466,7 @@ def to_json_dict(spectrum: TorusSpectrum) -> dict:
 def from_json_dict(obj: dict) -> TorusSpectrum:
     if obj.get("type") != "torus":
         raise ValueError("expected a document with type 'torus'")
-    order = _check_order(_required(obj, "order", "torus document"))
+    order = _checked_count(_required(obj, "order", "torus document"), "order")
     side = 2 * order + 1
     pairs = _number_array(_required(obj, "coeffs", "torus document"), "coefficients")
     if pairs.shape != (side * side, 2):

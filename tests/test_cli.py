@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 
@@ -13,7 +14,7 @@ import pytest
 import chanorder
 from chanorder import cli, dmc, lgc, noise, phase
 from chanorder.cli import load_document, run
-from conftest import rotated_copies
+from conftest import random_profile, rotated_copies
 
 
 def write(path, obj):
@@ -132,6 +133,26 @@ class TestDmcCommands:
         }
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("label, extra", [(2**63, []), (10**8, []), (1, ["--n-outputs", "100000000"])],
+                             ids=["2**63", "10**8", "given-10**8"])
+    def test_huge_degraded_alphabet_exits_two_before_allocating(self, capsys, tmp_path, bsc_files,
+                                                                label, extra):
+        better, _ = bsc_files
+        pair = {"input_map": [0, 1], "output_map": [0, label]}
+        witness = write(tmp_path / "witness.json", {"weights": [1.0], "pairs": [pair]})
+        tracemalloc.start()
+        try:
+            code = run(["dmc", "degrade", "--channel", better, "--witness", witness, *extra])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err.count("\n")) == (2, "", 1)
+        assert json.loads(captured.err)["error"]["type"] == "EnumerationTooLargeError"
+        assert peak < 10 * 2**20
+
+
 class TestNoiseCommands:
     @pytest.fixture
     def profiles(self, tmp_path):
@@ -190,6 +211,20 @@ class TestNoiseCommands:
         code, doc, _ = run_json(capsys, ["noise", "glb", a, b])
         assert code == 0
         assert doc["atoms"] == []
+
+    @pytest.mark.parametrize("command", ["lub", "glb"])
+    def test_lattice_csv_lists_the_density_then_the_atoms(self, capsys, tmp_path, command):
+        rng = np.random.default_rng(41)
+        a, b = (write(tmp_path / f"{name}.json", noise.to_json_dict(random_profile(rng))) for name in "ab")
+        code, doc, _ = run_json(capsys, ["noise", command, a, b])
+        assert code == 0
+        code = run(["noise", command, a, b, "--format", "csv"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        grid = np.linspace(doc["grid"]["min"], doc["grid"]["max"], doc["grid"]["points"])
+        rows = ["kind,x,value", *(f"density,{float(x)!r},{d!r}" for x, d in zip(grid, doc["density"])),
+                *(f"atom,{loc!r},{mass!r}" for loc, mass in doc["atoms"])]
+        assert captured.out == "\n".join(rows) + "\n"
 
     @pytest.mark.parametrize("points", [10**12, 2.7], ids=["huge", "float"])
     def test_grid_points_must_count_the_density(self, capsys, tmp_path, points):
@@ -262,6 +297,42 @@ class TestPhaseCommands:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("spec, message", [
+        ("wgauss:0", "malformed phase family 'wgauss:0'"),
+        ("vonmises:0:1", "unknown phase family 'vonmises:0:1'"),
+    ], ids=["malformed", "unknown"])
+    def test_build_rejects_a_bad_family_spec(self, capsys, spec, message):
+        code = run(["phase", "build", "--h-phase", spec, "--v-phase", "uniform", "--order", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "UsageError" and error["message"].startswith(message)
+
+    @pytest.fixture
+    def channel_and_degradation(self, tmp_path):
+        channel = phase.product_channel(phase.from_wrapped(phase.WrappedCauchy(0.0, 0.4), 2),
+                                        phase.from_wrapped(phase.UniformPhase(), 2))
+        return (write(tmp_path / "channel.json", phase.to_json_dict(channel)),
+                write(tmp_path / "outuni.json", phase.to_json_dict(phase.output_uniformizing_degradation(2))))
+
+    @pytest.mark.parametrize("epsilon", ["0", "1"])
+    def test_strict_epsilon_outside_the_open_unit_interval_exits_two(self, capsys, channel_and_degradation,
+                                                                     epsilon):
+        channel, degradation = channel_and_degradation
+        code = run(["phase", "strict", "--channel", channel, "--degradation", degradation, "--epsilon", epsilon])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert json.loads(captured.err)["error"] == {
+            "type": "ValueError", "message": "epsilon must lie in (0, 1)"}
+
+    def test_degrade_with_the_roles_swapped_exits_two(self, capsys, channel_and_degradation):
+        channel, degradation = channel_and_degradation
+        code = run(["phase", "degrade", "--channel", degradation, "--degradation", channel])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert json.loads(captured.err)["error"] == {
+            "type": "ValueError", "message": "first argument must be a channel spectrum"}
 
     def test_build_degrade_strict(self, capsys, tmp_path):
         channel_path = tmp_path / "channel.json"
@@ -430,6 +501,22 @@ class TestLgcCommands:
         )
         assert code == 1
         assert doc["result"]["condition"] == "singular values of B not all 1"
+
+    def test_verify_equiv_reports_canonical_spectra_that_differ(self, capsys, tmp_path):
+        # B's singular values, 1 + 5e-10, pass the 1e-9 tolerance, but they
+        # scale the gain 1e3 by 5e-7.
+        channel = write(tmp_path / "lgc.json",
+                        lgc.to_json_dict(lgc.GaussianChannel(np.diag([1e3, 1.0]), np.eye(2))))
+        b_matrix = write(tmp_path / "B.json",
+                         {"type": "matrix", "matrix": ((1.0 + 5e-10) * np.eye(2)).tolist()})
+        c_matrix = write(tmp_path / "C.json", {"type": "matrix", "matrix": np.eye(2).tolist()})
+        code, doc, err = run_json(
+            capsys, ["lgc", "verify-equiv", "--channel", channel, "--b-matrix", b_matrix,
+                     "--c-matrix", c_matrix])
+        assert (code, err) == (1, "")
+        result = doc["result"]
+        assert (result["equivalent"], result["condition"]) == (False, "canonical spectra differ")
+        assert result["max_deviation"] == pytest.approx(5e-7, rel=1e-6)
 
     @pytest.mark.parametrize("command, built", [
         ("canon", 1), ("check", 2), ("lub", 2), ("glb", 2), ("verify-equiv", 2),

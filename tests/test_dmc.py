@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -782,6 +783,75 @@ class TestDegrade:
         assert result.entries.shape == (2, 3)
         raw = pair.apply(bsc(0.2), n_outputs=np.int64(3))
         assert raw.tobytes() == pair.apply(bsc(0.2), n_outputs=3).tobytes()
+
+
+_IDENTITY, _FLIP = DeterministicPair((0, 1), (0, 1)), DeterministicPair((0, 1), (1, 0))
+
+
+class TestPairMaps:
+    # One check of a pair sequence against a channel and a degraded
+    # alphabet serves both DeterministicPair.apply and degrade.
+    @pytest.mark.parametrize("pair, n_outputs, message", [
+        (DeterministicPair((0, 2), (0, 1)), None, "input_map addresses a missing channel input"),
+        (DeterministicPair((0, 1), (0, 1, 0)), None, "output_map must be total on the channel outputs"),
+        (DeterministicPair((0, 1), (0, 2)), 2, "output_map addresses a missing degraded output"),
+    ], ids=["input", "total", "output"])
+    def test_apply_and_degrade_refuse_a_map_that_misses(self, pair, n_outputs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pair.apply(bsc(0.1), n_outputs=n_outputs)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            degrade(bsc(0.1), [pair], [1.0], n_outputs=n_outputs)
+        # A pair of zero weight adds nothing, but its maps must fit too.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            degrade(bsc(0.1), [_IDENTITY, pair], [1.0, 0.0], n_outputs=n_outputs)
+
+    def test_input_maps_share_one_domain(self):
+        with pytest.raises(ValueError, match="^all input maps must share one domain size$"):
+            degrade(bsc(0.1), [_IDENTITY, DeterministicPair((0,), (0, 1))], [0.5, 0.5])
+
+    def test_zero_weight_pairs_change_no_bit(self):
+        rng = np.random.default_rng(31)
+        k = random_stochastic(rng, 3, 3)
+        pairs, weights = random_degradation(rng, k, 3, 3)
+        extra, _ = random_degradation(rng, k, 3, 3, max_pairs=1)
+        want = degrade(k, pairs, weights, n_outputs=3).entries.tobytes()
+        for padded, padded_weights in (([*pairs, *extra], [*weights, 0.0]),
+                                       ([*extra, *pairs], [0.0, *weights])):
+            assert degrade(k, padded, padded_weights, n_outputs=3).entries.tobytes() == want
+
+    @pytest.mark.parametrize("label, n_outputs", [
+        (2**63, None), (2**63 - 2, None), (10**8, None), (1, 10**8), (1, 500_001),
+    ], ids=["2**63", "2**63-2", "10**8", "given-10**8", "given-one-past"])
+    def test_the_degraded_alphabet_is_bounded_before_allocation(self, label, n_outputs):
+        pair = DeterministicPair((0, 1), (0, label))
+        message = r"^enumeration too large: \d+ product entries exceeds the cap of 1000000$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationTooLargeError, match=message):
+                pair.apply(bsc(0.1), n_outputs=n_outputs)
+            with pytest.raises(EnumerationTooLargeError, match=message):
+                degrade(bsc(0.1), [pair], [1.0], n_outputs=n_outputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    def test_the_bound_counts_the_product_block(self):
+        # 1 pair x 2 inputs x 500,000 outputs is the cap's 1,000,000 entries.
+        raw = _IDENTITY.apply(bsc(0.1), n_outputs=500_000)
+        assert raw.shape == (2, 500_000) and raw[:, :2].tobytes() == bsc(0.1).entries.tobytes()
+        assert not raw[:, 2:].any()
+        with pytest.raises(EnumerationTooLargeError, match="^enumeration too large: 1000004 "):
+            degrade(bsc(0.1), [_IDENTITY, _FLIP], [0.5, 0.5], n_outputs=250_001)
+
+    @pytest.mark.parametrize("low", [-1e-12, float(np.nextafter(-1e-12, 0.0))], ids=["low", "low+ulp"])
+    def test_weights_in_range_are_clipped_then_renormalized(self, low):
+        k = random_stochastic(np.random.default_rng(32), 2, 2)
+        got = degrade(k, [_IDENTITY, _FLIP], [low, 1.0 - low])
+        assert got.entries.tobytes() == degrade(k, [_IDENTITY, _FLIP], [0.0, 1.0]).entries.tobytes()
+        below = float(np.nextafter(-1e-12, -1.0))
+        with pytest.raises(ValueError, match="^weights must be nonnegative$"):
+            degrade(k, [_IDENTITY, _FLIP], [below, 1.0 - below])
 
 
 class TestBestErrorProbability:

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -55,6 +56,77 @@ class TestInverseSqrtSpd:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             inverse_sqrt_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+# Every count argument: its name and a call that passes it one value.
+_COUNTS = {
+    "TorusSpectrum-order": ("order", lambda v: phase.TorusSpectrum(v, np.ones((1, 1)))),
+    "from_wrapped-order": ("order", lambda v: phase.from_wrapped(phase.UniformPhase(), v)),
+    "from_grid-order": ("order", lambda v: phase.from_grid(np.ones((4, 4)), v)),
+    "degradation_coeffs-order": ("order", lambda v: phase.degradation_coeffs(phase.worst_channel(2), v)),
+    "torus-document-order": ("order", lambda v: phase.from_json_dict(
+        {"type": "torus", "order": v, "coeffs": [[1.0, 0.0]]})),
+    "sample_haar_orthogonal-n": ("n", lambda v: lgc.sample_haar_orthogonal(v, 0)),
+    "ensemble_from_sampler-n_samples": ("n_samples", lambda v: lgc.ensemble_from_sampler(
+        lgc.GaussianEntries(2, 2), v, 0)),
+    "GaussianEntries-rows": ("rows", lambda v: lgc.GaussianEntries(v, 2)),
+    "GaussianEntries-cols": ("cols", lambda v: lgc.GaussianEntries(2, v)),
+    "best_error_probability-n_messages": ("n_messages", lambda v: dmc.best_error_probability(
+        dmc.bsc(0.1), v, 1)),
+    "best_error_probability-block_length": ("block_length", lambda v: dmc.best_error_probability(
+        dmc.bsc(0.1), 2, v)),
+    "degradation_products-n2": ("worse_shape[0]", lambda v: dmc.degradation_products(dmc.bsc(0.1), (v, 2))),
+    "degradation_products-m2": ("worse_shape[1]", lambda v: dmc.degradation_products(dmc.bsc(0.1), (2, v))),
+}
+
+
+@pytest.mark.parametrize("value, problem", [
+    (0, "must be at least 1"), (np.int64(-2), "must be at least 1"),
+    (2.7, "must be an integer, got 2.7"), (2.0, "must be an integer, got 2.0"),
+    (True, "must be an integer, got True"),
+], ids=["zero", "negative", "float", "whole-float", "bool"])
+@pytest.mark.parametrize("name, call", _COUNTS.values(), ids=_COUNTS.keys())
+def test_count_rule_at_every_count_argument(name, call, value, problem):
+    # GaussianEntries keeps its own prefix before the rule's message.
+    prefix = "rows and cols must be positive integers: " if name in ("rows", "cols") else ""
+    with pytest.raises(ValueError, match=f"^{re.escape(prefix + name + ' ' + problem)}$"):
+        call(value)
+
+
+_LOW, _HIGH = -1e-12, 1.0 + 1e-12
+# Every clipped range: its upper end (None: none), its message, and a call
+# that builds a valid value around one entry and returns that entry as held.
+_CLIPPED = {
+    "StochasticMatrix": (1.0, "entries must lie in [0, 1]",
+                         lambda v: dmc.StochasticMatrix([[v, (1.0 - v) / 2, (1.0 - v) / 2]]).entries[0, 0]),
+    "SingularSpectrum": (None, "singular values must be nonnegative",
+                         lambda v: lgc.SingularSpectrum([2.0, v]).values[1]),
+    "SingularEnsemble": (None, "singular values must be nonnegative",
+                         lambda v: lgc.SingularEnsemble([[2.0, v]], seed=0).samples[0, 1]),
+    "MonotoneProfile": (None, "density must be nonnegative",
+                        lambda v: noise.MonotoneProfile(np.arange(3.0), [1.0, v, 1.0]).density[1]),
+}
+
+
+@pytest.mark.parametrize("value", [
+    np.nextafter(_LOW, -1.0), _LOW, np.nextafter(_LOW, 0.0),
+    np.nextafter(_HIGH, 1.0), _HIGH, np.nextafter(_HIGH, 2.0),
+], ids=["low-ulp", "low", "low+ulp", "high-ulp", "high", "high+ulp"])
+@pytest.mark.parametrize("high, message, held", _CLIPPED.values(), ids=_CLIPPED.keys())
+def test_clipped_range_rule_at_every_clipped_type(high, message, held, value):
+    value = float(value)
+    if value < _LOW or high is not None and value > high + 1e-12:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            held(value)
+    else:
+        assert held(value) == min(max(value, 0.0), np.inf if high is None else high)
+
+
+def test_spectrum_steps_are_read_before_clipping():
+    # Each value is within the range, but the step from -1e-12 up to 5e-13
+    # rises by more than 1e-12; clipped first, it would not.
+    with pytest.raises(ValueError, match="^singular values must be sorted nonincreasing$"):
+        lgc.SingularSpectrum([-1e-12, 5e-13])
 
 
 class TestCheckedInteger:
