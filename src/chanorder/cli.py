@@ -11,6 +11,8 @@ JSON object on standard error.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import sys
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 from importlib import import_module
 from itertools import chain
 
-import numpy as np
-
-from .numerics import _number_array, _required
+# numpy and the shared kernels are imported by the first command that needs
+# them, so ``--help`` and usage errors load neither, and ``main`` has the
+# cyclic collector paused before numpy's import.
 
 __all__ = ["ChannelDocument", "load_document", "run", "main"]
 
@@ -97,7 +99,9 @@ def load_document(path: str) -> ChannelDocument:
     )
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_matrix(path: str):
+    from .numerics import _number_array, _required
+
     obj = _read_json(path)
     if obj.get("type") not in (None, "matrix"):
         raise ValueError(f"{path}: expected a matrix document")
@@ -145,7 +149,7 @@ def _emit(args, document: dict, table) -> None:
         raise UsageError("csv output is only available for grid or table results")
     try:
         if args.format == "csv":
-            text = "\n".join(",".join(_cell(v) for v in row) for row in table()) + "\n"
+            text = _csv(table())
         else:
             text = _dumps(document) + "\n"
     except ValueError as exc:
@@ -194,14 +198,20 @@ def _dumps(value, indent: str = "") -> str:
     return f"[\n{inner}{body}\n{indent}]"
 
 
-def _cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
-            raise ValueError(f"{value!r} in a table")
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+def _csv(table) -> str:
+    """``table``'s rows as CSV lines; ValueError on a NaN or an infinity."""
+    import numpy as np  # loaded already: every table holds a family's results
+
+    def cell(value) -> str:
+        if isinstance(value, (float, np.floating)):
+            if not math.isfinite(value):
+                raise ValueError(f"{value!r} in a table")
+            return repr(float(value))
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return str(value)
+
+    return "\n".join(",".join(map(cell, row)) for row in table) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +318,8 @@ def _parse_family(phase, spec: str):
 
 
 def _spectrum_table(spectrum):
+    import numpy as np
+
     m, n = np.indices(spectrum.coeffs.shape).reshape(2, -1) - spectrum.order
     flat = spectrum.coeffs.ravel()
     columns = (m.tolist(), n.tolist(), flat.real.tolist(), flat.imag.tolist())
@@ -518,14 +530,41 @@ def run(argv=None) -> int:
         return code
     except Exception as exc:
         _report_error(exc)
-        # LinAlgError subclasses ValueError but is a numerical failure.
-        if isinstance(exc, _INVALID_INPUT) and not isinstance(exc, np.linalg.LinAlgError):
-            return 2
-        return 3
+        # LinAlgError subclasses ValueError but is a numerical failure; only
+        # a process that has loaded numpy can raise it.
+        numpy = sys.modules.get("numpy")
+        if numpy is not None and isinstance(exc, numpy.linalg.LinAlgError):
+            return 3
+        return 2 if isinstance(exc, _INVALID_INPUT) else 3
 
 
 def main(argv=None) -> int:
-    return run(argv)
+    """The console entry: ``run`` with the cyclic garbage collector paused.
+
+    A command frees few reference cycles, but numpy's import and the
+    command allocate enough containers to start collector passes that walk
+    all of them.  So the collector is paused for the command and its
+    previous state restored on return.  ``gc.freeze`` is registered once to
+    run at exit, so the collections of interpreter shutdown skip every
+    object allocated by then.  ``run`` itself leaves the collector alone.
+    """
+    atexit.unregister(gc.freeze)  # registered once, however often main runs
+    atexit.register(gc.freeze)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return run(argv)
+    finally:
+        if enabled:
+            # No collection ran while paused, so the youngest generation holds
+            # everything the command allocated, and re-enabling would start a
+            # pass over all of it.  Freezing and unfreezing moves it to the
+            # oldest generation and resets the count, without a pass; a heap
+            # the caller froze stays frozen.
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
+            gc.enable()
 
 
 if __name__ == "__main__":

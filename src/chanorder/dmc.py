@@ -13,9 +13,10 @@ exactly against every pair by enumerating the smaller side of the pair
 (input maps or output maps) and choosing the other side greedily.  The
 smaller side's products with the better channel are stacked once per
 decision (at most 1,000 maps at the default cap, the square root of the
-pair count), laid out so that each step is one flat GEMM with ``h`` and a
-max over the scores' leading axis; a step allocates one score array of
-about the table's size and nothing else of that size.  The corral keeps an
+pair count) with the maps last, in chunks of ``_PRICING_CHUNK`` maps, so
+that pricing a chunk is one GEMM with ``h`` and maxima and sums over the
+scores' outer axes; a step holds one chunk's scores at a time, at most
+``4,096 * n1 * n2`` (or ``4,096 * m1 * m2``).  The corral keeps an
 orthonormal basis of its differences and the combinations of its columns
 that make each basis vector: a joining pair grows the basis by one
 Gram-Schmidt step done twice, a dropped pair removes one basis vector after
@@ -82,7 +83,8 @@ class EnumerationTooLargeError(ValueError):
     """Raised when an exhaustive search would exceed the configured cap."""
 
     def __init__(self, count: int | str, cap: int, what: str = "candidates"):
-        super().__init__(f"enumeration too large: {count} {what} exceeds the cap of {cap}")
+        count_text, cap_text = _printed(count), _printed(cap)
+        super().__init__(f"enumeration too large: {count_text} {what} exceeds the cap of {cap_text}")
         self.count = count
         self.cap = cap
 
@@ -183,18 +185,18 @@ def _maps(domain: int, codomain: int) -> np.ndarray:
     return np.indices((codomain,) * domain).reshape(domain, -1).T
 
 
-def _collapsed(k: np.ndarray, output_maps: np.ndarray, m2: int, maps_axis: int = 0) -> np.ndarray:
-    """``K @ T`` for every output map, stacked along ``maps_axis``: shape
-    (maps, n1, m2), or (n1, maps, m2) when ``maps_axis`` is 1.
+def _collapsed(k: np.ndarray, output_maps: np.ndarray, m2: int, maps_last: bool = False) -> np.ndarray:
+    """``K @ T`` for every output map, shape (maps, n1, m2), or (m2, n1, maps)
+    when ``maps_last``.
 
     The one K T kernel: the output-side pricing table and ``_products``
     (so ``DeterministicPair.apply`` and ``degrade``) call it, so a product is
     bit-identical wherever it is computed, in either layout.  The
     input-side pricing column repeats its additions in its order.
     """
-    n1 = k.shape[0]
-    out = np.zeros((n1, len(output_maps), m2) if maps_axis else (len(output_maps), n1, m2))
-    stacked = out.swapaxes(0, maps_axis)
+    shape = (len(output_maps), k.shape[0], m2)
+    out = np.zeros(shape[::-1] if maps_last else shape)
+    stacked = out.T if maps_last else out
     index = np.arange(len(output_maps))
     for j in range(k.shape[1]):
         stacked[index, :, output_maps[:, j]] += k[:, j]
@@ -219,17 +221,25 @@ def _products(channel: StochasticMatrix, pairs: tuple, n_outputs) -> np.ndarray:
     n_outputs = top + 1 if n_outputs is None else checked_integer(n_outputs, "n_outputs")
     if top >= n_outputs:
         raise ValueError("output_map addresses a missing degraded output")
-    if len(pairs) * n1 * n_outputs > ENUMERATION_CAP:
-        raise EnumerationTooLargeError(len(pairs) * n1 * n_outputs, ENUMERATION_CAP, "product entries")
+    _check_count(((len(pairs) * n1, 1), (n_outputs, 1)), ENUMERATION_CAP, "product entries")
     products = _collapsed(channel.entries, np.array([pair.output_map for pair in pairs]), n_outputs)
     return products[np.arange(len(pairs))[:, None], np.array([pair.input_map for pair in pairs])]
+
+
+def _printed(number: int | str) -> str:
+    """``number`` in decimal, or, past ``_PRINTED_BITS``, by its bit length."""
+    if isinstance(number, int) and number.bit_length() > _PRINTED_BITS:
+        return f"({number.bit_length()}-bit number)"
+    return str(number)
 
 
 def _check_count(factors: tuple[tuple[int, int], ...], cap: int, what: str) -> None:
     """EnumerationTooLargeError unless the product of ``base**exponent`` over
     ``factors`` is at most ``cap``.  Its ``log2`` decides first, so a count
     of millions of digits is never built: one too long to print is named by
-    its powers, such as ``3**3000000``, and every other count exactly."""
+    its powers, such as ``3**3000000`` (a power of 1 by its base alone, a
+    base or exponent too long to print by its bit length), and every other
+    count exactly."""
     # Clamped exponents keep the float sum finite; the sum only falls.
     bits = sum(math.log2(base) * min(exponent, 1 << 1000) for base, exponent in factors)
     if bits <= max(_PRINTED_BITS, math.log2(max(cap, 1)) + 1):
@@ -237,7 +247,8 @@ def _check_count(factors: tuple[tuple[int, int], ...], cap: int, what: str) -> N
         if count <= cap:
             return
     if bits > _PRINTED_BITS:
-        count = " * ".join(f"{base}**{exponent}" for base, exponent in factors)
+        count = " * ".join(_printed(base) + (f"**{_printed(exponent)}" if exponent != 1 else "")
+                           for base, exponent in factors)
     raise EnumerationTooLargeError(count, cap, what)
 
 
@@ -269,28 +280,38 @@ def degradation_products(
     return rows.reshape(-1, n2 * m2), (input_maps, output_maps)
 
 
+# Pricing tables hold this many maps per chunk, and codebooks are scored this
+# many at a time, so the scratch memory of a step or a search stays bounded.
+_PRICING_CHUNK = 4096
+_CODEBOOK_CHUNK = 4096
+
+
 class _PricingTable(NamedTuple):
     """The smaller side's maps, one per row, and their products with ``K``,
-    stacked once per decision in the layout that makes pricing one flat
-    GEMM: ``K T`` for each output map, shape ``(n1, maps, m2)``, or ``R K``
-    for each input map side by side, shape ``(n2, maps * m1)``."""
+    stacked once per decision with the maps last, in chunks of
+    ``_PRICING_CHUNK`` maps, so that pricing a chunk is one GEMM: ``K T``
+    for each output map, chunks of shape ``(m2, n1, maps)``, or ``R K`` for
+    each input map, chunks of shape ``(n2, m1, maps)``."""
 
     k: np.ndarray
     n2: int
     m2: int
     output_side: bool
     maps: np.ndarray
-    products: np.ndarray
+    products: tuple[np.ndarray, ...]
 
 
 def _pricing_table(k: np.ndarray, n2: int, m2: int) -> _PricingTable:
     """Stack the products of the smaller side, ``min(n1**n2, m2**m1)`` maps."""
     n1, m1 = k.shape
-    if m2**m1 <= n1**n2:
-        maps = _maps(m1, m2)
-        return _PricingTable(k, n2, m2, True, maps, _collapsed(k, maps, m2, maps_axis=1))
-    maps = _maps(n2, n1)
-    return _PricingTable(k, n2, m2, False, maps, k[maps.T].reshape(n2, -1))
+    output_side = m2**m1 <= n1**n2
+    maps = _maps(m1, m2) if output_side else _maps(n2, n1)
+    chunks = (maps[start:start + _PRICING_CHUNK] for start in range(0, len(maps), _PRICING_CHUNK))
+    if output_side:
+        products = tuple(_collapsed(k, chunk, m2, maps_last=True) for chunk in chunks)
+    else:
+        products = tuple(k[chunk.T[:, None], np.arange(m1)[:, None]] for chunk in chunks)
+    return _PricingTable(k, n2, m2, output_side, maps, products)
 
 
 def _best_pair(table: _PricingTable, h: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -298,34 +319,40 @@ def _best_pair(table: _PricingTable, h: np.ndarray) -> tuple[int, np.ndarray, np
     as the index of its map in ``table.maps``, the other side's map (the
     greedy argmaxes), and its ``vec(R K T)``.
 
-    One flat GEMM of the table with ``H = h.reshape(n2, m2)``, then maxima
-    over the scores' leading axis.  For a fixed output map T each degraded
-    input w independently takes ``argmax_i (K T H^T)[i, w]``; for a fixed
-    input map R each better output j takes ``argmax_z (H^T R K)[z, j]``.
-    Ties go to the lowest index.  The score array has the table's size
-    times ``n2 / m2`` or ``m2 / n2``; nothing else of that size is made.
+    Each chunk of the table is one GEMM with ``H = h.reshape(n2, m2)``, and
+    its maxima and sums run over the scores' outer axes.  For a fixed output
+    map T each degraded input w independently takes ``argmax_i (H T^T
+    K^T)[w, i]``; for a fixed input map R each better output j takes
+    ``argmax_z (H^T R K)[z, j]``.  Ties go to the lowest index, within a
+    chunk by ``argmax`` and across chunks by a strict ``>``.  A step holds
+    one chunk's scores at a time: at most ``_PRICING_CHUNK * n1 * n2`` of
+    them on the output side, ``_PRICING_CHUNK * m1 * m2`` on the input side.
     The column is bit-identical to ``DeterministicPair.apply``'s; no pair
     is built (``_table_pair`` builds one).
     """
     hm = h.reshape(table.n2, table.m2)
-    products = table.products
+    # Scores are (n2, n1, maps) on the output side, the greedy choice over
+    # better inputs i, and (m2, m1, maps) on the input side, over degraded
+    # outputs z.
+    weights, axis = (hm, 1) if table.output_side else (hm.T, 0)
+    best_value, start = -math.inf, 0
+    for chunk in table.products:
+        rows, inner, size = chunk.shape
+        scores = (weights @ chunk.reshape(rows, -1)).reshape(-1, inner, size)
+        values = scores.max(axis=axis).sum(axis=0)
+        index = int(values.argmax())
+        if values[index] > best_value:
+            best_value, best = values[index], start + index
+            argmaxes, product = scores[..., index].argmax(axis=axis), chunk[..., index]
+        start += size
     if table.output_side:
-        n1, maps, m2 = products.shape
-        scores = (products.reshape(-1, m2) @ hm.T).reshape(n1, maps, table.n2)
-        best = int(scores.max(axis=0).sum(axis=1).argmax())
-        inputs = scores[:, best, :].argmax(axis=0)
-        return best, inputs, products[inputs, best].ravel()
-    m1 = table.k.shape[1]
-    scores = hm.T @ products
-    best = int(scores.max(axis=0).reshape(-1, m1).sum(axis=1).argmax())
-    outputs = scores[:, best * m1:(best + 1) * m1].argmax(axis=0)
+        return best, argmaxes, product[:, argmaxes].T.ravel()
     # R K T from the table's R K, adding each better output j in j order, as
     # _collapsed does.
-    rk = products[:, best * m1:(best + 1) * m1]
     column = np.zeros((table.n2, table.m2))
-    for j, z in enumerate(outputs.tolist()):
-        column[:, z] += rk[:, j]
-    return best, outputs, column.ravel()
+    for j, z in enumerate(argmaxes.tolist()):
+        column[:, z] += product[:, j]
+    return best, argmaxes, column.ravel()
 
 
 def _table_pair(table: _PricingTable, best: int, argmaxes: np.ndarray) -> DeterministicPair:
@@ -338,10 +365,6 @@ def _table_pair(table: _PricingTable, best: int, argmaxes: np.ndarray) -> Determ
     if table.output_side:
         return _unchecked(DeterministicPair, input_map=other, output_map=chosen)
     return _unchecked(DeterministicPair, input_map=chosen, output_map=other)
-
-
-# Codebooks are scored this many at a time, so memory stays bounded.
-_CODEBOOK_CHUNK = 4096
 
 
 def _best_codebook(entries: np.ndarray, size: int) -> tuple[float, np.ndarray]:

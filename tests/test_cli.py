@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -1308,3 +1309,100 @@ def test_library_import_is_lazy_and_module_runs(bsc_files, tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["result"]["included"]
+
+
+# What the ``chanorder`` console script runs, after an optional prelude.
+_CONSOLE_ENTRY = "import sys; from chanorder.cli import main; sys.exit(main())"
+
+
+def _child(code, *argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(chanorder.__file__)))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True)
+
+
+def test_the_front_end_loads_numpy_only_for_a_command():
+    done = _child("import sys, chanorder.cli; "
+                  "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'chanorder.numerics'))))")
+    assert (done.returncode, done.stdout) == (0, b"[]\n")
+    # Neither --help nor a usage error imports numpy: here it cannot be imported.
+    blocked = "import sys; sys.modules['numpy'] = None; " + _CONSOLE_ENTRY
+    done = _child(blocked, "--help")
+    assert (done.returncode, done.stderr) == (0, b"") and done.stdout.startswith(b"usage: chanorder")
+    done = _child(blocked, "dmc", "check")
+    error = {"type": "UsageError", "message": "the following arguments are required: --better, --worse"}
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == (json.dumps({"error": error}) + "\n").encode()
+
+
+@pytest.mark.parametrize(("argv", "nan_variance", "code"), [
+    (["dmc", "check", "--better", "@bsc01.json", "--worse", "@bsc02.json"], False, 0),
+    (["dmc", "check", "--better", "@bsc02.json", "--worse", "@bsc01.json"], False, 1),
+    (["dmc", "check", "--better", "@bsc01.json", "--worse", "@missing.json"], False, 2),
+    (["noise", "variance", "--profile", "@gauss.json"], True, 3),
+    (["noise", "lub", "@gauss.json", "@gauss.json", "--format", "csv"], False, 0),
+    (["phase", "extremal", "--kind", "worst", "--order", "3", "--out", "@out.json"], False, 0),
+    (["lgc", "sample-haar", "--n", "3", "--seed", "5", "--format", "csv", "--out", "@out.csv"], False, 0),
+], ids=["dmc-0", "dmc-1", "dmc-2", "noise-3", "noise-csv", "phase-out", "lgc-csv-out"])
+def test_console_entry_prints_what_run_prints(capsys, monkeypatch, tmp_path, argv, nan_variance, code):
+    """A child running the console entry, with the collector paused and its
+    heap frozen at exit, writes the bytes and exits with the code of an
+    in-process ``run``.  Exit 3 comes from a variance patched to NaN."""
+    write(tmp_path / "bsc01.json", dmc.to_json_dict(dmc.bsc(0.1)))
+    write(tmp_path / "bsc02.json", dmc.to_json_dict(dmc.bsc(0.2)))
+    write(tmp_path / "gauss.json", noise.to_json_dict(noise.gaussian(1.0)))
+    nan = "from chanorder import noise; noise.variance = lambda profile: float('nan'); "
+    outputs = {}
+    for where in ("run", "child"):
+        (tmp_path / where).mkdir()
+        paths = [str(tmp_path / (where if arg.startswith("@out") else "") / arg[1:])
+                 if arg.startswith("@") else arg for arg in argv]
+        if where == "child":
+            done = _child(nan * nan_variance + _CONSOLE_ENTRY, *paths)
+            outputs[where] = done.returncode, done.stdout, done.stderr
+        else:
+            with monkeypatch.context() as patch:
+                if nan_variance:
+                    patch.setattr(noise, "variance", lambda profile: float("nan"))
+                returned = run(paths)
+            captured = capsys.readouterr()
+            outputs[where] = returned, captured.out.encode(), captured.err.encode()
+        outputs[where] += ([path.read_bytes() for path in (tmp_path / where).iterdir()],)
+    assert outputs["child"] == outputs["run"]
+    assert outputs["run"][0] == code
+    assert bool(outputs["run"][3]) == ("--out" in argv)
+
+
+@pytest.mark.parametrize("state", ["enabled", "disabled", "frozen"])
+def test_main_pauses_the_collector_for_the_command_only(monkeypatch, bsc_files, state):
+    seen, kept = [], []
+    includes = dmc.includes
+
+    def recording(*args, **kwargs):
+        seen.append(gc.isenabled())
+        kept.extend([] for _ in range(10 * gc.get_threshold()[0]))
+        return includes(*args, **kwargs)
+
+    monkeypatch.setattr(dmc, "includes", recording)
+    (gc.disable if state == "disabled" else gc.enable)()
+    if state == "frozen":
+        gc.freeze()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["dmc", "check", "--better", bsc_files[0], "--worse", bsc_files[1]]) == 0
+        assert (seen, gc.isenabled()) == ([False], state != "disabled")
+        # A caller's frozen heap stays frozen; main freezes nothing itself.
+        assert bool(gc.get_freeze_count()) == (state == "frozen")
+        if state == "enabled":
+            # The objects kept from the command start no young collection.
+            assert gc.get_count()[0] < gc.get_threshold()[0]
+    finally:
+        gc.unfreeze()
+        gc.enable()
+
+
+def test_console_entry_freezes_the_heap_at_exit():
+    # atexit runs its functions last in, first out: this one runs after the
+    # freeze that main registers.
+    probe = "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+    done = _child(probe + _CONSOLE_ENTRY, "--help")
+    assert (done.returncode, done.stdout.splitlines()[-1]) == (0, b"True")

@@ -436,21 +436,21 @@ def _rebuilt_best_pair(k, h, n2, m2):
     return DeterministicPair(tuple(input_maps[best].tolist()), tuple(outputs.tolist()))
 
 
-@pytest.mark.parametrize(
-    "n1, m1, n2, m2, output_side",
-    [
-        (2, 2, 2, 2, True),  # n1**n2 == m2**m1
-        (4, 4, 4, 4, True),  # n1**n2 == m2**m1
-        (4, 3, 4, 3, True),
-        (3, 2, 2, 3, True),
-        (2, 4, 3, 3, False),
-        (3, 4, 2, 2, False),
-        (4, 4, 3, 4, False),
-        (4, 4, 4, 3, True),
-        (5, 5, 3, 2, True),
-        (5, 3, 2, 5, False),
-    ],
-)
+_PRICING_SHAPES = [
+    (2, 2, 2, 2, True),  # n1**n2 == m2**m1
+    (4, 4, 4, 4, True),  # n1**n2 == m2**m1
+    (4, 3, 4, 3, True),
+    (3, 2, 2, 3, True),
+    (2, 4, 3, 3, False),
+    (3, 4, 2, 2, False),
+    (4, 4, 3, 4, False),
+    (4, 4, 4, 3, True),
+    (5, 5, 3, 2, True),
+    (5, 3, 2, 5, False),
+]
+
+
+@pytest.mark.parametrize("n1, m1, n2, m2, output_side", _PRICING_SHAPES)
 def test_best_pair_matches_rebuilt_pricing(n1, m1, n2, m2, output_side):
     rng = np.random.default_rng([n1, m1, n2, m2])
     repeated = random_stochastic(rng, n1, m1).entries.copy()
@@ -504,6 +504,19 @@ def test_certificates_match_table_free_pricing(monkeypatch):
     for index, (better, worse, cap) in enumerate(instances):
         assert _certificate(includes(better, worse, cap=cap)) == priced[index], index
     assert {certificate[0] for certificate in priced} == {True, False}
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_pricing_in_chunks_matches_rebuilt_pricing(monkeypatch, chunk):
+    """With a few maps per chunk, best pairs and ties straddle chunk edges:
+    the lowest index still wins, and certificates stay byte for byte."""
+    monkeypatch.setattr(dmc, "_PRICING_CHUNK", chunk)
+    table = dmc._pricing_table(random_stochastic(np.random.default_rng(7), 4, 4).entries, 4, 4)
+    sizes = [products.shape[-1] for products in table.products]
+    assert sum(sizes) == 256 and sizes[:-1] == [chunk] * (len(sizes) - 1) and 0 < sizes[-1] <= chunk
+    for shape in _PRICING_SHAPES:
+        test_best_pair_matches_rebuilt_pricing(*shape)
+    test_certificates_match_table_free_pricing(monkeypatch)
 
 
 def test_input_side_column_is_the_bytes_of_apply():
@@ -689,6 +702,19 @@ class TestHugeCounts:
         worse = StochasticMatrix(better.entries[np.arange(5000) % 10])
         with pytest.raises(EnumerationTooLargeError, match=r"^enumeration too large: 10\*\*5000 \* 2\*\*2 "):
             includes(better, worse)
+
+    @pytest.mark.parametrize(("call", "name"), [
+        (lambda: DeterministicPair((0, 1), (0, 1)).apply(bsc(0.1), n_outputs=10**5000),
+         "2 * (16610-bit number) product entries"),
+        (lambda: degradation_products(bsc(0.1), (2, 10**5000)),
+         "2**2 * (16610-bit number)**2 deterministic input/output pairs"),
+        (lambda: best_error_probability(bsc(0.1), 10**5000, 1), "2**(16610-bit number) codebooks"),
+    ], ids=["product-entries", "pairs", "codebooks"])
+    def test_a_number_past_the_printed_length_is_named_by_its_bits(self, call, name):
+        # 10**5000 has more digits than str() converts.
+        message = rf"^enumeration too large: {re.escape(name)} exceeds the cap of 1000000$"
+        with pytest.raises(EnumerationTooLargeError, match=message):
+            call()
 
     def test_a_cap_past_the_printed_length_is_compared_exactly(self):
         # A count of 5001 bits is built only because the cap is as long.
