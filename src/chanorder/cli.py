@@ -76,7 +76,10 @@ _LOADERS = {
 
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
+        try:
+            obj = json.load(handle)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return obj
@@ -297,24 +300,28 @@ def _cmd_noise_variance(noise, args):
     return {}, {"variance": noise.variance(args.profile)}, 0, None
 
 
+# Phase family specs: (names, phase constructor, usage, field counts).
+_PHASE_FAMILIES = (
+    (("uniform", "u"), "UniformPhase", "uniform", (0,)),
+    (("point", "p"), "PointPhase", "point:ANGLE", (0, 1)),
+    (("wgauss", "wrapped_gaussian", "wg"), "WrappedGaussian", "wgauss:MEAN:SIGMA2", (2,)),
+    (("wcauchy", "wrapped_cauchy", "wc"), "WrappedCauchy", "wcauchy:MEAN:GAMMA", (2,)),
+)
+
+
 def _parse_family(phase, spec: str):
-    parts = spec.split(":")
-    kind = parts[0].strip().lower()
-    try:
-        if kind in ("uniform", "u"):
-            return phase.UniformPhase()
-        if kind in ("point", "p"):
-            return phase.PointPhase(float(parts[1]) if len(parts) > 1 else 0.0)
-        if kind in ("wgauss", "wrapped_gaussian", "wg"):
-            return phase.WrappedGaussian(float(parts[1]), float(parts[2]))
-        if kind in ("wcauchy", "wrapped_cauchy", "wc"):
-            return phase.WrappedCauchy(float(parts[1]), float(parts[2]))
-    except (IndexError, ValueError) as exc:
-        raise UsageError(f"malformed phase family {spec!r}: {exc}") from exc
-    raise UsageError(
-        f"unknown phase family {spec!r}; use uniform, point:ANGLE, "
-        "wgauss:MEAN:SIGMA2 or wcauchy:MEAN:GAMMA"
-    )
+    kind, *fields = spec.split(":")
+    kind = kind.strip().lower()
+    for names, constructor, usage, counts in _PHASE_FAMILIES:
+        if kind in names:
+            if len(fields) not in counts:
+                raise UsageError(f"malformed phase family {spec!r}: use {usage}")
+            try:
+                return getattr(phase, constructor)(*map(float, fields))
+            except ValueError as exc:
+                raise UsageError(f"malformed phase family {spec!r}: {exc}") from exc
+    usages = [row[2] for row in _PHASE_FAMILIES]
+    raise UsageError(f"unknown phase family {spec!r}; use {', '.join(usages[:-1])} or {usages[-1]}")
 
 
 def _spectrum_table(spectrum):

@@ -26,9 +26,10 @@ step refactors the corral.  It stops
 with a witness once the residual's 1-norm is within the tolerance, and with
 ``h`` as a separating functional once no pair can bring the corral closer.
 The answer is a certificate either way, checked before it is returned.
-``degradation_products`` returns every pair's product and the map tables,
-the reference that separators are checked against.  ``best_error_probability``
-wraps the same best-codebook kernel for block codes on the memoryless extension.
+``degradation_products`` enumerates every pair's product and the map
+tables; no library code reads it, and the tests check certificates against
+it.  ``best_error_probability`` wraps the same best-codebook kernel for
+block codes on the memoryless extension.
 """
 
 from __future__ import annotations
@@ -263,9 +264,9 @@ def degradation_products(
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Vectorized products R @ K @ T over all deterministic pairs.
 
-    The exhaustive reference that ``includes`` no longer needs: separators
-    are checked against it.  Returns the products, one ``vec(R K T)`` per
-    row, and the map tables ``(input_maps, output_maps)``, one map per row,
+    The exhaustive enumeration, which ``includes`` does not use; the tests
+    check certificates against it.  Returns the products, one ``vec(R K T)``
+    per row, and the map tables ``(input_maps, output_maps)``, one map per row,
     each in ``itertools.product`` order.  Row ``t * len(input_maps) + i`` is
     the product for ``input_maps[i]`` and ``output_maps[t]``, so there are
     ``n1**n2 * m2**m1`` rows and equal products are all kept.  Raises
@@ -735,11 +736,14 @@ def best_error_probability(
     Relabelling the messages leaves the correct-decoding mass unchanged and
     a repeated sequence adds none, so at most one codebook per set of
     ``min(n_messages, n_seq)`` distinct sequences is evaluated.  ``cap``
-    still bounds the count of ordered codebooks, ``n_seq**n_messages``.
+    still bounds the count of ordered codebooks, ``n_seq**n_messages``, and
+    also the extension's ``(n_inputs * n_outputs)**block_length`` entries,
+    before the extension is built.
     """
     n_messages = _checked_count(n_messages, "n_messages")
     block_length = _checked_count(block_length, "block_length")
     _check_count(((channel.n_inputs, block_length * n_messages),), cap, "codebooks")
+    _check_count(((channel.entries.size, block_length),), cap, "extension entries")
 
     extension = channel.entries
     for _ in range(block_length - 1):

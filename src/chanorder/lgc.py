@@ -94,7 +94,10 @@ def _whitened_spectrum(whitener: np.ndarray, h: np.ndarray) -> SingularSpectrum:
         raise ValueError(
             "singular values of the whitened channel matrix Sigma^(-1/2) H overflow the float range"
         )
-    return SingularSpectrum(values)
+    # LAPACK returns a fresh nonempty vector, sorted nonincreasing and
+    # nonnegative (no -0.0), and the first value bounds the rest, so it
+    # passes every check of SingularSpectrum.
+    return _unchecked(SingularSpectrum, values=values)
 
 
 def _checked_singular(values: np.ndarray, unsorted: str) -> np.ndarray:
@@ -257,15 +260,21 @@ def verify_equivalence_transform(
     return EquivalenceReport(True, max_deviation=deviation)
 
 
+# The largest sample_haar_orthogonal size: a 2048 x 2048 draw is 32 MiB.
+_MAX_HAAR = 2048
+
+
 def sample_haar_orthogonal(n: int, seed) -> np.ndarray:
     """Orthogonal matrix drawn from the rotation-invariant distribution.
 
     The QR factor of an i.i.d. Gaussian ``n x n`` matrix drawn from
     ``default_rng(seed)``, with its columns reflected so the R diagonal is
     positive -- without that correction the factor is not invariant
-    (Mezzadri 2007).
+    (Mezzadri 2007).  ``n`` is at most 2048, checked before the draw.
     """
     n = _checked_count(n, "n")
+    if n > _MAX_HAAR:
+        raise ValueError(f"n {n} exceeds the bound of {_MAX_HAAR}: the matrix would hold {n}x{n} entries")
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
     signs = np.sign(np.diagonal(r))
     signs[signs == 0.0] = 1.0
@@ -423,64 +432,65 @@ def ensemble_order(
     band = sqrt(log(2.0 / delta) / (2.0 * a.n_samples)) + sqrt(
         log(2.0 / delta) / (2.0 * b.n_samples)
     )
-    # Sorted pooled values this close are one value computed twice.
-    scale = max(float(np.abs(a.samples).max()), float(np.abs(b.samples).max()))
-    rounding = 16 * np.finfo(float).eps * scale
-    first_violation = 0.0  # how far "first dominates" fails
-    second_violation = 0.0
-    gap = 0.0
-    for k in range(a.spectrum_length):
-        pooled = np.concatenate([a.samples[:, k], b.samples[:, k]])
-        order = np.argsort(pooled)
-        # Both empirical CDFs are step functions that only jump at sample
-        # points, so their largest separation is attained at a pooled
-        # sample: the last of each run of values merged within rounding.
-        value = np.cumsum(np.diff(pooled[order], prepend=-np.inf) > rounding) - 1
-        from_a = order < a.n_samples
-        fa = np.cumsum(np.bincount(value[from_a], minlength=value[-1] + 1)) / a.n_samples
-        fb = np.cumsum(np.bincount(value[~from_a], minlength=value[-1] + 1)) / b.n_samples
-        first_violation = max(first_violation, float(np.max(fa - fb)))
-        second_violation = max(second_violation, float(np.max(fb - fa)))
-        gap = max(gap, float(np.max(np.abs(fa - fb))))
+    pooled = np.concatenate([a.samples, b.samples])
+    order = np.argsort(pooled, axis=0)
+    values = np.take_along_axis(pooled, order, axis=0)
+    # Sorted pooled values this close are one value computed twice; the
+    # samples are nonnegative, so the last sorted row holds the largest |sample|.
+    rounding = 16 * np.finfo(float).eps * float(values[-1].max())
+    # Both empirical CDFs are step functions that only jump at sample
+    # points, so their largest separation is attained at a pooled sample:
+    # the last of each run of values merged within rounding.
+    ends = np.diff(values, axis=0, append=np.inf) > rounding
+    from_a = np.cumsum(order < a.n_samples, axis=0)
+    from_b = np.arange(1, len(pooled) + 1)[:, None] - from_a
+    gaps = (from_a / a.n_samples - from_b / b.n_samples)[ends]
+    # How far "first dominates" and "second dominates" fail.  The last run
+    # end has both CDFs at 1, so each is >= 0; 0.0 - min, not -min, keeps
+    # that zero 0.0 rather than -0.0.
+    first_violation = float(gaps.max())
+    second_violation = 0.0 - float(gaps.min())
+    largest = max(first_violation, second_violation)
     note = "common copula assumed by the caller"
     first_ok = first_violation <= band
     second_ok = second_violation <= band
     if first_ok and second_ok:
-        return EnsembleOrderDecision(True, "equal", gap, max(first_violation, second_violation), band, note)
+        return EnsembleOrderDecision(True, "equal", largest, largest, band, note)
     if first_ok:
         return EnsembleOrderDecision(True, "first", second_violation, first_violation, band, note)
     if second_ok:
         return EnsembleOrderDecision(True, "second", first_violation, second_violation, band, note)
     return EnsembleOrderDecision(
-        False, None, gap, float(min(first_violation, second_violation)), band, note
+        False, None, largest, min(first_violation, second_violation), band, note
     )
 
 
-def _quantile_combine(a: SingularEnsemble, b: SingularEnsemble, combine) -> np.ndarray:
+def _quantile_combine(a: SingularEnsemble, b: SingularEnsemble, combine, what: str) -> SingularEnsemble:
+    """Coordinate-wise ``combine`` of the two ensembles' quantiles, placed on
+    ``a``'s rank pattern."""
     if a.samples.shape != b.samples.shape:
         raise ValueError("ensembles must have identical shapes")
-    sorted_a = np.sort(a.samples, axis=0)
-    sorted_b = np.sort(b.samples, axis=0)
-    combined = combine(sorted_a, sorted_b)
-    ranks = a.samples.argsort(axis=0, kind="stable").argsort(axis=0, kind="stable")
-    out = np.take_along_axis(combined, ranks, axis=0)
+    order = np.argsort(a.samples, axis=0, kind="stable")
+    combined = combine(np.take_along_axis(a.samples, order, axis=0), np.sort(b.samples, axis=0))
+    out = np.empty_like(combined)
+    np.put_along_axis(out, order, combined, axis=0)
     # Re-sort within each sample: the per-coordinate quantile transform can
-    # disturb the nonincreasing layout on rank ties.
-    return np.sort(out, axis=1)[:, ::-1]
+    # disturb the nonincreasing layout on rank ties.  The entrywise max or
+    # min of finite nonnegative samples (no -0.0) is finite and nonnegative,
+    # so the sorted, contiguous copy passes every check of SingularEnsemble.
+    samples = np.sort(out, axis=1)[:, ::-1].copy()
+    note = f"quantile {what} of paired ensembles on the first ensemble's rank pattern"
+    return _unchecked(SingularEnsemble, samples=samples, seed=a.seed, copula_note=note)
 
 
 def ensemble_lub(a: SingularEnsemble, b: SingularEnsemble) -> SingularEnsemble:
     """Coordinate-wise quantile maximum realized on the first ensemble's copula."""
-    samples = _quantile_combine(a, b, np.maximum)
-    note = "quantile max of paired ensembles on the first ensemble's rank pattern"
-    return SingularEnsemble(samples, seed=a.seed, copula_note=note)
+    return _quantile_combine(a, b, np.maximum, "max")
 
 
 def ensemble_glb(a: SingularEnsemble, b: SingularEnsemble) -> SingularEnsemble:
     """Coordinate-wise quantile minimum realized on the first ensemble's copula."""
-    samples = _quantile_combine(a, b, np.minimum)
-    note = "quantile min of paired ensembles on the first ensemble's rank pattern"
-    return SingularEnsemble(samples, seed=a.seed, copula_note=note)
+    return _quantile_combine(a, b, np.minimum, "min")
 
 
 def to_json_dict(channel: GaussianChannel) -> dict:

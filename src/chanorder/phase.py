@@ -63,6 +63,12 @@ __all__ = [
 
 EPS_GIBBS = 1e-6
 
+# The largest order of a grid built from an order alone (by from_wrapped,
+# from_grid or a rank-one product), checked before anything of that size is
+# allocated: a (1025 x 1025) complex grid is 16 MiB.  A grid read from a
+# document is bounded by the document.
+_MAX_ORDER = 512
+
 _ROLES = ("channel", "degradation")
 _HERMITIAN_TOL = 1e-12
 _MAGNITUDE_TOL = 1e-12
@@ -161,9 +167,20 @@ def _bounded_product(h: np.ndarray, v: np.ndarray) -> bool:
     return bound * _PRODUCT_ROUNDING <= 1.0 + _MAGNITUDE_TOL
 
 
+def _checked_order(order) -> int:
+    """``_checked_count(order, "order")``; ValueError past ``_MAX_ORDER``."""
+    order = _checked_count(order, "order")
+    if order > _MAX_ORDER:
+        side = 2 * order + 1
+        raise ValueError(f"order {order} exceeds the bound of {_MAX_ORDER}: "
+                         f"its grid would hold {side}x{side} coefficients")
+    return order
+
+
 def _product_spectrum(h: np.ndarray, v: np.ndarray, role: str = "channel") -> TorusSpectrum:
     """Spectrum of the rank-one grid ``np.outer(h, v)`` in ``role``."""
-    order, coeffs = _checked_grid((h.size - 1) // 2, np.outer(h, v), role, factors=(h, v))
+    order = _checked_order((h.size - 1) // 2)
+    order, coeffs = _checked_grid(order, np.outer(h, v), role, factors=(h, v))
     # Every check has run on a fresh grid: fill the frozen fields without a second one.
     return _unchecked(TorusSpectrum, order=order, coeffs=coeffs, role=role)
 
@@ -232,8 +249,9 @@ def from_wrapped(family, order: int) -> np.ndarray:
     ``-order .. order``, sampled from the continuous characteristic function
     of the unwrapped law.  Every parameter must be finite, and so must the
     mean or angle times ``order``; a ``ValueError`` names the one that is not.
+    ``order`` is at most 512, the bound of every grid built from an order.
     """
-    order = _checked_count(order, "order")
+    order = _checked_order(order)
     m = np.arange(-order, order + 1)
     # A scale whose product with m or m**2 passes the float range gives the
     # coefficient's limit exp(-inf) = 0.
@@ -290,8 +308,9 @@ def from_grid(pdf_samples, order: int, role: str = "channel") -> TorusSpectrum:
 
     The samples are renormalized to a probability measure on the grid nodes
     and the coefficients are the exact transform of that discrete measure.
+    ``order`` is at most 512.
     """
-    order = _checked_count(order, "order")
+    order = _checked_order(order)
     pdf = np.asarray(pdf_samples, dtype=float)
     if pdf.ndim != 2 or pdf.size == 0:
         raise ValueError("pdf_samples must form a nonempty 2-D grid")

@@ -154,6 +154,79 @@ class TestDmcCommands:
         assert peak < 10 * 2**20
 
 
+def _nested(depth: int) -> str:
+    # Written as text: json.dump itself recurses once per level.
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize("argv, name, text", [
+    (["dmc", "check", "--better", "@deep", "--worse", "@bsc"], "deep.json",
+     '{"type": "dmc", "matrix": ' + _nested(100_000) + "}"),
+    (["dmc", "degrade", "--channel", "@bsc", "--witness", "@deep"], "deep.json",
+     '{"weights": [1.0], "pairs": ' + _nested(100_000) + "}"),
+    (["lgc", "canon", "--channel", "@deep"], "deep.json",
+     '{"type": "lgc", "H": ' + _nested(100_000) + ', "Sigma": [[1.0]]}'),
+], ids=["dmc-matrix", "witness-pairs", "lgc-matrix"])
+def test_document_nested_past_the_recursion_limit_exits_two(capsys, tmp_path, bsc_files, argv, name, text):
+    deep = tmp_path / name
+    deep.write_text(text)
+    paths = {"@deep": str(deep), "@bsc": bsc_files[0]}
+    code = run([paths.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err.count("\n")) == (2, "", 1)
+    assert json.loads(captured.err)["error"] == {
+        "type": "ValueError", "message": f"{deep}: JSON nested too deeply to read"}
+
+
+def test_witness_nested_five_thousand_deep_exits_two(capsys, tmp_path, bsc_files):
+    # Past the decoder's recursion limit on some Python versions, within it
+    # on others, where the witness parser refuses the first pair.
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"weights": [1.0], "pairs": ' + _nested(5_000) + "}")
+    code = run(["dmc", "degrade", "--channel", bsc_files[0], "--witness", str(deep)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err.count("\n")) == (2, "", 1)
+    assert json.loads(captured.err)["error"]["type"] == "ValueError"
+
+
+# Integer options past the bound of what they size: (argv, the one-line error).
+_OVERSIZED = [
+    (["phase", "extremal", "--kind", "worst", "--order", "30000"],
+     {"type": "ValueError",
+      "message": "order 30000 exceeds the bound of 512: its grid would hold 60001x60001 coefficients"}),
+    (["phase", "build", "--h-phase", "wgauss:0:1", "--v-phase", "uniform", "--order", "30000"],
+     {"type": "ValueError",
+      "message": "order 30000 exceeds the bound of 512: its grid would hold 60001x60001 coefficients"}),
+    (["phase", "build", "--h-phase", "uniform", "--v-phase", "uniform", "--order", str(10**12)],
+     {"type": "ValueError", "message": f"order {10**12} exceeds the bound of 512: its grid would hold "
+                                       f"{2 * 10**12 + 1}x{2 * 10**12 + 1} coefficients"}),
+    (["lgc", "sample-haar", "--n", "200000"],
+     {"type": "ValueError",
+      "message": "n 200000 exceeds the bound of 2048: the matrix would hold 200000x200000 entries"}),
+    (["dmc", "error-prob", "--channel", "@wide", "--messages", "1", "--block-length", "4"],
+     {"type": "EnumerationTooLargeError",
+      "message": "enumeration too large: 1600000000 extension entries exceeds the cap of 1000000"}),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, error", _OVERSIZED, ids=["extremal", "build", "build-10**12", "sample-haar",
+                                                         "error-prob"])
+def test_integer_option_past_its_bound_exits_two_before_allocating(capsys, tmp_path, argv, error):
+    wide = write(tmp_path / "wide.json", {"type": "dmc", "matrix": [[0.01] * 100] * 2})
+    argv = [wide if arg == "@wide" else arg for arg in argv]
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err.count("\n")) == (2, "", 1)
+    assert json.loads(captured.err)["error"] == error
+    assert peak < 10 * 2**20
+
+
 class TestNoiseCommands:
     @pytest.fixture
     def profiles(self, tmp_path):
@@ -300,15 +373,26 @@ class TestPhaseCommands:
         assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
 
     @pytest.mark.parametrize("spec, message", [
-        ("wgauss:0", "malformed phase family 'wgauss:0'"),
+        ("wgauss:0", "malformed phase family 'wgauss:0': use wgauss:MEAN:SIGMA2"),
+        ("wgauss:0:x", "malformed phase family 'wgauss:0:x': could not convert"),
         ("vonmises:0:1", "unknown phase family 'vonmises:0:1'"),
-    ], ids=["malformed", "unknown"])
+        # Extra fields, which were once dropped unread.
+        ("wgauss:0:1:junk", "malformed phase family 'wgauss:0:1:junk': use wgauss:MEAN:SIGMA2"),
+        ("uniform:5", "malformed phase family 'uniform:5': use uniform"),
+        ("point:1:2:3", "malformed phase family 'point:1:2:3': use point:ANGLE"),
+    ], ids=["malformed", "non-number", "unknown", "extra-wgauss", "extra-uniform", "extra-point"])
     def test_build_rejects_a_bad_family_spec(self, capsys, spec, message):
         code = run(["phase", "build", "--h-phase", spec, "--v-phase", "uniform", "--order", "2"])
         captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
+        assert (code, captured.out, captured.err.count("\n")) == (2, "", 1)
         error = json.loads(captured.err)["error"]
         assert error["type"] == "UsageError" and error["message"].startswith(message)
+
+    @pytest.mark.parametrize("spec", ["uniform", "U", "point", "p:0.5", "wg:0:1", "wrapped_cauchy:0.2:0.3"])
+    def test_build_reads_each_family_spelling(self, capsys, spec):
+        code, doc, _ = run_json(capsys, ["phase", "build", "--h-phase", spec, "--v-phase", "uniform",
+                                         "--order", "2"])
+        assert code == 0 and doc["metadata"]["parameters"]["h_phase"] == spec
 
     @pytest.fixture
     def channel_and_degradation(self, tmp_path):

@@ -920,6 +920,22 @@ class TestBestErrorProbability:
         with pytest.raises(EnumerationTooLargeError, match="codebooks"):
             best_error_probability(bsc(0.1), 8, 8)
 
+    def test_cap_bounds_the_extension_before_it_is_built(self):
+        # 1 message of length 3 on the BSC: 8 codebooks, and (2 * 2)**3 = 64
+        # extension entries.
+        assert best_error_probability(bsc(0.1), 1, 3, cap=64) >= 0.0
+        with pytest.raises(EnumerationTooLargeError, match="^enumeration too large: 64 extension entries"):
+            best_error_probability(bsc(0.1), 1, 3, cap=63)
+        wide = StochasticMatrix(np.full((2, 100), 0.01))
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationTooLargeError, match="1600000000 extension entries"):
+                best_error_probability(wide, 1, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     def test_cap_counts_ordered_codebooks(self):
         # 4 sequences, 3 messages: 20 multisets but 64 ordered codebooks.
         assert best_error_probability(bsc(0.1), 3, 2, cap=64) >= 0.0

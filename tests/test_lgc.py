@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -186,9 +188,76 @@ def _reference_pad(spectrum, length):
     return np.pad(spectrum.values, (0, length - spectrum.values.size))
 
 
+def _reference_ensemble_order(a, b, delta):
+    """ensemble_order as one loop per coordinate, with bincount run indices
+    and three running maxima."""
+    band = math.sqrt(math.log(2.0 / delta) / (2.0 * a.n_samples)) + math.sqrt(
+        math.log(2.0 / delta) / (2.0 * b.n_samples)
+    )
+    scale = max(float(np.abs(a.samples).max()), float(np.abs(b.samples).max()))
+    rounding = 16 * np.finfo(float).eps * scale
+    first = second = gap = 0.0
+    for k in range(a.spectrum_length):
+        pooled = np.concatenate([a.samples[:, k], b.samples[:, k]])
+        order = np.argsort(pooled)
+        value = np.cumsum(np.diff(pooled[order], prepend=-np.inf) > rounding) - 1
+        from_a = order < a.n_samples
+        fa = np.cumsum(np.bincount(value[from_a], minlength=value[-1] + 1)) / a.n_samples
+        fb = np.cumsum(np.bincount(value[~from_a], minlength=value[-1] + 1)) / b.n_samples
+        first = max(first, float(np.max(fa - fb)))
+        second = max(second, float(np.max(fb - fa)))
+        gap = max(gap, float(np.max(np.abs(fa - fb))))
+    note = "common copula assumed by the caller"
+    if first <= band and second <= band:
+        return lgc.EnsembleOrderDecision(True, "equal", gap, max(first, second), band, note)
+    if first <= band:
+        return lgc.EnsembleOrderDecision(True, "first", second, first, band, note)
+    if second <= band:
+        return lgc.EnsembleOrderDecision(True, "second", first, second, band, note)
+    return lgc.EnsembleOrderDecision(False, None, gap, float(min(first, second)), band, note)
+
+
+def _reference_quantile_samples(a, b, combine):
+    """The ensemble lattice's samples by np.sort and a double argsort."""
+    combined = combine(np.sort(a.samples, axis=0), np.sort(b.samples, axis=0))
+    ranks = a.samples.argsort(axis=0, kind="stable").argsort(axis=0, kind="stable")
+    return np.sort(np.take_along_axis(combined, ranks, axis=0), axis=1)[:, ::-1]
+
+
+def _seeded_ensemble_pairs():
+    """Gaussian, Haar-rotated and integer-valued ensemble pairs, k = 1-5,
+    half of them with unequal sample counts, and rotated copies of one
+    matrix, whose spectra differ by rounding."""
+    rng = np.random.default_rng(32)
+    pairs = []
+    for trial in range(90):
+        k, kind = trial % 5 + 1, trial // 5 % 3
+        na = int(rng.integers(1, 300))
+        nb = na if trial % 2 else int(rng.integers(1, 300))
+        rows = k + int(rng.integers(0, 3))
+        if kind == 0:
+            pairs.append((ensemble_from_sampler(GaussianEntries(rows, k), na, trial),
+                          ensemble_from_sampler(GaussianEntries(rows, k, rng.uniform(0.8, 1.5)), nb, trial + 1)))
+        elif kind == 1:
+            base = rng.standard_normal((rows, k))
+            other = base if trial % 4 < 2 else rng.standard_normal((rows, k))
+            pairs.append((ensemble_from_sampler(HaarRotated(base), na, trial),
+                          ensemble_from_sampler(HaarRotated(other), nb, trial + 1)))
+        else:
+            # Few distinct values: exact ties within and across the ensembles.
+            draws = [np.sort(rng.integers(0, 4, (n, k)), axis=1)[:, ::-1] for n in (na, nb)]
+            pairs.append(tuple(SingularEnsemble(d, seed=trial) for d in draws))
+    base = np.random.default_rng(3).standard_normal((3, 3))
+    pairs.append((ensemble_from_sampler(rotated_copies(base, 40), 40, 0),
+                  ensemble_from_sampler(HaarRotated(base), 40, 0)))
+    return pairs
+
+
 class TestBuiltFromParts:
     """lub and glb build their spectrum from the padded values, with no
-    second validation, and padding fills zeros by slice."""
+    second validation, and padding fills zeros by slice.  So do canonical
+    spectra, from the SVD, and the ensemble lattice, from sorted samples;
+    ensemble_order takes one pass over all coordinates."""
 
     @staticmethod
     def spectra():
@@ -256,6 +325,53 @@ class TestBuiltFromParts:
         for a in spectra:
             for b in spectra[::3]:
                 lub(a, b), glb(a, b), spectrum_includes(a, b)
+        assert calls == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_ensemble_results_match_the_per_coordinate_references(self, monkeypatch):
+        # repr, so that a -0.0 where the reference has 0.0 counts.
+        pairs = _seeded_ensemble_pairs()
+        built = []
+        for a, b in pairs:
+            for first, second in ((a, b), (b, a)):
+                for delta in (0.05, 0.5):
+                    expected = _reference_ensemble_order(first, second, delta)
+                    assert repr(ensemble_order(first, second, delta)) == repr(expected)
+            if a.samples.shape == b.samples.shape:
+                for operation, combine in ((ensemble_lub, np.maximum), (ensemble_glb, np.minimum)):
+                    expected = SingularEnsemble(_reference_quantile_samples(a, b, combine), seed=a.seed)
+                    built.append((operation, a, b, expected))
+        assert len(built) > 50
+        calls = []
+        post_init = SingularEnsemble.__post_init__
+        monkeypatch.setattr(SingularEnsemble, "__post_init__",
+                            lambda self: calls.append(1) or post_init(self))
+        for operation, a, b, expected in built:
+            result = operation(a, b)
+            assert result.samples.shape == expected.samples.shape
+            assert result.samples.tobytes() == expected.samples.tobytes()
+            assert result.samples.flags.c_contiguous and not result.samples.flags.writeable
+            assert result.seed == a.seed
+        assert calls == []
+
+    def test_canonical_spectrum_matches_the_validating_constructor(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        cases = []
+        for trial in range(60):
+            outputs, inputs = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            h = rng.standard_normal((outputs, inputs))
+            if trial % 3 == 0:
+                h[:, 0] = 0.0  # rank-deficient: zero singular values
+            sigma = random_spd(rng, outputs)
+            cases.append((h, sigma, SingularSpectrum(singular_values(inverse_sqrt_spd(sigma) @ h))))
+        calls = []
+        post_init = SingularSpectrum.__post_init__
+        monkeypatch.setattr(SingularSpectrum, "__post_init__",
+                            lambda self: calls.append(1) or post_init(self))
+        for h, sigma, expected in cases:
+            spectrum = GaussianChannel(h, sigma).spectrum
+            assert spectrum.values.tobytes() == expected.values.tobytes()
+            assert not spectrum.values.flags.writeable
         assert calls == []
 
 
@@ -339,6 +455,11 @@ class TestHaar:
     def test_non_integer_size_rejected(self, n):
         with pytest.raises(ValueError, match="n must be an integer"):
             sample_haar_orthogonal(n, 1)
+
+    def test_size_past_the_bound_rejected(self):
+        with pytest.raises(ValueError, match="^n 2049 exceeds the bound of 2048: the matrix would hold "
+                                             "2049x2049 entries$"):
+            sample_haar_orthogonal(2049, 0)
 
     def test_numpy_integer_size_accepted(self):
         assert np.array_equal(sample_haar_orthogonal(np.int64(3), 5), sample_haar_orthogonal(3, 5))

@@ -128,6 +128,24 @@ class TestProductChannel:
         assert np.allclose(built.coeffs, expected)
 
 
+class TestOrderBound:
+    # Every grid built from an order alone is bounded at order 512, before
+    # anything of that size is allocated; a grid read from a document is not.
+    MESSAGE = "^order 513 exceeds the bound of 512: its grid would hold 1027x1027 coefficients$"
+
+    def test_the_bound_is_accepted(self):
+        assert worst_channel(512).coeffs.shape == (1025, 1025)
+
+    @pytest.mark.parametrize("build", [
+        lambda: from_wrapped(UniformPhase(), 513),
+        lambda: from_grid(np.ones((4, 4)), 513),
+        lambda: product_channel(np.ones(1027), np.ones(1027)),
+    ], ids=["from_wrapped", "from_grid", "product_channel"])
+    def test_past_the_bound_rejected(self, build):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            build()
+
+
 class TestFromGrid:
     def test_uniform_grid_is_worst(self):
         built = from_grid(np.ones((32, 32)), 4)
