@@ -13,10 +13,11 @@ exactly against every pair by enumerating the smaller side of the pair
 (input maps or output maps) and choosing the other side greedily.  The
 smaller side's products with the better channel are stacked once per
 decision (at most 1,000 maps at the default cap, the square root of the
-pair count) with the maps last, in chunks of ``_PRICING_CHUNK`` maps, so
-that pricing a chunk is one GEMM with ``h`` and maxima and sums over the
-scores' outer axes; a step holds one chunk's scores at a time, at most
-``4,096 * n1 * n2`` (or ``4,096 * m1 * m2``).  The corral keeps an
+pair count, and 2**27 entries at any cap) with the maps last, in chunks of
+``_PRICING_CHUNK`` maps, so that pricing a chunk is one GEMM with ``h`` and
+maxima and sums over the scores' outer axes; a step holds one chunk's
+scores at a time, at most ``4,096 * n1 * n2`` (or ``4,096 * m1 * m2``).
+The corral keeps an
 orthonormal basis of its differences and the combinations of its columns
 that make each basis vector: a joining pair grows the basis by one
 Gram-Schmidt step done twice, a dropped pair removes one basis vector after
@@ -285,6 +286,10 @@ def degradation_products(
 # many at a time, so the scratch memory of a step or a search stays bounded.
 _PRICING_CHUNK = 4096
 _CODEBOOK_CHUNK = 4096
+# Whatever the cap, a pricing table holds at most this many products' entries
+# (1 GiB of floats): a 7x7 table, 7**7 maps of 7x7 products, fits; an 8x8
+# one, of 8**8 maps, does not.
+_PRICING_TABLE_ENTRIES = 2**27
 
 
 class _PricingTable(NamedTuple):
@@ -303,9 +308,14 @@ class _PricingTable(NamedTuple):
 
 
 def _pricing_table(k: np.ndarray, n2: int, m2: int) -> _PricingTable:
-    """Stack the products of the smaller side, ``min(n1**n2, m2**m1)`` maps."""
+    """Stack the products of the smaller side, ``min(n1**n2, m2**m1)`` maps.
+
+    EnumerationTooLargeError unless they hold at most
+    ``_PRICING_TABLE_ENTRIES`` entries, checked before the maps are built."""
     n1, m1 = k.shape
     output_side = m2**m1 <= n1**n2
+    entries = ((m2, m1), (n1 * m2, 1)) if output_side else ((n1, n2), (n2 * m1, 1))
+    _check_count(entries, _PRICING_TABLE_ENTRIES, "pricing table entries")
     maps = _maps(m1, m2) if output_side else _maps(n2, n1)
     chunks = (maps[start:start + _PRICING_CHUNK] for start in range(0, len(maps), _PRICING_CHUNK))
     if output_side:
@@ -483,7 +493,10 @@ def includes(
     search scores in all, and, separately, the size ``n1**n2 * m2**m1`` of
     the pair space that Wolfe's search prices, as for
     ``degradation_products``; EnumerationTooLargeError is raised only when
-    that search is needed, so after at most ``cap`` codebooks.
+    that search is needed, so after at most ``cap`` codebooks.  Whatever
+    ``cap``, that search's pricing table holds at most
+    ``_PRICING_TABLE_ENTRIES`` entries, or EnumerationTooLargeError is
+    raised before it is built.
     """
     tolerance = float(tolerance)
     if not 0.0 < tolerance < np.inf:

@@ -1,6 +1,8 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators and certificate checks for the test
+suite."""
 
 import numpy as np
+import pytest
 
 from chanorder import dmc, lgc, noise
 
@@ -20,6 +22,28 @@ def random_degradation(rng, channel, n_inputs, n_outputs, max_pairs=3):
         pairs.append(dmc.DeterministicPair(input_map, output_map))
     weights = rng.random(n_pairs) + 0.05
     return pairs, weights / weights.sum()
+
+
+def check_certificate(better, worse, decision, cap=dmc.ENUMERATION_CAP, tolerance=1e-9):
+    """Check a dmc decision's certificate without the search that made it.
+
+    A witness's weights sum to 1 within 1e-9, and it replays ``worse``
+    within ``tolerance``.  A separator beats every pair of
+    ``degradation_products`` (enumerated within ``cap``) by a positive
+    margin, equal to ``decision.margin`` within 1e-12; that margin is
+    returned."""
+    if decision.included:
+        witness = decision.witness
+        assert abs(float(witness.weights.sum()) - 1.0) <= 1e-9
+        replayed = witness.replay(better, n_outputs=worse.n_outputs)
+        assert np.max(np.abs(replayed.entries - worse.entries)) <= tolerance
+        return None
+    candidates, _ = dmc.degradation_products(better, worse.entries.shape, cap=cap)
+    h = decision.separator
+    margin = float(h @ worse.entries.ravel() - np.max(candidates @ h))
+    assert margin > 0.0
+    assert decision.margin == pytest.approx(margin, abs=1e-12)
+    return margin
 
 
 def rotated_copies(base, n_samples):

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from chanorder import dmc, lgc, noise, phase
-from conftest import random_degradation, random_profile, random_stochastic
+from conftest import check_certificate, random_degradation, random_profile, random_stochastic
 
 
 def report(number, ok, detail=""):
@@ -72,18 +72,11 @@ def test_criterion_03_feasibility_certificates():
         else:
             worse = random_stochastic(rng, n2, m2)
         decision = dmc.includes(better, worse, tolerance=1e-9)
-        if decision.included:
-            feasible_count += 1
-            replayed = decision.witness.replay(better, n_outputs=worse.n_outputs)
-            gap = float(np.max(np.abs(replayed.entries - worse.entries)))
-            if gap > 1e-9 or abs(float(decision.witness.weights.sum()) - 1.0) > 1e-9:
-                bad.append(("replay", case, gap))
-        else:
-            candidates, _ = dmc.degradation_products(better, (worse.n_inputs, worse.n_outputs))
-            scores = candidates @ decision.separator
-            margin = float(decision.separator @ worse.entries.ravel() - scores.max())
-            if margin <= 0.0:
-                bad.append(("separator", case, margin))
+        feasible_count += decision.included
+        try:
+            check_certificate(better, worse, decision)
+        except AssertionError as failure:
+            bad.append((case, decision.included, str(failure)))
     ok = not bad and feasible_count > 0 and feasible_count < 200
     report(3, ok, f"200 queries ({feasible_count} feasible), failures={len(bad)}")
 

@@ -15,7 +15,7 @@ import pytest
 import chanorder
 from chanorder import cli, dmc, lgc, noise, phase
 from chanorder.cli import load_document, run
-from conftest import random_profile, rotated_copies
+from conftest import random_degradation, random_profile, random_stochastic, rotated_copies
 
 
 def write(path, obj):
@@ -52,6 +52,21 @@ class TestDmcCommands:
         assert code == 1
         assert not doc["result"]["included"]
         assert doc["result"]["margin"] > 0
+
+    @pytest.mark.parametrize("n_inputs", [5, 2], ids=["5x5-output-maps", "2x5-input-maps"])
+    def test_check_included_mixture_past_the_default_cap(self, capsys, tmp_path, n_inputs):
+        # The 5x5 mixture's 5**5 * 5**5 pairs pass the default cap; it is
+        # priced over output maps, the 2x5 one over input maps.
+        rng = np.random.default_rng(5)
+        channel = random_stochastic(rng, 5, 5)
+        mixture = dmc.degrade(channel, *random_degradation(rng, channel, n_inputs, 5), n_outputs=5)
+        better = write(tmp_path / "better.json", dmc.to_json_dict(channel))
+        worse = write(tmp_path / "worse.json", dmc.to_json_dict(mixture))
+        code = run(["dmc", "check", "--better", better, "--worse", worse, "--cap", "10000000"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert captured.out == json.dumps(json.loads(captured.out), indent=2) + "\n"
+        assert json.loads(captured.out)["result"]["included"] is True
 
     def test_equiv(self, capsys, tmp_path, bsc_files):
         better, _ = bsc_files
@@ -135,10 +150,14 @@ class TestDmcCommands:
 
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("label, extra", [(2**63, []), (10**8, []), (1, ["--n-outputs", "100000000"])],
-                             ids=["2**63", "10**8", "given-10**8"])
+    @pytest.mark.parametrize("label, extra, entries", [
+        (2**63, [], 2 * (2**63 + 1)),
+        (10**8, [], 2 * (10**8 + 1)),
+        (1, ["--n-outputs", "100000000"], 2 * 10**8),
+    ], ids=["2**63", "10**8", "given-10**8"])
     def test_huge_degraded_alphabet_exits_two_before_allocating(self, capsys, tmp_path, bsc_files,
-                                                                label, extra):
+                                                                label, extra, entries):
+        # 1 pair * 2 inputs * (the largest output label + 1) product entries.
         better, _ = bsc_files
         pair = {"input_map": [0, 1], "output_map": [0, label]}
         witness = write(tmp_path / "witness.json", {"weights": [1.0], "pairs": [pair]})
@@ -149,8 +168,10 @@ class TestDmcCommands:
         finally:
             tracemalloc.stop()
         captured = capsys.readouterr()
-        assert (code, captured.out, captured.err.count("\n")) == (2, "", 1)
-        assert json.loads(captured.err)["error"]["type"] == "EnumerationTooLargeError"
+        assert (code, captured.out) == (2, "")
+        assert captured.err == json.dumps({"error": {
+            "type": "EnumerationTooLargeError",
+            "message": f"enumeration too large: {entries} product entries exceeds the cap of 1000000"}}) + "\n"
         assert peak < 10 * 2**20
 
 
@@ -206,15 +227,25 @@ _OVERSIZED = [
     (["dmc", "error-prob", "--channel", "@wide", "--messages", "1", "--block-length", "4"],
      {"type": "EnumerationTooLargeError",
       "message": "enumeration too large: 1600000000 extension entries exceeds the cap of 1000000"}),
+    # With the cap lifted, an included 8x8 mixture is priced over a table of
+    # 8**8 output maps, each with an 8x8 product.
+    (["dmc", "check", "--better", "@channel8", "--worse", "@mixture8", "--cap", str(10**20)],
+     {"type": "EnumerationTooLargeError",
+      "message": "enumeration too large: 1073741824 pricing table entries exceeds the cap of 134217728"}),
 ]
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, error", _OVERSIZED, ids=["extremal", "build", "build-10**12", "sample-haar",
-                                                         "error-prob"])
+                                                         "error-prob", "pricing-table"])
 def test_integer_option_past_its_bound_exits_two_before_allocating(capsys, tmp_path, argv, error):
-    wide = write(tmp_path / "wide.json", {"type": "dmc", "matrix": [[0.01] * 100] * 2})
-    argv = [wide if arg == "@wide" else arg for arg in argv]
+    rng = np.random.default_rng(18)
+    channel = random_stochastic(rng, 8, 8)
+    mixture = dmc.degrade(channel, *random_degradation(rng, channel, 8, 8), n_outputs=8)
+    files = {"@wide": write(tmp_path / "wide.json", {"type": "dmc", "matrix": [[0.01] * 100] * 2}),
+             "@channel8": write(tmp_path / "channel8.json", dmc.to_json_dict(channel)),
+             "@mixture8": write(tmp_path / "mixture8.json", dmc.to_json_dict(mixture))}
+    argv = [files.get(arg, arg) for arg in argv]
     tracemalloc.start()
     try:
         code = run(argv)
@@ -1358,12 +1389,23 @@ def test_non_finite_table_exits_three_in_either_format(capsys, monkeypatch, tmp_
     assert json.loads(captured.err)["error"]["type"] == "FloatingPointError"
 
 
-def test_library_import_is_lazy_and_module_runs(bsc_files, tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(chanorder.__file__)))
+# The filters of pyproject.toml's pytest options, for child interpreters.
+_WARNINGS = "error::RuntimeWarning,error::DeprecationWarning"
 
+
+def _child(*args):
+    """``python *args`` in a child that imports this package and keeps the
+    suite's warnings policy."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(chanorder.__file__)),
+               PYTHONWARNINGS=_WARNINGS)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True)
+
+
+def test_library_import_is_lazy_and_module_runs(bsc_files, tmp_path):
     def probe(code):
-        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True).stdout.strip()
+        done = _child("-c", code)
+        assert (done.returncode, done.stderr) == (0, b""), done
+        return done.stdout.decode().strip()
 
     # The package imports nothing: no front end, no family, no shared kernels.
     assert probe("import sys, chanorder; print(sorted(m for m in sys.modules "
@@ -1387,32 +1429,42 @@ def test_library_import_is_lazy_and_module_runs(bsc_files, tmp_path):
         assert set(loaded.split()) & families == {group}
 
     better, worse = bsc_files
-    proc = subprocess.run(
-        [sys.executable, "-m", "chanorder", "dmc", "check", "--better", better, "--worse", worse],
-        env=env, capture_output=True, text=True,
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert json.loads(proc.stdout)["result"]["included"]
+    done = _child("-m", "chanorder", "dmc", "check", "--better", better, "--worse", worse)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert json.loads(done.stdout)["result"]["included"]
+
+
+def test_dmc_decides_with_scipy_blocked():
+    """dmc runs on numpy alone: with scipy unimportable, a child decides
+    included pairs priced over output maps and over input maps, and a
+    not-included pair, and loads no scipy module."""
+    rng = np.random.default_rng(18)
+    better = random_stochastic(rng, 4, 4)
+    worse = [dmc.degrade(better, *random_degradation(rng, better, n_inputs, 4), n_outputs=4)
+             for n_inputs in (4, 3)]
+    worse.append(random_stochastic(rng, 4, 4))
+    code = ("import json, sys; sys.modules['scipy'] = None; from chanorder import dmc; "
+            "better, *worse = map(dmc.StochasticMatrix, json.loads(sys.argv[1])); "
+            "print([dmc.includes(better, w).included for w in worse], "
+            "[m for m in sys.modules if m.startswith('scipy.')])")
+    done = _child("-c", code, json.dumps([m.entries.tolist() for m in (better, *worse)]))
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == b"[True, True, False] []\n"
 
 
 # What the ``chanorder`` console script runs, after an optional prelude.
 _CONSOLE_ENTRY = "import sys; from chanorder.cli import main; sys.exit(main())"
 
 
-def _child(code, *argv):
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(chanorder.__file__)))
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True)
-
-
 def test_the_front_end_loads_numpy_only_for_a_command():
-    done = _child("import sys, chanorder.cli; "
+    done = _child("-c", "import sys, chanorder.cli; "
                   "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'chanorder.numerics'))))")
     assert (done.returncode, done.stdout) == (0, b"[]\n")
     # Neither --help nor a usage error imports numpy: here it cannot be imported.
     blocked = "import sys; sys.modules['numpy'] = None; " + _CONSOLE_ENTRY
-    done = _child(blocked, "--help")
+    done = _child("-c", blocked, "--help")
     assert (done.returncode, done.stderr) == (0, b"") and done.stdout.startswith(b"usage: chanorder")
-    done = _child(blocked, "dmc", "check")
+    done = _child("-c", blocked, "dmc", "check")
     error = {"type": "UsageError", "message": "the following arguments are required: --better, --worse"}
     assert (done.returncode, done.stdout) == (2, b"")
     assert done.stderr == (json.dumps({"error": error}) + "\n").encode()
@@ -1441,7 +1493,7 @@ def test_console_entry_prints_what_run_prints(capsys, monkeypatch, tmp_path, arg
         paths = [str(tmp_path / (where if arg.startswith("@out") else "") / arg[1:])
                  if arg.startswith("@") else arg for arg in argv]
         if where == "child":
-            done = _child(nan * nan_variance + _CONSOLE_ENTRY, *paths)
+            done = _child("-c", nan * nan_variance + _CONSOLE_ENTRY, *paths)
             outputs[where] = done.returncode, done.stdout, done.stderr
         else:
             with monkeypatch.context() as patch:
@@ -1488,5 +1540,5 @@ def test_console_entry_freezes_the_heap_at_exit():
     # atexit runs its functions last in, first out: this one runs after the
     # freeze that main registers.
     probe = "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
-    done = _child(probe + _CONSOLE_ENTRY, "--help")
+    done = _child("-c", probe + _CONSOLE_ENTRY, "--help")
     assert (done.returncode, done.stdout.splitlines()[-1]) == (0, b"True")

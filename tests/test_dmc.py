@@ -21,7 +21,7 @@ from chanorder.dmc import (
     equivalent,
     includes,
 )
-from conftest import random_degradation, random_stochastic
+from conftest import check_certificate, random_degradation, random_stochastic
 
 KNOWN_DEFECTS = Path(__file__).resolve().parent / "known_simplex_defects.json"
 
@@ -74,8 +74,7 @@ class TestIncludes:
             k = random_stochastic(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
             decision = includes(k, k)
             assert decision.included
-            replayed = decision.witness.replay(k, n_outputs=k.n_outputs)
-            assert np.max(np.abs(replayed.entries - k.entries)) <= 1e-9
+            check_certificate(k, k, decision)
 
     def test_constant_row_channel(self):
         k = StochasticMatrix([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
@@ -94,17 +93,13 @@ class TestIncludes:
     def test_witness_weights_sum_to_one(self):
         decision = includes(bsc(0.1), bsc(0.3))
         assert decision.included
-        assert abs(decision.witness.weights.sum() - 1.0) <= 1e-9
+        check_certificate(bsc(0.1), bsc(0.3), decision)
 
     def test_separator_beats_every_candidate(self):
         better, worse = bsc(0.2), bsc(0.05)
         decision = includes(better, worse)
         assert not decision.included
-        candidates, _ = degradation_products(better, (2, 2))
-        scores = candidates @ decision.separator
-        target_score = worse.entries.ravel() @ decision.separator
-        assert target_score > float(scores.max())
-        assert decision.margin > 0.0
+        check_certificate(better, worse, decision)
 
     def test_deterministic_decision(self):
         a = includes(bsc(0.1), bsc(0.3))
@@ -112,20 +107,22 @@ class TestIncludes:
         assert np.array_equal(a.witness.weights, b.witness.weights)
         assert a.witness.pairs == b.witness.pairs
 
-    def test_cap_exceeded(self):
-        # 4**4 * 4**4 = 65,536 pairs, past the cap: the codebook separator
-        # still decides this random pair, and an included pair still raises.
-        k = random_stochastic(np.random.default_rng(1), 4, 4)
-        worse = random_stochastic(np.random.default_rng(2), 4, 4)
-        decision = includes(k, worse, cap=1000)
+    @pytest.mark.parametrize("n, cap", [(4, 1000), (8, ENUMERATION_CAP)],
+                             ids=["4x4-cap-1000", "8x8-default-cap"])
+    def test_cap_exceeded(self, n, cap):
+        # n**n * n**n pairs, past the cap (65,536 at 4x4, 8**16 at 8x8): the
+        # codebook separator still decides this random pair, and an included
+        # pair still raises.  Only the 4x4 pairs can be enumerated.
+        k = random_stochastic(np.random.default_rng(1), n, n)
+        worse = random_stochastic(np.random.default_rng(2), n, n)
+        decision = includes(k, worse, cap=cap)
         assert not decision.included and decision.margin > 0.0
         assert set(decision.separator.tolist()) == {0.0, 1.0}
-        candidates, _ = degradation_products(k, (4, 4))
-        h = decision.separator
-        assert float(h @ worse.entries.ravel() - np.max(candidates @ h)) > 0.0
-        pairs, weights = random_degradation(np.random.default_rng(3), k, 4, 4)
-        with pytest.raises(EnumerationTooLargeError, match="enumeration too large"):
-            includes(k, degrade(k, pairs, weights, n_outputs=4), cap=1000)
+        if n == 4:
+            check_certificate(k, worse, decision)
+        pairs, weights = random_degradation(np.random.default_rng(3), k, n, n)
+        with pytest.raises(EnumerationTooLargeError, match="deterministic input/output pairs"):
+            includes(k, degrade(k, pairs, weights, n_outputs=n), cap=cap)
 
     def test_cap_bounds_the_screens_codebooks_in_all(self, monkeypatch):
         # A 16x16 channel includes itself, so no codebook separator exists
@@ -173,10 +170,7 @@ class TestIncludes:
         worse = StochasticMatrix([[0.5, 0.5], [0.5 + 1e-9, 0.5 - 1e-9]])
         decision = includes(better, worse)
         assert not decision.included
-        candidates, _ = degradation_products(better, (2, 2))
-        h = decision.separator
-        margin = float(h @ worse.entries.ravel() - np.max(candidates @ h))
-        assert margin > 0.0
+        margin = check_certificate(better, worse, decision)
         assert decision.margin == pytest.approx(margin, abs=1e-15)
 
     @pytest.mark.parametrize("delta", [5e-10, 1e-9, 3e-9, 1e-8])
@@ -195,11 +189,10 @@ class TestIncludes:
         rows = rows.copy()
         rows[0, :2] += (delta, -delta)
         rows[1, :2] -= (delta, -delta)
-        decision = includes(better, StochasticMatrix(rows))
+        worse = StochasticMatrix(rows)
+        decision = includes(better, worse)
         assert not decision.included
-        candidates, _ = degradation_products(better, rows.shape)
-        h = decision.separator
-        assert float(h @ rows.ravel() - np.max(candidates @ h)) > 0.0
+        check_certificate(better, worse, decision)
 
     def test_tolerance_below_rounding(self):
         # A tolerance far below rounding: each decision is either certified
@@ -283,19 +276,10 @@ def test_decisions_match_full_enumeration():
     deterministic pairs: witnesses replay, and separators strictly beat every
     candidate."""
     decided = {True: 0, False: 0}
-    for index, (better, worse) in enumerate(_oracle_instances()):
-        candidates, _ = degradation_products(better, worse.entries.shape)
-        target = worse.entries.ravel()
+    for better, worse in _oracle_instances():
         decision = includes(better, worse)
         decided[decision.included] += 1
-        if decision.included:
-            replayed = decision.witness.replay(better, n_outputs=worse.n_outputs)
-            assert np.max(np.abs(replayed.entries - worse.entries)) <= 1e-9, index
-        else:
-            h = decision.separator
-            margin = float(h @ target - np.max(candidates @ h))
-            assert margin > 0.0, index
-            assert decision.margin == pytest.approx(margin, abs=1e-12), index
+        check_certificate(better, worse, decision)
     assert min(decided.values()) >= 40
 
 
@@ -319,9 +303,7 @@ def test_known_simplex_defects_decide_included(instance):
     worse = StochasticMatrix(np.asarray(instance["worse"]))
     decision = includes(better, worse)
     assert decision.included
-    assert abs(float(decision.witness.weights.sum()) - 1.0) <= 1e-9
-    replayed = decision.witness.replay(better, n_outputs=worse.n_outputs)
-    assert np.max(np.abs(replayed.entries - worse.entries)) <= 1e-9
+    check_certificate(better, worse, decision)
 
 
 def _doubled_weights(pairs, weights, separator, best):
@@ -392,11 +374,7 @@ def test_codebook_separators_decide_like_wolfe(monkeypatch):
     for index, ((better, worse), decision) in enumerate(zip(instances, decisions)):
         assert decision.included == includes(better, worse, cap=4**8).included, index
         if screened[index]:
-            candidates, _ = degradation_products(better, worse.entries.shape, cap=4**8)
-            h = decision.separator
-            margin = float(h @ worse.entries.ravel() - np.max(candidates @ h))
-            assert margin > 0.0, index
-            assert decision.margin == pytest.approx(margin, abs=1e-12), index
+            check_certificate(better, worse, decision, cap=4**8)
     not_included = sum(not decision.included for decision in decisions)
     assert 100 <= sum(screened) < not_included, (sum(screened), not_included)
 
@@ -517,6 +495,45 @@ def test_pricing_in_chunks_matches_rebuilt_pricing(monkeypatch, chunk):
     for shape in _PRICING_SHAPES:
         test_best_pair_matches_rebuilt_pricing(*shape)
     test_certificates_match_table_free_pricing(monkeypatch)
+
+
+def test_included_mixture_past_the_default_cap_is_priced_in_default_chunks():
+    """With the cap lifted, a 6x6 mixture is priced over its 6**6 = 46,656
+    output maps in 12 chunks of the default size, and decided included."""
+    rng = np.random.default_rng(20)
+    better = random_stochastic(rng, 6, 6)
+    pairs, weights = random_degradation(rng, better, 6, 6)
+    worse = degrade(better, pairs, weights, n_outputs=6)
+    table = dmc._pricing_table(better.entries, 6, 6)
+    sizes = [products.shape[-1] for products in table.products]
+    assert table.output_side and sizes == [dmc._PRICING_CHUNK] * 11 + [46_656 - 11 * dmc._PRICING_CHUNK]
+    decision = includes(better, worse, cap=10**10)
+    assert decision.included
+    check_certificate(better, worse, decision)
+
+
+class _MapsBuilt(Exception):
+    pass
+
+
+def _table_refused(entries):
+    return rf"^enumeration too large: {entries} pricing table entries exceeds the cap of 134217728$"
+
+
+@pytest.mark.parametrize("n1, m1, n2, m2, raised, match", [
+    (7, 7, 7, 7, _MapsBuilt, None),  # 7**7 output maps of 7x7 products, 40.4 M entries
+    (8, 8, 8, 8, EnumerationTooLargeError, _table_refused(8**8 * 8 * 8)),
+    (8, 9, 8, 9, EnumerationTooLargeError, _table_refused(8**8 * 8 * 9)),  # input maps
+], ids=["7x7-output-side", "8x8-output-side", "8x9-input-side"])
+def test_pricing_table_entries_are_bounded_before_the_maps_are_built(monkeypatch, n1, m1, n2, m2,
+                                                                     raised, match):
+    def refuse(*args):
+        raise _MapsBuilt
+
+    monkeypatch.setattr(dmc, "_maps", refuse)
+    k = random_stochastic(np.random.default_rng(7), n1, m1).entries
+    with pytest.raises(raised, match=match):
+        dmc._pricing_table(k, n2, m2)
 
 
 def test_input_side_column_is_the_bytes_of_apply():
@@ -649,15 +666,7 @@ def test_kept_factor_decides_like_a_fresh_qr(monkeypatch):
     for index, ((better, worse), decision) in enumerate(zip(instances, kept)):
         assert decision.included == includes(better, worse, cap=4**8).included, index
         decided[decision.included] += 1
-        if decision.included:
-            witness = decision.witness
-            assert abs(float(witness.weights.sum()) - 1.0) <= 1e-9, index
-            replayed = witness.replay(better, n_outputs=worse.n_outputs)
-            assert np.max(np.abs(replayed.entries - worse.entries)) <= 1e-9, index
-        else:
-            candidates, _ = degradation_products(better, worse.entries.shape, cap=4**8)
-            h = decision.separator
-            assert float(h @ worse.entries.ravel() - np.max(candidates @ h)) > 0.0, index
+        check_certificate(better, worse, decision, cap=4**8)
     assert min(decided.values()) >= 60, decided
 
 
@@ -778,8 +787,7 @@ class TestDegrade:
         decision = includes(bsc(0.1), bsc(0.3))
         doc = dmc.witness_to_json_dict(decision.witness)
         witness = dmc.witness_from_json_dict(doc)
-        replayed = witness.replay(bsc(0.1), n_outputs=2)
-        assert np.max(np.abs(replayed.entries - bsc(0.3).entries)) <= 1e-9
+        check_certificate(bsc(0.1), bsc(0.3), dmc.InclusionDecision(True, witness=witness))
 
     @pytest.mark.parametrize(
         "input_map, output_map",

@@ -13,6 +13,7 @@ import pytest
 
 from chanorder import dmc, lgc, noise, phase
 from chanorder.noise import Relation
+from conftest import check_certificate
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -113,8 +114,7 @@ def dmc_degradations(draw, channel):
 def assert_included(better, worse):
     decision = dmc.includes(better, worse)
     assert decision.included
-    replayed = decision.witness.replay(better, n_outputs=worse.n_outputs)
-    assert np.max(np.abs(replayed.entries - worse.entries)) <= 1e-9
+    check_certificate(better, worse, decision)
 
 
 @SETTINGS
