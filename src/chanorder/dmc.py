@@ -23,7 +23,11 @@ that make each basis vector: a joining pair grows the basis by one
 Gram-Schmidt step done twice, a dropped pair removes one basis vector after
 a Householder reflection, and each minor step reads its weight change
 from the kept factor and projects ``h`` off the corral's hull twice, so no
-step refactors the corral.  It stops
+step refactors the corral.  A major step is some sixty numpy calls on
+vectors of ``n2 * m2`` entries, so call dispatch, not arithmetic, sets its
+cost: its products are spelled ``ndarray.dot`` and ``ufunc.reduce``,
+numpy's C entry points, which give the bits of ``@`` and of the ``.sum``,
+``.max`` and ``.min`` wrappers without their dispatch.  It stops
 with a witness once the residual's 1-norm is within the tolerance, and with
 ``h`` as a separating functional once no pair can bring the corral closer.
 The answer is a certificate either way, checked before it is returned.
@@ -79,6 +83,7 @@ _ON_HULL = 1e-12
 _ROUNDING = 16 * np.finfo(float).eps
 
 _ROW_SUM_TOL = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 class EnumerationTooLargeError(ValueError):
@@ -104,10 +109,10 @@ class StochasticMatrix:
 
     def __post_init__(self):
         entries = _owned_array(self.entries, "entries", 2)
-        sums = entries.sum(axis=1)  # of the entries as given, before clipping
+        sums = np.add.reduce(entries, 1)  # of the entries as given, before clipping
         _clipped(entries, "entries must lie in [0, 1]", 1.0)
         off = np.abs(sums - 1.0)
-        if float(off.max()) > _ROW_SUM_TOL:
+        if float(np.maximum.reduce(off)) > _ROW_SUM_TOL:
             row = int(np.argmax(off))
             raise ValueError(f"row {row} sums to {sums[row]!r}, expected 1")
         _frozen(self, entries=entries)
@@ -193,15 +198,22 @@ def _collapsed(k: np.ndarray, output_maps: np.ndarray, m2: int, maps_last: bool 
 
     The one K T kernel: the output-side pricing table and ``_products``
     (so ``DeterministicPair.apply`` and ``degrade``) call it, so a product is
-    bit-identical wherever it is computed, in either layout.  The
-    input-side pricing column repeats its additions in its order.
+    bit-identical wherever it is computed, in either layout.  Better output
+    j adds its column of ``K`` through one flat index array, so every bin
+    adds in j order, as the input-side pricing column does.
     """
-    shape = (len(output_maps), k.shape[0], m2)
-    out = np.zeros(shape[::-1] if maps_last else shape)
-    stacked = out.T if maps_last else out
-    index = np.arange(len(output_maps))
-    for j in range(k.shape[1]):
-        stacked[index, :, output_maps[:, j]] += k[:, j]
+    (n_maps, m1), n1 = output_maps.shape, len(k)
+    out = np.zeros((m2, n1, n_maps) if maps_last else (n_maps, n1, m2))
+    # cells: each (map, better input) cell's flat offset at output 0; targets[j]: that of output T(j).
+    if maps_last:
+        cells, targets, columns = (np.arange(n1 * n_maps).reshape(n1, n_maps),
+                                   output_maps.T[:, None] * (n1 * n_maps), k.T[:, :, None])
+    else:
+        cells, targets, columns = (np.arange(0, out.size, m2).reshape(n_maps, n1),
+                                   output_maps.T[:, :, None], k.T)
+    flat = out.reshape(-1)
+    for j in range(m1):
+        flat[cells + targets[j]] += columns[j]
     return out
 
 
@@ -297,7 +309,8 @@ class _PricingTable(NamedTuple):
     stacked once per decision with the maps last, in chunks of
     ``_PRICING_CHUNK`` maps, so that pricing a chunk is one GEMM: ``K T``
     for each output map, chunks of shape ``(m2, n1, maps)``, or ``R K`` for
-    each input map, chunks of shape ``(n2, m1, maps)``."""
+    each input map, chunks of shape ``(n2, m1, maps)``.  ``operands`` holds
+    each chunk as the 2-D view that GEMM multiplies."""
 
     k: np.ndarray
     n2: int
@@ -305,6 +318,7 @@ class _PricingTable(NamedTuple):
     output_side: bool
     maps: np.ndarray
     products: tuple[np.ndarray, ...]
+    operands: tuple[np.ndarray, ...]
 
 
 def _pricing_table(k: np.ndarray, n2: int, m2: int) -> _PricingTable:
@@ -322,7 +336,8 @@ def _pricing_table(k: np.ndarray, n2: int, m2: int) -> _PricingTable:
         products = tuple(_collapsed(k, chunk, m2, maps_last=True) for chunk in chunks)
     else:
         products = tuple(k[chunk.T[:, None], np.arange(m1)[:, None]] for chunk in chunks)
-    return _PricingTable(k, n2, m2, output_side, maps, products)
+    operands = tuple(chunk.reshape(len(chunk), -1) for chunk in products)
+    return _PricingTable(k, n2, m2, output_side, maps, products, operands)
 
 
 def _best_pair(table: _PricingTable, h: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -347,23 +362,22 @@ def _best_pair(table: _PricingTable, h: np.ndarray) -> tuple[int, np.ndarray, np
     # outputs z.
     weights, axis = (hm, 1) if table.output_side else (hm.T, 0)
     best_value, start = -math.inf, 0
-    for chunk in table.products:
-        rows, inner, size = chunk.shape
-        scores = (weights @ chunk.reshape(rows, -1)).reshape(-1, inner, size)
-        values = scores.max(axis=axis).sum(axis=0)
+    for chunk, operand in zip(table.products, table.operands):
+        _, inner, size = chunk.shape
+        scores = weights.dot(operand).reshape(-1, inner, size)
+        values = np.add.reduce(np.maximum.reduce(scores, axis))
         index = int(values.argmax())
-        if values[index] > best_value:
-            best_value, best = values[index], start + index
+        if (value := values[index]) > best_value:
+            best_value, best = value, start + index
             argmaxes, product = scores[..., index].argmax(axis=axis), chunk[..., index]
         start += size
     if table.output_side:
-        return best, argmaxes, product[:, argmaxes].T.ravel()
-    # R K T from the table's R K, adding each better output j in j order, as
-    # _collapsed does.
-    column = np.zeros((table.n2, table.m2))
-    for j, z in enumerate(argmaxes.tolist()):
-        column[:, z] += product[:, j]
-    return best, argmaxes, column.ravel()
+        return best, argmaxes, product.T[argmaxes].ravel()
+    # R K T from the table's R K: np.add.at adds each better output j in j
+    # order, as _collapsed does.
+    column = np.zeros((table.m2, table.n2))
+    np.add.at(column, argmaxes, product.T)
+    return best, argmaxes, column.T.ravel()
 
 
 def _table_pair(table: _PricingTable, best: int, argmaxes: np.ndarray) -> DeterministicPair:
@@ -391,15 +405,15 @@ def _best_codebook(entries: np.ndarray, size: int) -> tuple[float, np.ndarray]:
     further row lowers no ``max_c`` and float sums are monotone, so the
     value is the best over every multiset of ``size`` rows, bit for bit.
     """
-    peaks = np.flatnonzero(np.bincount(entries.argmax(axis=0), minlength=len(entries)))
+    peaks = np.bincount(entries.argmax(axis=0), minlength=len(entries)).nonzero()[0]
     if size >= len(peaks):
-        return float(entries.max(axis=0).sum()), peaks
+        return float(np.add.reduce(np.maximum.reduce(entries))), peaks
     indices = itertools.chain.from_iterable(itertools.combinations(range(len(entries)), size))
     best_value, best = -math.inf, None
     while (chunk := np.fromiter(itertools.islice(indices, _CODEBOOK_CHUNK * size), dtype=np.intp)).size:
         chunk = chunk.reshape(-1, size)
         # Codewords along the leading axis: a max over it is elementwise.
-        correct = entries[chunk.T].max(axis=0).sum(axis=1)
+        correct = np.add.reduce(np.maximum.reduce(entries[chunk.T]), 1)
         index = int(correct.argmax())
         if correct[index] > best_value:
             best_value, best = float(correct[index]), chunk[index]
@@ -509,7 +523,7 @@ def includes(
         pairs, weights, separator, best = _nearest_point(better, target, n2, m2, tolerance)
         if separator is None:
             return _checked_witness(better, worse, pairs, weights, tolerance)
-    margin = float(separator @ target - separator @ best.apply(better, n_outputs=m2).ravel())
+    margin = float(separator.dot(target) - separator.dot(best.apply(better, n_outputs=m2).ravel()))
     if not margin > 0.0:
         raise ArithmeticError(f"separator margin {margin:.3e} is not positive")
     return InclusionDecision(False, separator=separator, margin=margin)
@@ -550,34 +564,37 @@ def _nearest_point(better: StochasticMatrix, target: np.ndarray, n2: int, m2: in
     table = _pricing_table(better.entries, n2, m2)
     best, argmaxes, column = _best_pair(table, target)
     corral = _Corral((best, argmaxes), column)
+    anchor = corral.columns[0]  # a view: dropping the first pair shifts the next one into it
+    floor = max(tolerance, _ROUNDING * target.size)
     h = target - column
     for _ in range(_MAX_STEPS):
-        length = float(np.abs(h).sum())
-        if length <= max(tolerance, _ROUNDING * target.size):
+        length = float(np.add.reduce(np.abs(h)))
+        if length <= floor:
             pairs = [_table_pair(table, *indices) for indices in corral.pairs]
             return pairs, corral.weights[:corral.size].copy(), None, None
         best, argmaxes, column = _best_pair(table, h)
-        step = column - corral.columns[0]
-        if (float(h @ step) <= _ON_HULL * math.sqrt(h @ h) * math.sqrt(step @ step)
-                or float(h @ target - h @ column) > tolerance * length):
+        step = column - anchor
+        if (float(h.dot(step)) <= _ON_HULL * math.sqrt(h.dot(h)) * math.sqrt(step.dot(step))
+                or float(h.dot(target) - h.dot(column)) > tolerance * length):
             return None, None, h, _table_pair(table, best, argmaxes)
         corral.add((best, argmaxes), column, step)
         while True:
             move, residual = corral.affine_step(h)
             weights = corral.weights[:corral.size]
-            if float((weights + move).min()) > 0.0:
-                weights += move
+            moved = weights + move
+            if moved[moved.argmin()] > 0.0:  # the least weight, also when it is NaN
+                weights[:] = moved
                 h = residual
                 break
             # Move towards the affine minimiser until the first weight
             # reaches zero, and drop the pairs that did.
-            falling = weights + move <= 0.0
-            scale = float(np.min(weights[falling] / np.maximum(-move[falling], np.finfo(float).tiny)))
+            falling = moved <= 0.0
+            scale = float(np.minimum.reduce(weights[falling] / np.maximum(-move[falling], _TINY)))
             weights += scale * move
             h = h + scale * (residual - h)
             keep = weights > 0.0
-            keep[np.argmin(weights)] = False
-            for index in np.flatnonzero(~keep)[::-1].tolist():
+            keep[weights.argmin()] = False
+            for index in (~keep).nonzero()[0][::-1].tolist():
                 corral.drop(index)
     raise ArithmeticError(f"min-norm-point search did not converge in {_MAX_STEPS} steps")
 
@@ -595,7 +612,8 @@ class _Corral:
     0.  Until the first drop, ``B``'s rows after the first are ``R^-1`` of
     ``D = Q R`` and its first row is minus their sum.  The pairs are
     affinely independent, so there are at most ``dim + 1`` of them, and
-    every buffer is allocated at that bound once.
+    every buffer is allocated at that bound once; each method writes into
+    them in place.
     """
 
     def __init__(self, pair, column: np.ndarray):
@@ -618,19 +636,19 @@ class _Corral:
         the corral's affine hull (``_nearest_point`` checks it), so ``rho``
         is positive.
         """
-        k = self.size
-        q = self.basis[:k - 1]
-        r = q @ step
-        orthogonal = step - r @ q
-        again = q @ orthogonal
-        orthogonal -= again @ q
+        k, coords = self.size, self.coords
+        q, orthogonal = self.basis[:k - 1], self.basis[k - 1]
+        r = q.dot(step)
+        np.subtract(step, r.dot(q), orthogonal)
+        again = q.dot(orthogonal)
+        orthogonal -= again.dot(q)
         r += again
-        rho = math.sqrt(orthogonal @ orthogonal)
-        self.basis[k - 1] = orthogonal / rho
-        self.coords[:k, k - 1] = self.coords[:k, :k - 1] @ r / -rho
-        self.coords[0, k - 1] -= 1.0 / rho
-        self.coords[k, :k - 1] = 0.0
-        self.coords[k, k - 1] = 1.0 / rho
+        rho = math.sqrt(orthogonal.dot(orthogonal))
+        orthogonal /= rho
+        coords[:k, k - 1] = coords[:k, :k - 1].dot(r) / -rho
+        coords[0, k - 1] -= 1.0 / rho
+        coords[k, :k - 1] = 0.0
+        coords[k, k - 1] = 1.0 / rho
         self.pairs.append(pair)
         self.columns[k], self.weights[k] = column, 0.0
         self.size = k + 1
@@ -647,10 +665,10 @@ class _Corral:
         """
         k = self.size
         q = self.basis[:k - 1]
-        s = q @ h
-        residual = h - s @ q
-        residual -= (q @ residual) @ q
-        return self.coords[:k, :k - 1] @ s, residual
+        s = q.dot(h)
+        residual = h - s.dot(q)
+        residual -= q.dot(residual).dot(q)
+        return self.coords[:k, :k - 1].dot(s), residual
 
     def drop(self, index: int) -> None:
         """Remove the pair at ``index`` and downdate the factor.
@@ -664,13 +682,15 @@ class _Corral:
         """
         k = self.size
         q, coords = self.basis[:k - 1], self.coords[:k, :k - 1]
-        reflector = coords[index] / math.sqrt(coords[index] @ coords[index])
+        row = coords[index]
+        reflector = row / math.sqrt(row.dot(row))
         reflector[-1] += math.copysign(1.0, reflector[-1])
-        reflector *= math.sqrt(2.0 / (reflector @ reflector))
-        self.basis[:k - 2] = (q - reflector[:, None] * (reflector @ q))[:-1]
-        reflected = (coords - (coords @ reflector)[:, None] * reflector)[:, :-1]
-        self.coords[:index, :k - 2] = reflected[:index]
-        self.coords[index:k - 1, :k - 2] = reflected[index + 1:]
+        reflector *= math.sqrt(2.0 / reflector.dot(reflector))
+        # Both products are taken before either array is reflected in place.
+        along, across, head = reflector.dot(q), coords.dot(reflector), reflector[:-1]
+        q[:-1] -= np.multiply.outer(head, along)
+        coords[:, :-1] -= np.multiply.outer(across, head)
+        coords[index:-1] = coords[index + 1:]
         del self.pairs[index]
         self.columns[index:k - 1] = self.columns[index + 1:k]
         self.weights[index:k - 1] = self.weights[index + 1:k]
@@ -679,14 +699,14 @@ class _Corral:
 
 def _checked_witness(better, worse, pairs, weights, tolerance) -> InclusionDecision:
     """Included decision from a corral and its weights, after replaying it."""
-    support = np.nonzero(weights > 0.0)[0]
+    support = (weights > 0.0).nonzero()[0]
     pairs = tuple(pairs[i] for i in support)
-    weights = np.asarray(weights)[support].copy()
-    total = float(weights.sum())
+    weights = weights[support]
+    total = float(np.add.reduce(weights))
     if abs(total - 1.0) > 1e-9:
         raise ArithmeticError(f"witness weights sum to {total!r}, expected 1")
     replayed = degrade(better, pairs, weights, n_outputs=worse.n_outputs)
-    error = float(np.max(np.abs(replayed.entries - worse.entries)))
+    error = float(np.maximum.reduce(np.abs(replayed.entries - worse.entries), axis=None))
     if error > tolerance:
         raise ArithmeticError(f"witness replays with error {error:.3e} > tolerance {tolerance:.1e}")
     return InclusionDecision(True, witness=InclusionWitness(pairs, weights, residual=error))
@@ -721,7 +741,7 @@ def degrade(
     weights = np.array(weights, dtype=float).ravel()
     if not pairs or weights.size != len(pairs):
         raise ValueError("need one weight per deterministic pair")
-    if not np.all(np.isfinite(weights)):
+    if not np.isfinite(weights).all():
         raise ValueError("weights must be finite")
     total = float(weights.sum())
     _clipped(weights, "weights must be nonnegative")

@@ -64,7 +64,7 @@ def _owned_array(value, what: str = "", ndim: int = 0, dtype=float) -> np.ndarra
     """A new ``dtype`` copy of ``value`` for a value type to own; given ``ndim``,
     ValueError unless it is a nonempty finite ``ndim``-D array."""
     array = np.array(value, dtype=dtype)
-    if ndim and (array.ndim != ndim or array.size == 0 or not np.all(np.isfinite(array))):
+    if ndim and (array.ndim != ndim or array.size == 0 or not np.isfinite(array).all()):
         raise ValueError(f"{what} must be a nonempty finite {ndim}-D array")
     return array
 
@@ -163,7 +163,13 @@ def _checked_count(value, name: str) -> int:
 
 def _clipped(array: np.ndarray, message: str, high: float | None = None) -> None:
     """Clip ``array`` in place to ``[0, high]`` (``high`` None: no upper end);
-    ValueError with ``message`` unless every entry is within 1e-12 of it."""
-    if array.size and (float(array.min()) < -1e-12 or high is not None and float(array.max()) > high + 1e-12):
-        raise ValueError(message)
-    np.clip(array, 0.0, high, out=array)
+    ValueError with ``message`` unless every entry is within 1e-12 of it.
+    The clip runs only if an entry lies outside ``(0, high]``; it keeps a
+    ``-0.0`` when ``high`` is given, and makes it ``+0.0`` when it is None."""
+    if array.size:
+        low = float(np.minimum.reduce(array, axis=None))
+        top = low if high is None else float(np.maximum.reduce(array, axis=None))
+        if low < -1e-12 or high is not None and top > high + 1e-12:
+            raise ValueError(message)
+        if not low > 0.0 or high is not None and top > high:
+            np.clip(array, 0.0, high, out=array)

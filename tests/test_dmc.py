@@ -556,6 +556,40 @@ def test_input_side_column_is_the_bytes_of_apply():
     assert len(seen) > 500
 
 
+def _summed_in_order(k, input_map, output_map, m2, order):
+    """``R K T`` of one pair by a plain loop: each bin starts at 0.0 and adds
+    ``K[i, j]`` over the better outputs j in ``order``."""
+    out = [[0.0] * m2 for _ in input_map]
+    for w, i in enumerate(input_map):
+        for j in order:
+            out[w][output_map[j]] += float(k[i, j])
+    return np.array(out)
+
+
+def test_products_add_each_bin_in_better_output_order():
+    """The K T kernel, in both layouts, and the input-side pricing column are,
+    byte for byte, a loop that adds each bin in better-output order.  Rows
+    of 1 and 1e-16 tell the orders apart: (1 + 1e-16) + 1e-16 rounds to 1,
+    and 1e-16 + (1e-16 + 1) does not."""
+    rng = np.random.default_rng(3412)
+    reversed_differs = 0
+    for n1, m1, n2, m2 in ((4, 4, 4, 2), (4, 3, 3, 4), (3, 5, 2, 2), (2, 6, 3, 3)):
+        k = rng.choice([1.0, 0.5, 1e-16, 3e-17], size=(n1, m1))
+        output_maps = dmc._maps(m1, m2)
+        want = np.array([_summed_in_order(k, range(n1), t, m2, range(m1)) for t in output_maps])
+        assert dmc._collapsed(k, output_maps, m2).tobytes() == want.tobytes()
+        assert dmc._collapsed(k, output_maps, m2, maps_last=True).tobytes() == want.T.copy().tobytes()
+        backwards = [_summed_in_order(k, range(n1), t, m2, range(m1)[::-1]) for t in output_maps]
+        reversed_differs += np.array(backwards).tobytes() != want.tobytes()
+        table = dmc._pricing_table(k, n2, m2)
+        for _ in range(50):
+            best, argmaxes, column = dmc._best_pair(table, rng.standard_normal(n2 * m2))
+            pair = dmc._table_pair(table, best, argmaxes)
+            want = _summed_in_order(k, pair.input_map, pair.output_map, m2, range(m1))
+            assert column.tobytes() == want.ravel().tobytes(), (pair, table.output_side)
+    assert reversed_differs == 4
+
+
 def _fresh_qr_step(columns, h):
     """The corral's affine step from a fresh QR of its differences, as
     ``_nearest_point`` took it before it kept a factor."""

@@ -5,7 +5,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from chanorder import dmc, lgc, noise, phase
+from chanorder import dmc, lgc, noise, numerics, phase
 from chanorder.numerics import (
     _number_array, _owned_array, _unchecked, checked_integer, inverse_sqrt_spd, singular_values,
 )
@@ -120,6 +120,42 @@ def test_clipped_range_rule_at_every_clipped_type(high, message, held, value):
             held(value)
     else:
         assert held(value) == min(max(value, 0.0), np.inf if high is None else high)
+
+
+_FLIP, _BSC = dmc.DeterministicPair((1, 0), (0, 1)), dmc.bsc(0.1)
+# Every caller of the clipped-range rule, the module it calls the rule
+# through, a call that clips a -0.0 and a -1e-13 (and, with an upper end,
+# 1 + 1e-13), the array the rule leaves, and where the value built keeps it
+# (None: degrade's weights are renormalized).  With an upper end, np.clip
+# keeps -0.0; without one, it is np.maximum and makes it +0.0.
+_SIGNED_ZEROS = {
+    "StochasticMatrix": (dmc, lambda: dmc.StochasticMatrix([[-0.0, 1.0], [-1e-13, 1.0 + 1e-13]]),
+                         [[-0.0, 1.0], [0.0, 1.0]], "entries"),
+    "degrade-weights": (dmc, lambda: dmc.degrade(_BSC, [_FLIP] * 3, [-0.0, -1e-13, 1.0 + 1e-13]),
+                        [0.0, 0.0, 1.0 + 1e-13], None),
+    "MonotoneProfile": (noise, lambda: noise.MonotoneProfile(np.arange(4.0), [1.0, -0.0, -1e-13, 1.0]),
+                        [1.0, 0.0, 0.0, 1.0], "density"),
+    "SingularSpectrum": (lgc, lambda: lgc.SingularSpectrum([2.0, -0.0, -1e-13]), [2.0, 0.0, 0.0], "values"),
+    "SingularEnsemble": (lgc, lambda: lgc.SingularEnsemble([[2.0, -0.0, -1e-13]], seed=0),
+                         [[2.0, 0.0, 0.0]], "samples"),
+}
+
+
+@pytest.mark.parametrize("module, build, want, field", _SIGNED_ZEROS.values(), ids=_SIGNED_ZEROS.keys())
+def test_clipped_range_rule_keeps_the_signs_of_zeros(monkeypatch, module, build, want, field):
+    clipped = []
+
+    def recording(array, message, high=None):
+        numerics._clipped(array, message, high)
+        clipped.append(array.copy())
+
+    monkeypatch.setattr(module, "_clipped", recording)
+    value = build()
+    want = np.array(want)
+    assert np.signbit(clipped[0]).tolist() == np.signbit(want).tolist()
+    assert clipped[0].tobytes() == want.tobytes()
+    if field is not None:
+        assert getattr(value, field).tobytes() == want.tobytes()
 
 
 def test_spectrum_steps_are_read_before_clipping():
